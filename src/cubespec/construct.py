@@ -117,15 +117,29 @@ def _pq_tables(a: Sequence[float], dtype=np.float64) -> tuple[np.ndarray, np.nda
 
     The first half of each table is the eps = +1 branch (new index bit
     clear), the second half eps = -1, matching the point convention in
-    `spectrum`.
+    `spectrum`.  Each step doubles in place inside the final arrays,
+    with the same per-element operations as concatenating
+    [p + aq, p - aq] and [ap - q, -ap - q], signed zeros included.
     """
-    p = np.ones(1, dtype=dtype)
-    q = np.ones(1, dtype=dtype)
+    size = 1 << len(a)
+    p = np.empty(size, dtype=dtype)
+    q = np.empty(size, dtype=dtype)
+    aq_buf = np.empty(size // 2, dtype=dtype)
+    ap_buf = np.empty(size // 2, dtype=dtype)
+    p[0] = q[0] = 1.0
+    m = 1
     for ai in a:
         ai = dtype(ai)
-        aq = ai * q
-        ap = ai * p
-        p, q = np.concatenate([p + aq, p - aq]), np.concatenate([ap - q, -ap - q])
+        p_lo, p_hi, q_lo, q_hi = p[:m], p[m : 2 * m], q[:m], q[m : 2 * m]
+        aq = np.multiply(ai, q_lo, out=aq_buf[:m])
+        ap = np.multiply(ai, p_lo, out=ap_buf[:m])
+        # upper halves first: they read the lower halves before these change
+        np.subtract(p_lo, aq, out=p_hi)
+        np.add(p_lo, aq, out=p_lo)
+        np.negative(ap, out=q_hi)
+        np.subtract(q_hi, q_lo, out=q_hi)
+        np.subtract(ap, q_lo, out=q_lo)
+        m *= 2
     return p, q
 
 
@@ -159,13 +173,15 @@ def evaluate_at(params: ParamSeq, point: int) -> tuple[complex, complex]:
         raise ParameterError(
             f"point index {point} out of range for dimension {params.n}"
         )
+    # bits[i] is bit i of point; shifting the big int at every step
+    # would cost O(n) each and O(n^2) in all
+    bits = format(point, f"0{params.n}b")[::-1]
     p = 1.0
     q = 1.0
-    for i, ai in enumerate(params.a):
-        ai = float(ai)
+    for ai, bit in zip(params.a.tolist(), bits):
         aq = ai * q
         ap = ai * p
-        if (point >> i) & 1:
+        if bit == "1":
             p, q = p - aq, -ap - q
         else:
             p, q = p + aq, ap - q

@@ -22,6 +22,7 @@ error.  Strict claims get no epsilon forgiveness.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -44,11 +45,11 @@ from .construct import (
 from .errors import ParameterError
 from .spectrum import (
     DEFAULT_TABLE_CAP,
-    ZERO_WEIGHT_CUTOFF,
+    _entropy_sum,
+    _influence_sum,
     check_table_dim,
     fwht_inplace,
     lift_zero_mean,
-    popcounts,
     scale,
     stats,
     walsh_transform,
@@ -196,7 +197,6 @@ def _oracle_errors(a64: np.ndarray, max_table_n: int | None) -> tuple[float, ...
     big_l = ld(np.prod(one_plus)) if n else ld(1.0)
 
     p, q = _pq_tables(a64, dtype=ld)
-    pc = popcounts(n)
 
     # pointwise constancy of |P|^2 + |Q|^2
     s = p * p + q * q
@@ -240,12 +240,11 @@ def _oracle_errors(a64: np.ndarray, max_table_n: int | None) -> tuple[float, ...
         w = coeffs * coeffs
         err_coeff = max(err_coeff, float(np.max(np.abs(w - prod_table) / prod_table)))
 
-        infl = np.sum(w * pc)
+        infl = _influence_sum(w, n)
         denom = max(abs(target_infl), ld(1e-300))
         err_infl = max(err_infl, float(abs(infl - target_infl) / denom))
 
-        live = w >= ZERO_WEIGHT_CUTOFF
-        ent = -np.sum(w[live] * np.log2(w[live])) if live.any() else ld(0.0)
+        ent = _entropy_sum(w)
         ent_denom = max(abs(target_ent), big_l)
         err_ent = max(err_ent, float(abs(ent - target_ent) / ent_denom))
 
@@ -500,15 +499,19 @@ def neeman_regression(
 def modulus_spotcheck(params: ParamSeq, samples: int = 10_000, seed: int = 2024) -> float:
     """Max | |f| - 1 | of the modulus-one family over sampled points.
 
-    Streams through evaluate_at, so it runs at any n; this is the only
-    modulus check available past the table cap.
+    Each sample point is n independent fair coordinate bits packed into
+    a Python int (`random.Random(seed).getrandbits(n)`), so points are
+    uniform on {-1,1}^n for every n, far past 64.  The values stream
+    through evaluate_at in O(n) memory per point; this is the only
+    modulus check available past the table cap.  The same integer seed
+    gives the same points and result.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     factor = 2.0 ** (-0.5 * (1.0 + float(np.sum(_log2_one_plus_sq(params.a)))))
     worst = 0.0
-    for point in rng.integers(0, 1 << params.n, size=samples, dtype=np.uint64):
-        pv, qv = evaluate_at(params, int(point))
+    for _ in range(samples):
+        pv, qv = evaluate_at(params, rng.getrandbits(params.n))
         worst = max(worst, abs(math.hypot(pv.real, qv.real) * factor - 1.0))
     return worst

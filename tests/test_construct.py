@@ -68,6 +68,26 @@ class TestRecursionTables:
             assert pair.p.values.tolist() == p
             assert pair.q.values.tolist() == q
 
+    def test_unit_weights_keep_signed_zeros_of_concatenation_builder(self):
+        # a_i = 1 makes exact zeros; gen files print -0.0 and 0.0 differently
+        def concatenated(a):
+            p = np.ones(1)
+            q = np.ones(1)
+            for ai in a:
+                ai = np.float64(ai)
+                aq = ai * q
+                ap = ai * p
+                p, q = np.concatenate([p + aq, p - aq]), np.concatenate([ap - q, -ap - q])
+            return p, q
+
+        for n in range(1, 13):
+            pair = build_pq(ParamSeq(np.ones(n)))
+            p, q = concatenated(np.ones(n))
+            if n % 2:  # odd n: P and Q take the values 0 and +-2^((n+1)/2)
+                assert np.count_nonzero(p == 0.0) and np.count_nonzero(q == 0.0)
+            assert pair.p.values.tobytes() == p.astype(np.complex128).tobytes()
+            assert pair.q.values.tobytes() == q.astype(np.complex128).tobytes()
+
     def test_squared_sum_constant_over_random_draws(self):
         # |P|^2 + |Q|^2 must be flat at 2 * prod(1 + a_i^2)
         for trial in range(100):

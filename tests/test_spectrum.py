@@ -1,6 +1,7 @@
 """Transform, influence, entropy, and stats behavior against the slow reference."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,17 +14,23 @@ from cubespec import (
     ParamSeq,
     ParameterError,
     ResourceLimitError,
+    SpectralStats,
     build_pq,
     conjugate,
     entropy,
     influence,
     inverse_transform,
     lift_zero_mean,
+    neeman_function,
+    normalized_real,
     popcounts,
     scale,
     stats,
+    theorem_params,
+    unimodular_complex,
     walsh_transform,
 )
+from cubespec.spectrum import fwht_inplace
 
 RNG = np.random.default_rng(416)
 
@@ -77,6 +84,80 @@ class TestTransformValues:
             got = walsh_transform(hf(vals)).coeffs
             want = orc.transform(list(vals))
             assert np.max(np.abs(got - np.asarray(want))) <= 1e-13
+
+
+def reference_fwht(table):
+    """Pass-by-pass butterfly with two table-sized temporaries per pass.
+
+    The plain form of the transform, kept as the reference the blocked
+    in-place kernel has to match bit for bit.
+    """
+    size = table.shape[0]
+    h = 1
+    while h < size:
+        view = table.reshape(-1, 2, h)
+        top = view[:, 0, :] + view[:, 1, :]
+        bottom = view[:, 0, :] - view[:, 1, :]
+        view[:, 0, :] = top
+        view[:, 1, :] = bottom
+        h *= 2
+    return table
+
+
+def kernel_input(n, dtype, huge):
+    """Signed zeros plus magnitudes spread over 1e-150..1e150 (or 1e300..1e307,
+    which overflow to inf and nan within a few passes)."""
+    rng = np.random.default_rng(9000 + n)
+    lo, hi = (300, 307) if huge else (-150, 150)
+
+    def plane():
+        x = rng.standard_normal(1 << n) * 10.0 ** rng.integers(lo, hi, 1 << n)
+        x[::3] = -0.0
+        x[1::7] = 0.0
+        return x
+
+    if np.dtype(dtype).kind == "c":
+        return (plane() + 1j * plane()).astype(dtype)
+    return plane().astype(dtype)
+
+
+# n = 16, 17 and 20 span more than one 2^15-element block, so they take
+# the per-block low passes and the per-slab high passes.
+KERNEL_NS = list(range(18)) + [20]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_bit_identical_to_reference(self, dtype, huge):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in KERNEL_NS:
+                x = kernel_input(n, dtype, huge)
+                got = fwht_inplace(x.copy())
+                want = reference_fwht(x.copy())
+                assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_longdouble_matches_reference(self, huge):
+        # longdouble padding bytes are undefined: compare values and signs
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in KERNEL_NS:
+                x = kernel_input(n, np.longdouble, huge)
+                if huge:
+                    x *= np.longdouble(2.0) ** 15000  # exponents past float64's range
+                got = fwht_inplace(x.copy())
+                want = reference_fwht(x.copy())
+                assert np.array_equal(got, want, equal_nan=True), n
+                assert np.array_equal(np.signbit(got), np.signbit(want)), n
+
+    def test_all_negative_zero_table(self):
+        x = np.full(1 << 16, -0.0)
+        assert fwht_inplace(x.copy()).tobytes() == reference_fwht(x.copy()).tobytes()
+
+    def test_rejects_tables_it_cannot_transform_in_place(self):
+        for bad in (np.ones(6), np.ones((4, 4)), np.ones(16)[::2], np.ones(0)):
+            with pytest.raises(ParameterError):
+                fwht_inplace(bad)
 
 
 class TestInverse:
@@ -153,6 +234,57 @@ class TestStats:
         vals = RNG.uniform(-2, 2, 64)
         st_ = stats(hf(vals))
         assert abs(st_.total_weight - st_.l2_norm**2) <= 1e-12 * st_.total_weight
+
+
+def stats_from_transform(f):
+    """The stats fields the long way: norms of f, functionals of walsh_transform(f)."""
+    s = walsh_transform(f)
+    sq = f.values.real ** 2 + f.values.imag ** 2
+    w = s.coeffs.real ** 2 + s.coeffs.imag ** 2
+    return SpectralStats(
+        l2_norm=math.sqrt(float(np.sum(sq)) * math.ldexp(1.0, -f.n)),
+        linf_norm=float(np.max(np.abs(f.values))),
+        influence=influence(s),
+        entropy=entropy(s),
+        total_weight=float(np.sum(w)),
+    )
+
+
+def stats_cases(n):
+    params = ParamSeq(np.random.default_rng(n).uniform(0.2, 1.0, n))
+    real = normalized_real(params)
+    negative_zero_imag = real.values.copy()
+    negative_zero_imag.imag = -0.0
+    one_imag = real.values.copy()
+    one_imag[(1 << n) // 3] += 1e-9j
+    cases = {
+        "real": real,
+        "complex": unimodular_complex(params),
+        "neeman": neeman_function(n, 2.0),
+        "imag_all_negative_zero": hf(negative_zero_imag),
+        "one_nonzero_imag": hf(one_imag),
+    }
+    assert np.signbit(cases["imag_all_negative_zero"].values.imag).all()
+    return cases
+
+
+class TestStatsEquivalence:
+    @pytest.mark.parametrize("n", [1, 5, 12, 16, 17])
+    def test_fields_equal_the_transform_route(self, n):
+        for name, f in stats_cases(n).items():
+            assert stats(f) == stats_from_transform(f), name
+
+    @pytest.mark.parametrize("build", [normalized_real, unimodular_complex])
+    def test_peak_allocation_at_most_twice_the_table(self, build):
+        f = build(theorem_params(16))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats(f)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * f.values.nbytes
 
 
 class TestScale:

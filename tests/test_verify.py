@@ -203,3 +203,32 @@ def test_spotcheck_deterministic_for_seed():
     a = cs.modulus_spotcheck(cs.theorem_params(28), samples=500, seed=3)
     b = cs.modulus_spotcheck(cs.theorem_params(28), samples=500, seed=3)
     assert a == b
+
+
+def test_spotcheck_deterministic_for_seed_past_64_bits():
+    a = cs.modulus_spotcheck(cs.theorem_params(1000), samples=100, seed=3)
+    b = cs.modulus_spotcheck(cs.theorem_params(1000), samples=100, seed=3)
+    assert a == b
+
+
+@pytest.mark.parametrize("n, samples", [(64, 200), (65, 200), (1000, 200), (10**6, 2)])
+def test_spotcheck_past_64_bits(n, samples):
+    # point indices no longer fit a uint64 from n = 65 on
+    assert cs.modulus_spotcheck(cs.remark3_params(n, 4.0), samples=samples, seed=5) < 1e-9
+
+
+def test_spotcheck_points_are_uniform_bits(monkeypatch):
+    # n independent fair bits per point: each coordinate is -1 about half the time
+    seen = []
+    real_evaluate = cs.verify.evaluate_at
+
+    def spy(params, point):
+        seen.append(point)
+        return real_evaluate(params, point)
+
+    monkeypatch.setattr(cs.verify, "evaluate_at", spy)
+    cs.modulus_spotcheck(cs.theorem_params(70), samples=400, seed=8)
+    assert len(seen) == 400 and max(seen) < 1 << 70
+    for bit in (0, 7, 63, 64, 69):
+        ones = sum((x >> bit) & 1 for x in seen)
+        assert 140 < ones < 260, bit

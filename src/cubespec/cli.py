@@ -137,10 +137,6 @@ def _fnum(x) -> str:
     return repr(float(x))
 
 
-def _entropy_bound(n: int) -> float:
-    return (n / (n + 1.0)) * math.log2(n) if n >= 1 else 0.0
-
-
 def _ratio(entropy: float, influence: float) -> float:
     if influence > 0.0:
         return entropy / influence
@@ -218,7 +214,7 @@ def cmd_stats(config: RunConfig) -> int:
         f, _ = _build_function(config, n)
         kind = config.kind
     st = stats(f, config.max_table_n)
-    bound = _entropy_bound(n)
+    bound = verify._entropy_bound(n)
     record = {
         "n": n,
         "kind": kind,
@@ -261,6 +257,11 @@ def _select_certificates(config: RunConfig, n: int) -> list:
 
 def cmd_verify(config: RunConfig) -> int:
     n = _single_n(config)
+    if config.param_spec is not None:
+        raise ParameterError(
+            "--a has no effect for verify; certificates fix their own weights "
+            "(1/sqrt(n), sqrt(a/n) with --remark3, or 1 for kind=classical)"
+        )
     certs = _select_certificates(config, n)
     if config.fmt == "json":
         text = _json_text(

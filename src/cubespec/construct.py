@@ -28,6 +28,7 @@ request and under the cap from `spectrum`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,10 +107,12 @@ class NormalizedClosedForm:
     entropy_lower_bound: float
 
 
-def _log2_one_plus_sq(a: np.ndarray) -> np.ndarray:
-    # log1p keeps full accuracy for small a; /ln2 maps exactly onto
-    # log2 for a = 1 (both constants are the same correctly rounded ln 2).
-    return np.log1p(a * a) / _LN2
+def _log2_one_plus(a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # log2(1 + a2) for squared weights a2.  log1p keeps full accuracy for
+    # small a; /ln2 maps exactly onto log2 for a = 1 (both constants are
+    # the same correctly rounded ln 2).
+    lg = np.log1p(a2, out=out)
+    return np.divide(lg, _LN2, out=lg)
 
 
 def _pq_tables(a: Sequence[float], dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
@@ -162,30 +165,122 @@ def build_pq(params: ParamSeq, max_table_n: int | None = None) -> RSPair:
     return RSPair(HypercubeFunction(params.n, p), HypercubeFunction(params.n, q))
 
 
+#: Packed point bits held per chunk: bounds the working memory of
+#: evaluate_many (and the points modulus_spotcheck holds) at any n.
+_CHUNK_BYTES = 1 << 20
+#: Largest chunk of points: keeps the wide loop's four per-point
+#: vectors (4 x 32 KiB) cache-resident.
+_CHUNK_MAX_POINTS = 4096
+#: Signed weights expanded per coordinate block (256 KiB as float64).
+_BLOCK_ELEMS = 1 << 15
+#: Chunks of up to this many points run the doubling step as a Python
+#: float loop per point; wider chunks run it as four numpy ufuncs per
+#: coordinate across the chunk.  Measured at n = 1000 (2 CPUs, Python
+#: 3.11, numpy 2.4): the ufunc loop costs ~3 us per coordinate at any
+#: width up to 64 points, the float loop ~0.12 us per point and
+#: coordinate, so the two meet at 24 to 32 points.
+_SCALAR_LOOP_MAX_POINTS = 24
+
+
+def _points_per_chunk(n: int) -> int:
+    return max(1, min(_CHUNK_MAX_POINTS, _CHUNK_BYTES // max(1, (n + 7) // 8)))
+
+
+def _point_bytes(points: list, n: int) -> bytes:
+    # little-endian bytes of each point, concatenated: bit i of a point
+    # is bit i % 8 of its byte i // 8
+    size = 1 << n
+    width = (n + 7) // 8
+    out = []
+    for x in points:
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise ParameterError(f"point index must be an integer, got {x!r}") from None
+        if not 0 <= x < size:
+            raise ParameterError(f"point index {x} out of range for dimension {n}")
+        out.append(x.to_bytes(width, "little"))
+    return b"".join(out)
+
+
+def _signed_weight_blocks(a: np.ndarray, packed: np.ndarray):
+    """Blocks sa[j, s] = -a_i if bit i of point s is set else a_i, i = lo + j.
+
+    `packed` holds one row of little-endian point bytes per point; the
+    blocks cover i = 0..n-1 in order, about _BLOCK_ELEMS entries each.
+    """
+    n = a.size
+    step = 8 * max(1, _BLOCK_ELEMS // (8 * packed.shape[0]))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        bits = np.unpackbits(
+            packed[:, lo // 8 : (hi + 7) // 8].T, axis=0, count=hi - lo, bitorder="little"
+        )
+        w = a[lo:hi, None]
+        yield np.where(bits.view(np.bool_), -w, w)
+
+
+def _scalar_doubling(blocks, p: np.ndarray, q: np.ndarray) -> None:
+    ps, qs = p.tolist(), q.tolist()
+    for sa in blocks:
+        for s, col in enumerate(sa.T.tolist()):
+            pv, qv = ps[s], qs[s]
+            for x in col:
+                pv, qv = pv + x * qv, x * pv - qv
+            ps[s], qs[s] = pv, qv
+    p[:] = ps
+    q[:] = qs
+
+
+def _ufunc_doubling(blocks, p: np.ndarray, q: np.ndarray) -> None:
+    t1 = np.empty_like(p)
+    t2 = np.empty_like(p)
+    # positional out= arguments: ufunc call overhead is most of the
+    # cost per coordinate at these widths
+    mul, add, sub = np.multiply, np.add, np.subtract
+    for sa in blocks:
+        for row in sa:
+            mul(row, q, t1)
+            mul(row, p, t2)
+            add(p, t1, p)
+            sub(t2, q, q)
+
+
+def evaluate_many(params: ParamSeq, points) -> tuple[np.ndarray, np.ndarray]:
+    """Pair values at many points, O(n) time per point, no table.
+
+    `points` is a sequence of integer point indices in [0, 2^n), bit i
+    set meaning eps_{i+1} = -1.  Returns float64 arrays (p, q) in the
+    order of `points`.  Each coordinate runs the doubling step with the
+    signed weight s = -a_i or a_i as p, q = p + s*q, s*p - q: the same
+    roundings as build_pq (negation is exact and x - y is x + (-y)),
+    so in-cap results are bit-identical to build_pq entries, signed
+    zeros included.  Points go through in chunks of at most 1 MiB of
+    packed bits and 4096 points, so working memory stays a few MiB at
+    any n and any number of points.
+    """
+    points = list(points)
+    n = params.n
+    p = np.ones(len(points))
+    q = np.ones(len(points))
+    chunk = _points_per_chunk(n)
+    for start in range(0, len(points), chunk):
+        pts = points[start : start + chunk]
+        m = len(pts)
+        packed = np.frombuffer(_point_bytes(pts, n), dtype=np.uint8).reshape(m, -1)
+        doubling = _scalar_doubling if m <= _SCALAR_LOOP_MAX_POINTS else _ufunc_doubling
+        doubling(_signed_weight_blocks(params.a, packed), p[start : start + m], q[start : start + m])
+    return p, q
+
+
 def evaluate_at(params: ParamSeq, point: int) -> tuple[complex, complex]:
     """Pair values at one point, O(n) time, no table.
 
-    Runs the doubling step as a scalar recursion in the same operation
-    order as the table builder, so for in-cap n the results are
-    bit-identical to build_pq entries.
+    A batch of one through evaluate_many, so for in-cap n the results
+    are bit-identical to build_pq entries.
     """
-    if not 0 <= point < (1 << params.n):
-        raise ParameterError(
-            f"point index {point} out of range for dimension {params.n}"
-        )
-    # bits[i] is bit i of point; shifting the big int at every step
-    # would cost O(n) each and O(n^2) in all
-    bits = format(point, f"0{params.n}b")[::-1]
-    p = 1.0
-    q = 1.0
-    for ai, bit in zip(params.a.tolist(), bits):
-        aq = ai * q
-        ap = ai * p
-        if bit == "1":
-            p, q = p - aq, -ap - q
-        else:
-            p, q = p + aq, ap - q
-    return complex(p), complex(q)
+    p, q = evaluate_many(params, [point])
+    return complex(p[0]), complex(q[0])
 
 
 def closed_form(params: ParamSeq) -> ClosedFormReport:
@@ -197,21 +292,24 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     log2_l2_sq plus coeff_log_magnitude stay finite regardless.
     """
     a = params.a
+    n = a.size
     a2 = a * a
-    lg = _log2_one_plus_sq(a)        # log2(1 + a_i^2), entrywise
+    lg = _log2_one_plus(a2)          # log2(1 + a_i^2), entrywise
     total = float(np.sum(lg))
-    if a.size:
-        # log2 prod_{j != i} (1 + a_j^2): sums strictly left and right of i
-        pre = np.concatenate([[0.0], np.cumsum(lg)[:-1]])
-        suf = np.concatenate([np.cumsum(lg[::-1])[-2::-1], [0.0]])
-        others = np.exp2(pre + suf)
-        log2_a2 = 2.0 * np.log2(a)
-    else:
-        others = np.zeros(0)
-        log2_a2 = np.zeros(0)
-    influence = float(np.sum(a2 * others))
-    entropy = float(-np.sum(others * a2 * log2_a2))
-    k = params.total_mass
+    # log2 prod_{j != i} (1 + a_j^2): sums strictly left and right of i
+    others = np.zeros(n)
+    right = np.zeros(n)
+    if n:
+        np.cumsum(lg[:-1], out=others[1:])
+        np.cumsum(lg[:0:-1], out=right[-2::-1])
+    np.add(others, right, out=others)
+    np.exp2(others, out=others)
+    log2_a2 = np.log2(a, out=lg)     # lg is spent; reuse its buffer
+    log2_a2 *= 2.0
+    terms = np.multiply(a2, others, out=right)   # a_i^2 prod_{j != i}(1 + a_j^2)
+    influence = float(np.sum(terms))
+    entropy = float(-np.sum(np.multiply(terms, log2_a2, out=terms)))
+    k = float(np.sum(a2))
     l2 = 2.0 ** (0.5 * total)
     log2_a2.setflags(write=False)
     return ClosedFormReport(
@@ -240,17 +338,31 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     if a.size == 0:
         return NormalizedClosedForm(0.0, 0.0, 0.0)
     a2 = a * a
-    frac = a2 / (1.0 + a2)
-    log2_a2 = 2.0 * np.log2(a)
+    frac = np.add(a2, 1.0)
+    np.divide(a2, frac, out=frac)    # a_i^2 / (1 + a_i^2)
+    log2_a2 = np.log2(a)
+    log2_a2 *= 2.0
     influence = float(np.sum(frac))
-    entropy = float(-np.sum(frac * log2_a2) + np.sum(_log2_one_plus_sq(a)))
-    bound = float(-np.sum(a2 * log2_a2) / (1.0 + float(np.max(a2))))
+    weighted = -np.sum(np.multiply(frac, log2_a2, out=frac))
+    entropy = float(weighted + np.sum(_log2_one_plus(a2, out=frac)))
+    bound = float(-np.sum(np.multiply(a2, log2_a2, out=log2_a2)) / (1.0 + float(np.max(a2))))
     return NormalizedClosedForm(influence, entropy, bound)
 
 
+def _log2_l2_sq(params: ParamSeq) -> float:
+    # log2 ||P||_2^2 = sum log2(1 + a_i^2), the same sum as closed_form's
+    a2 = params.a * params.a
+    return float(np.sum(_log2_one_plus(a2, out=a2)))
+
+
 def _l2_scale_factor(params: ParamSeq) -> float:
-    # 1 / ||P||_2, from the same log2 sums as closed_form
-    return 2.0 ** (-0.5 * float(np.sum(_log2_one_plus_sq(params.a))))
+    # 1 / ||P||_2
+    return 2.0 ** (-0.5 * _log2_l2_sq(params))
+
+
+def _unit_modulus_factor(params: ParamSeq) -> float:
+    # 1 / (sqrt(2) ||P||_2), which puts (P + iQ) on the unit circle
+    return 2.0 ** (-0.5 * (1.0 + _log2_l2_sq(params)))
 
 
 def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
@@ -264,8 +376,7 @@ def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> Hype
     """(P + iQ) / (sqrt(2) ||P||_2): every value on the unit circle."""
     check_table_dim(params.n, max_table_n)
     p, q = _pq_tables(params.a)
-    c = 2.0 ** (-0.5 * (1.0 + float(np.sum(_log2_one_plus_sq(params.a)))))
-    return HypercubeFunction(params.n, (p + 1j * q) * c)
+    return HypercubeFunction(params.n, (p + 1j * q) * _unit_modulus_factor(params))
 
 
 def four_variants(params: ParamSeq, max_table_n: int | None = None):

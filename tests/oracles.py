@@ -81,3 +81,21 @@ def clamped_sum(n, c):
         s = (n - 2 * bits(x)) / root
         out.append(max(-c, min(c, s)))
     return out
+
+
+def point_values(a, point):
+    """P and Q at one point by the scalar doubling recursion, one branch per bit.
+
+    Bit i of the point set means coordinate i + 1 is -1; same operation
+    order as the table builder, so the results match it bit for bit.
+    """
+    bits = format(point, f"0{len(a)}b")[::-1] if a else ""
+    p = q = 1.0
+    for ai, bit in zip(map(float, a), bits):
+        aq = ai * q
+        ap = ai * p
+        if bit == "1":
+            p, q = p - aq, -ap - q
+        else:
+            p, q = p + aq, ap - q
+    return p, q

@@ -189,6 +189,13 @@ class TestVerify:
         assert code == 1
         assert "FAILED" in stderr
 
+    def test_weights_flag_rejected(self, capsys):
+        # certificates fix their own weights; --a used to be ignored silently
+        code, stdout, stderr = run(capsys, ["verify", "--kind", "real", "--n", "6", "--a", "constant:0.5"])
+        assert code == 2
+        assert stdout == ""
+        assert "error:" in stderr and "--a" in stderr
+
     def test_sum_kind_has_no_certificate(self, capsys):
         code, _, stderr = run(capsys, ["verify", "--kind", "sum", "--n", "4"])
         assert code == 2 and "error:" in stderr

@@ -1,12 +1,14 @@
 """Family builders against hand values, the slow reference, and the closed forms."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
+from cubespec import construct
 from cubespec import (
     ParamSeq,
     ParameterError,
@@ -15,6 +17,7 @@ from cubespec import (
     clamped_sum_l2_norm,
     closed_form,
     evaluate_at,
+    evaluate_many,
     four_variants,
     neeman_function,
     normalized_closed_form,
@@ -144,6 +147,143 @@ class TestStreamingEvaluator:
             evaluate_at(ParamSeq([0.5]), 2)
         with pytest.raises(ParameterError):
             evaluate_at(ParamSeq([0.5]), -1)
+
+
+class TestBatchedEvaluator:
+    @pytest.mark.parametrize("n", range(13))
+    def test_bit_identical_to_tables(self, n):
+        # all-ones weights put exact zeros into the tables; tobytes compares their sign bits
+        for a in (np.ones(n), RNG.uniform(0.05, 1.0, n)):
+            params = ParamSeq(a)
+            pair = build_pq(params)
+            p, q = evaluate_many(params, range(1 << n))
+            assert p.dtype == q.dtype == np.float64
+            assert p.tobytes() == pair.p.values.real.tobytes()
+            assert q.tobytes() == pair.q.values.real.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 2, 23, 24, 25, 40, 300])
+    def test_wide_and_narrow_loops_agree(self, monkeypatch, width):
+        params = ParamSeq(RNG.uniform(0.05, 1.0, 70))
+        rng = random.Random(width)
+        points = [rng.getrandbits(70) for _ in range(width)]
+        results = []
+        for limit in (0, 10**9):  # every chunk wide, then every chunk narrow
+            monkeypatch.setattr(construct, "_SCALAR_LOOP_MAX_POINTS", limit)
+            results.append(evaluate_many(params, points))
+        monkeypatch.undo()
+        results.append(evaluate_many(params, points))  # the width picks the loop
+        (p0, q0), *rest = results
+        for p, q in rest:
+            assert p.tobytes() == p0.tobytes() and q.tobytes() == q0.tobytes()
+
+    @pytest.mark.parametrize("n, count", [(64, 50), (65, 50), (1000, 40), (10**6, 2)])
+    def test_matches_scalar_reference(self, n, count):
+        params = remark3_params(n, 4.0)
+        rng = random.Random(n)
+        points = [rng.getrandbits(n) for _ in range(count)] + [0, (1 << n) - 1]
+        p, q = evaluate_many(params, points)
+        a = params.a.tolist()
+        for x, pv, qv in zip(points, p.tolist(), q.tolist()):
+            assert (pv, qv) == orc.point_values(a, x)
+        assert evaluate_at(params, points[0]) == (complex(p[0]), complex(q[0]))
+
+    def test_chunked_batch_matches_one_point_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(construct, "_CHUNK_MAX_POINTS", 7)
+        monkeypatch.setattr(construct, "_BLOCK_ELEMS", 64)
+        params = ParamSeq(RNG.uniform(0.05, 1.0, 100))
+        rng = random.Random(3)
+        points = [rng.getrandbits(100) for _ in range(50)]
+        p, q = evaluate_many(params, points)
+        a = params.a.tolist()
+        assert list(zip(p.tolist(), q.tolist())) == [orc.point_values(a, x) for x in points]
+
+    def test_empty_batch_and_zero_dimension(self):
+        p, q = evaluate_many(ParamSeq([0.5, 0.5]), [])
+        assert p.shape == q.shape == (0,)
+        p, q = evaluate_many(ParamSeq([]), [0, 0, 0])
+        assert p.tolist() == q.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [-1, 8, 1 << 70, 1.5, 2.0, "3", None])
+    def test_bad_points_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            evaluate_many(ParamSeq([0.5] * 3), [1, bad])
+        with pytest.raises(ParameterError):
+            evaluate_at(ParamSeq([0.5] * 3), bad)
+
+    def test_numpy_integer_points(self):
+        params = ParamSeq([0.5] * 3)
+        p, q = evaluate_many(params, np.arange(8))
+        assert p.tobytes() == evaluate_many(params, range(8))[0].tobytes()
+
+
+def _reference_closed_form(a):
+    # the closed forms as first written, one fresh temporary per operation
+    a2 = a * a
+    lg = np.log1p(a * a) / math.log(2.0)
+    total = float(np.sum(lg))
+    if a.size:
+        pre = np.concatenate([[0.0], np.cumsum(lg)[:-1]])
+        suf = np.concatenate([np.cumsum(lg[::-1])[-2::-1], [0.0]])
+        others = np.exp2(pre + suf)
+        log2_a2 = 2.0 * np.log2(a)
+    else:
+        others = np.zeros(0)
+        log2_a2 = np.zeros(0)
+    k = float(np.sum(a * a))
+    l2 = 2.0 ** (0.5 * total)
+    fields = {
+        "n": a.size,
+        "l2_norm": l2,
+        "linf_lower": l2,
+        "linf_upper": math.sqrt(2.0) * l2,
+        "influence": float(np.sum(a2 * others)),
+        "entropy": float(-np.sum(others * a2 * log2_a2)),
+        "total_mass": k,
+        "remark1_bound": k * math.exp(k),
+        "log2_l2_sq": total,
+    }
+    return fields, log2_a2
+
+
+def _reference_normalized_closed_form(a):
+    if a.size == 0:
+        return 0.0, 0.0, 0.0
+    a2 = a * a
+    frac = a2 / (1.0 + a2)
+    log2_a2 = 2.0 * np.log2(a)
+    influence = float(np.sum(frac))
+    entropy = float(-np.sum(frac * log2_a2) + np.sum(np.log1p(a * a) / math.log(2.0)))
+    bound = float(-np.sum(a2 * log2_a2) / (1.0 + float(np.max(a2))))
+    return influence, entropy, bound
+
+
+CLOSED_FORM_WEIGHTS = [
+    [],
+    [1.0],
+    [0.3],
+    [0.3, 0.9],
+    [1.0] * 5,
+    [1e-300, 1.0, 0.5],
+    RNG.uniform(1e-6, 1.0, 1000),
+    np.full(10**6, math.sqrt(4.0 / 10**6)),
+    RNG.uniform(0.001, 0.03, 10**6),
+]
+
+
+class TestClosedFormBuffers:
+    @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS, ids=lambda w: f"n{len(w)}")
+    def test_same_bits_as_reference(self, weights):
+        params = ParamSeq(weights)
+        fields, log2_a2 = _reference_closed_form(params.a)
+        rep = closed_form(params)
+        for name, value in fields.items():
+            assert getattr(rep, name) == value, name
+        assert rep.coeff_log_magnitude.tobytes() == log2_a2.tobytes()
+        assert not rep.coeff_log_magnitude.flags.writeable
+        ncf = normalized_closed_form(params)
+        assert (ncf.influence, ncf.entropy, ncf.entropy_lower_bound) == (
+            _reference_normalized_closed_form(params.a)
+        )
 
 
 class TestClosedForm:

@@ -2,11 +2,13 @@
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
 import cubespec as cs
+import oracles as orc
 from cubespec.verify import (
     COEFF_GATE_MAX_N,
     NEEMAN_INFLUENCE_BAND,
@@ -220,15 +222,43 @@ def test_spotcheck_past_64_bits(n, samples):
 def test_spotcheck_points_are_uniform_bits(monkeypatch):
     # n independent fair bits per point: each coordinate is -1 about half the time
     seen = []
-    real_evaluate = cs.verify.evaluate_at
+    real_evaluate = cs.verify.evaluate_many
 
-    def spy(params, point):
-        seen.append(point)
-        return real_evaluate(params, point)
+    def spy(params, points):
+        seen.extend(points)
+        return real_evaluate(params, points)
 
-    monkeypatch.setattr(cs.verify, "evaluate_at", spy)
+    monkeypatch.setattr(cs.verify, "evaluate_many", spy)
     cs.modulus_spotcheck(cs.theorem_params(70), samples=400, seed=8)
     assert len(seen) == 400 and max(seen) < 1 << 70
     for bit in (0, 7, 63, 64, 69):
         ones = sum((x >> bit) & 1 for x in seen)
         assert 140 < ones < 260, bit
+
+
+def _reference_spotcheck(params, samples, seed):
+    # one scalar point at a time, as modulus_spotcheck was first written
+    rng = random.Random(seed)
+    a = params.a
+    factor = 2.0 ** (-0.5 * (1.0 + float(np.sum(np.log1p(a * a) / math.log(2.0)))))
+    weights = a.tolist()
+    worst = 0.0
+    for _ in range(samples):
+        pv, qv = orc.point_values(weights, rng.getrandbits(params.n))
+        worst = max(worst, abs(math.hypot(pv, qv) * factor - 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("n, samples", [(28, 500), (30, 2000), (70, 400), (1000, 60)])
+@pytest.mark.parametrize("seed", [3, 2024, 77])
+def test_spotcheck_matches_scalar_reference(n, samples, seed):
+    for params in (cs.theorem_params(n), cs.remark3_params(n, 4.0)):
+        assert cs.modulus_spotcheck(params, samples, seed) == _reference_spotcheck(params, samples, seed)
+
+
+def test_spotcheck_chunks_keep_the_draw_order(monkeypatch):
+    params = cs.remark3_params(70, 4.0)
+    whole = cs.modulus_spotcheck(params, 300, 5)
+    monkeypatch.setattr(cs.construct, "_CHUNK_BYTES", 9 * 4)  # 4 points per chunk
+    assert cs.construct._points_per_chunk(70) == 4
+    assert cs.modulus_spotcheck(params, 300, 5) == whole == _reference_spotcheck(params, 300, 5)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cubespec import cli, read_function
+from cubespec import cli, construct, read_function, verify
 from cubespec.verify import NEEMAN_INFLUENCE_BAND
 
 STATS_HEADER = "n,kind,l2,linf,influence,entropy,bound,ratio"
@@ -306,3 +306,152 @@ def test_console_script_help():
     assert proc.returncode == 0
     for word in ("gen", "stats", "verify", "sweep", "neeman"):
         assert word in proc.stdout
+
+
+
+# Golden output: the exact stdout, stderr and exit code of every
+# subcommand in every format.  Exact numbers are written out as literal
+# bytes; the rest are formatted here from the library's own values, so
+# the expected bytes follow the platform's floats but not the CLI's code.
+
+STATS_PAIRS = (("n", "4"), ("kind", "sum"), ("l2", "1.0"), ("linf", "2.0"), ("influence", "1.0"),
+               ("entropy", "2.0"), ("bound", "1.6"), ("ratio", "2.0"))
+STATS_CSV = "n,kind,l2,linf,influence,entropy,bound,ratio\n4,sum,1.0,2.0,1.0,2.0,1.6,2.0\n"
+STATS_JSON = ('{\n  "n": 4,\n  "kind": "sum",\n  "l2": 1.0,\n  "linf": 2.0,\n'
+              '  "influence": 1.0,\n  "entropy": 2.0,\n  "bound": 1.6,\n  "ratio": 2.0\n}\n')
+STATS_TEXT = "".join(f"{k}: {v}\n" for k, v in STATS_PAIRS)
+CLASSICAL_CSV = (
+    "kind,n,check,lhs,relation,rhs,margin,pass\n"
+    "classical_rs,4,closed_form_oracle_agreement,0.0,<,1e-09,1e-09,true\n"
+    "classical_rs,4,coefficient_magnitude_deviation,0.0,<=,1e-12,1e-12,true\n"
+    "classical_rs,4,l2_norm_target,4.0,~rel,4.0,1e-12,true\n"
+    "classical_rs,4,linf_over_l2,1.0,<=,1.4142135623740952,0.41421356237409523,true\n"
+    "classical_rs,4,normalized_influence_half_n,2.0,~rel,2.0,1e-09,true\n"
+    "classical_rs,4,normalized_entropy_n,4.0,~rel,4.0,1e-09,true\n"
+)
+GEN_TABLE = "n=2 kind=real\n1.0\n-1.0\n1.0\n1.0\n"
+GEN_SUMMARY = "summary n=2 kind=classical l2=1.0 influence=1.0 entropy=2.0\n"
+
+
+def _golden_sweep(fmt):
+    keys = ("n", "a", "influence", "entropy", "bound", "ratio")
+    rows = []
+    for n in (16, 64):
+        for a in (2.0, 4.0):
+            ncf = construct.normalized_closed_form(construct.remark3_params(n, a))
+            rows.append(dict(zip(keys, (n, a, ncf.influence, ncf.entropy, ncf.entropy_lower_bound,
+                                        ncf.entropy / ncf.influence))))
+    if fmt == "json":
+        return json.dumps({"rows": rows}, indent=2) + "\n"
+    cells = [[str(r["n"])] + [repr(float(r[k])) for k in keys[1:]] for r in rows]
+    if fmt == "csv":
+        return ",".join(keys) + "\n" + "".join(",".join(c) + "\n" for c in cells)
+    return "".join(" ".join(f"{k}={v}" for k, v in zip(keys, c)) + "\n" for c in cells)
+
+
+def _golden_neeman(fmt, ns):
+    rep = verify.neeman_regression(ns)
+    if fmt == "json":
+        doc = {"clamp": 2.0,
+               "rows": [{"n": n, "influence": i, "entropy": h} for n, i, h in rep.rows],
+               "entropy_increasing": rep.entropy_increasing, "band": [0.99, 1.04],
+               "influence_in_band": rep.influence_in_band, "overall": rep.overall}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return "n,clamp,influence,entropy\n" + "".join(f"{n},2.0,{i!r},{h!r}\n" for n, i, h in rep.rows)
+    return "".join(f"n={n} clamp=2.0 influence={i!r} entropy={h!r}\n" for n, i, h in rep.rows) + (
+        f"entropy_strictly_increasing={str(rep.entropy_increasing).lower()}\n"
+        f"influence_in_band={str(rep.influence_in_band).lower()} band=[0.99, 1.04]\n")
+
+
+def _golden_verify(fmt, certs):
+    if fmt == "json":
+        doc = {"certificates": [c.to_dict() for c in certs], "all_pass": all(c.overall for c in certs)}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return "kind,n,check,lhs,relation,rhs,margin,pass\n" + "".join(
+            f"{c.kind},{c.n},{ch.name},{ch.lhs!r},{ch.relation},{ch.rhs!r},{ch.margin!r},"
+            f"{str(ch.passed).lower()}\n"
+            for c in certs for ch in c.checks)
+    return "\n\n".join(c.to_text() for c in certs) + "\n"
+
+
+def _golden_failed(certs):
+    return "".join(f"FAILED {c.kind}: {ch.name} margin={ch.margin!r}\n"
+                   for c in certs for ch in c.checks if not ch.passed)
+
+
+REMARK_ARGV = ["verify", "--kind", "real", "--n", "6", "--remark3", "2", "--remark2"]
+SWEEP_ARGV = ["sweep", "--n", "16,64", "--a", "2,4"]
+
+#: name -> () -> (argv, exit code, stdout, stderr); built lazily because
+#: the expected bytes of most cases come from library calls
+GOLDEN = {
+    "gen-stdout": lambda: (["gen", "--kind", "classical", "--n", "2"], 0, GEN_TABLE, GEN_SUMMARY),
+    "stats-csv": lambda: (["stats", "--n", "4", "--kind", "sum", "--format", "csv"], 0, STATS_CSV, ""),
+    "stats-json": lambda: (["stats", "--n", "4", "--kind", "sum", "--format", "json"], 0, STATS_JSON, ""),
+    "stats-text": lambda: (["stats", "--n", "4", "--kind", "sum", "--format", "text"], 0, STATS_TEXT, ""),
+    "stats-default": lambda: (["stats", "--n", "4", "--kind", "sum"], 0, STATS_TEXT, ""),
+    "verify-classical-csv": lambda: (
+        ["verify", "--kind", "classical", "--n", "4", "--format", "csv"], 0, CLASSICAL_CSV, ""),
+    **{
+        f"verify-{fmt}": (lambda fmt=fmt: (
+            REMARK_ARGV + ["--format", fmt], 0,
+            _golden_verify(fmt, [verify.certify_remark3(6, 2.0), verify.certify_remark2(6)]), ""))
+        for fmt in ("csv", "json", "text")
+    },
+    "verify-default": lambda: (
+        ["verify", "--kind", "complex", "--n", "5"], 0, _golden_verify("text", [verify.certify_theorem2(5)]), ""),
+    "verify-failing": lambda: (
+        ["verify", "--kind", "real", "--n", "8", "--tol", "1e-30"], 1,
+        _golden_verify("text", [verify.certify_theorem1(8, 1e-30)]),
+        _golden_failed([verify.certify_theorem1(8, 1e-30)])),
+    **{
+        f"sweep-{fmt}": (lambda fmt=fmt: (SWEEP_ARGV + ["--format", fmt], 0, _golden_sweep(fmt), ""))
+        for fmt in ("csv", "json", "text")
+    },
+    "sweep-default": lambda: (["sweep", "--n", "16,64", "--a", "list:2,4"], 0, _golden_sweep("csv"), ""),
+    **{
+        f"neeman-{fmt}": (lambda fmt=fmt: (
+            ["neeman", "--n", "6,8", "--format", fmt], 0, _golden_neeman(fmt, [6, 8]), ""))
+        for fmt in ("csv", "json", "text")
+    },
+    "neeman-default": lambda: (["neeman", "--n", "6,8"], 0, _golden_neeman("text", [6, 8]), ""),
+    "neeman-failing": lambda: (
+        ["neeman", "--n", "8,4"], 1, _golden_neeman("text", [8, 4]),
+        "FAILED neeman regression: entropy_increasing=False influence_in_band=True\n"),
+    "gen-error": lambda: (
+        ["gen", "--n", "1,2"], 2, "", "error: gen needs exactly one --n value, got [1, 2]\n"),
+    "gen-fixed-weights": lambda: (
+        ["gen", "--n", "4", "--kind", "sum", "--a", "constant:0.5"], 2, "",
+        "error: --a has no effect for kind=sum; weights are fixed\n"),
+    "verify-no-family": lambda: (
+        ["verify", "--kind", "sum", "--n", "4"], 2, "", "error: no certificate family for kind=sum\n"),
+    "sweep-bad-cell": lambda: (
+        ["sweep", "--n", "4", "--a", "4"], 2, "", "error: sweep cell (n=4, a=4.0) invalid: need 1 < a < n\n"),
+    "neeman-bad-clamp": lambda: (
+        ["neeman", "--n", "6", "--C", "0"], 2, "", "error: clamp threshold must be positive, got 0.0\n"),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_exact_bytes(self, capsys, name):
+        argv, code, stdout, stderr = GOLDEN[name]()
+        assert run(capsys, argv) == (code, stdout, stderr)
+
+    @pytest.mark.parametrize("name", [name for name in GOLDEN if not name.startswith("gen-")])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, name):
+        argv, code, stdout, stderr = GOLDEN[name]()
+        out = tmp_path / "report.txt"
+        assert run(capsys, argv + ["--out", str(out)]) == (code, "", stderr)
+        if code == 2:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == stdout.encode("ascii")
+
+    def test_gen_out_file(self, capsys, tmp_path):
+        out = tmp_path / "f.txt"
+        argv = ["gen", "--kind", "classical", "--n", "2", "--out", str(out)]
+        assert run(capsys, argv) == (0, GEN_SUMMARY, "")
+        assert out.read_bytes() == GEN_TABLE.encode("ascii")

@@ -283,6 +283,15 @@ def evaluate_at(params: ParamSeq, point: int) -> tuple[complex, complex]:
     return complex(p[0]), complex(q[0])
 
 
+def _or_inf(fn, *args) -> float:
+    # float ** and math.exp raise OverflowError where the value passes
+    # the float range; the closed-form report saturates to inf instead
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.inf
+
+
 def closed_form(params: ParamSeq) -> ClosedFormReport:
     """Exact norms, influence and entropy of the raw pair, any n.
 
@@ -310,7 +319,7 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     influence = float(np.sum(terms))
     entropy = float(-np.sum(np.multiply(terms, log2_a2, out=terms)))
     k = float(np.sum(a2))
-    l2 = 2.0 ** (0.5 * total)
+    l2 = _or_inf(pow, 2.0, 0.5 * total)
     log2_a2.setflags(write=False)
     return ClosedFormReport(
         n=params.n,
@@ -321,7 +330,7 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
         entropy=entropy,
         coeff_log_magnitude=log2_a2,
         total_mass=k,
-        remark1_bound=k * math.exp(k),
+        remark1_bound=k * _or_inf(math.exp, k),
         log2_l2_sq=total,
     )
 

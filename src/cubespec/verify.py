@@ -37,6 +37,7 @@ from .construct import (
     normalized_closed_form,
     normalized_real,
     remark3_params,
+    subset_products,
     theorem_params,
     unimodular_complex,
     _points_per_chunk,
@@ -225,9 +226,7 @@ def _oracle_errors(a64: np.ndarray, max_table_n: int | None) -> tuple[float, ...
     log2_a2 = np.log2(a2) if n else np.zeros(0, dtype=ld)
     target_ent = ld(-np.sum(others * a2 * log2_a2)) if n else ld(0.0)
 
-    prod_table = np.ones(1, dtype=ld)
-    for x in a2:
-        prod_table = np.concatenate([prod_table, prod_table * x])
+    prod_table = subset_products(a2, dtype=ld)
 
     for table, coeffs in ((p, cp), (q, cq)):
         l2 = np.sqrt(np.sum(table * table) / ld(1 << n))

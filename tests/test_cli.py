@@ -455,3 +455,60 @@ class TestGoldenOutput:
         argv = ["gen", "--kind", "classical", "--n", "2", "--out", str(out)]
         assert run(capsys, argv) == (0, GEN_SUMMARY, "")
         assert out.read_bytes() == GEN_TABLE.encode("ascii")
+
+
+#: (subcommand argv, flag and value) pairs that were accepted and then
+#: ignored; each subcommand now declares only the options it reads
+REMOVED_FLAGS = [
+    *[(argv, ["--seed", "1"]) for argv in (
+        ["gen", "--n", "2", "--kind", "classical"],
+        ["stats", "--n", "4", "--kind", "sum"],
+        ["verify", "--kind", "classical", "--n", "4"],
+        ["sweep", "--n", "16", "--a", "4"],
+        ["neeman", "--n", "6,8"],
+    )],
+    *[(argv, ["--tol", "5"]) for argv in (
+        ["gen", "--n", "2", "--kind", "classical"],
+        ["stats", "--n", "4", "--kind", "sum"],
+        ["sweep", "--n", "16", "--a", "4"],
+        ["neeman", "--n", "6,8"],
+    )],
+    (["gen", "--n", "2", "--kind", "classical"], ["--format", "json"]),
+    (["sweep", "--n", "16", "--a", "4"], ["--kind", "sum"]),
+    (["neeman", "--n", "6,8"], ["--kind", "sum"]),
+    (["sweep", "--n", "16", "--a", "4"], ["--C", "3"]),
+    (["sweep", "--n", "16", "--a", "4"], ["--max-table-n", "30"]),
+    (["verify", "--kind", "real", "--n", "6"], ["--a", "constant:0.5"]),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REMOVED_FLAGS, ids=lambda x: " ".join(x))
+def test_removed_flag_is_a_usage_error(capsys, argv, flag):
+    code, stdout, stderr = run(capsys, argv + flag)
+    assert code == 2
+    assert stdout == ""
+    assert "error:" in stderr and flag[0] in stderr
+
+
+@pytest.mark.parametrize("build", [["--a", "constant:0.5"], ["--n", "9"], ["--n", "2", "--a", "list:1,1"]])
+def test_stats_file_refuses_build_options(capsys, tmp_path, build):
+    table = tmp_path / "f.txt"
+    table.write_text("n=1 kind=real\n1.0\n-1.0\n")
+    code, stdout, stderr = run(capsys, ["stats", "--file", str(table)] + build)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: --file")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--kind", "real", "--n", "6", "--tol", "0"], "tolerance must be positive"),
+    (["verify", "--kind", "real", "--n", "6", "--tol=-1e-9"], "tolerance must be positive"),
+    (["verify", "--kind", "real", "--n", "6", "--tol", "nan"], "tolerance must be positive"),
+    (["neeman", "--n", "6,-8"], "dimension must be >= 0"),
+    (["sweep", "--n", "-16", "--a", "4"], "dimension must be >= 0"),
+    (["stats", "--n", "-1", "--kind", "sum"], "dimension must be >= 0"),
+])
+def test_values_argparse_cannot_check_exit_two(capsys, argv, message):
+    code, stdout, stderr = run(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert message in stderr

@@ -286,6 +286,37 @@ class TestClosedFormBuffers:
         )
 
 
+class TestClosedFormSaturation:
+    """Linear-scale fields past the float range read inf instead of raising."""
+
+    @pytest.mark.parametrize("weights, l2_finite", [
+        (np.random.default_rng(0).uniform(1e-6, 1.0, 10**5), False),   # sum log2(1+a^2) >= 2048
+        (np.random.default_rng(0).uniform(0.001, 0.05, 10**6), True),  # K = sum a^2 > 709.8
+    ], ids=["l2-overflow", "exp-overflow"])
+    def test_saturates_to_inf(self, weights, l2_finite):
+        params = ParamSeq(weights)
+        with np.errstate(over="ignore"):
+            rep = closed_form(params)
+        total = float(np.sum(np.log1p(params.a * params.a) / math.log(2.0)))
+        assert rep.log2_l2_sq == total and math.isfinite(total)
+        assert rep.remark1_bound == math.inf
+        if l2_finite:
+            assert rep.l2_norm == rep.linf_lower == 2.0 ** (0.5 * total) < math.inf
+        else:
+            assert rep.l2_norm == rep.linf_lower == rep.linf_upper == math.inf
+
+    def test_float_range_edge(self):
+        # log2(1 + 1) is exactly 1, so ||P||_2 = 2^(n/2) exactly; the
+        # influence and entropy sums pass the float range well before this
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = closed_form(ParamSeq([1.0] * 2047))
+            at = closed_form(ParamSeq([1.0] * 2048))
+        assert below.l2_norm == 2.0 ** 1023.5 and below.log2_l2_sq == 2047.0
+        assert below.linf_upper == math.inf       # sqrt(2) * 2^1023.5 rounds past the range
+        assert at.l2_norm == at.linf_lower == at.remark1_bound == math.inf
+        assert at.log2_l2_sq == 2048.0
+
+
 class TestClosedForm:
     def test_matches_reference_on_random_sequences(self):
         for _ in range(25):

@@ -185,13 +185,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.in_file is not None:
-        if args.n or args.param_spec is not None:
+        if args.n or args.param_spec is not None or args.kind is not None or args.clamp is not None:
             raise ParameterError("--file reads n and the values from the table; "
-                                 "--n and --a only apply to a built function")
+                                 "--n, --a, --kind and --C only apply to a built function")
         f = fileio.read_function(args.in_file)
         n = f.n
         kind = "real" if f.is_real else "complex"
     else:
+        args.kind = args.kind or "real"
+        args.clamp = 2.0 if args.clamp is None else args.clamp
         n = _single_n(args)
         f, _ = _build_function(args, n)
         kind = args.kind
@@ -357,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", default=None, dest="param_spec", help=a_help)
     s.add_argument("--file", default=None, dest="in_file",
                    help="read the function from a value-table file instead of building")
+    s.set_defaults(kind=None, clamp=None)  # resolved in cmd_stats, so --file can refuse them
 
     v = command("verify", cmd_verify, "run certificates; exit 0 iff all pass")
     v.add_argument("--tol", type=_positive_float, default=1e-9)

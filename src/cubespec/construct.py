@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .spectrum import HypercubeFunction, check_table_dim, popcounts
+from .spectrum import HypercubeFunction, _adopt, check_table_dim, popcounts
 
 _LN2 = math.log(2.0)
 
@@ -149,12 +149,16 @@ def _pq_tables(a: Sequence[float], dtype=np.float64) -> tuple[np.ndarray, np.nda
 def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
     """Table t with t[m] = prod of factors[i] over the set bits of m.
 
-    Built by the same doubling as the value tables, so t is generated
-    in ascending mask order; linear domain, for mask counts within cap.
+    Built by the same doubling as the value tables, in place inside the
+    final array (t[m:2m] = t[:m] * factors[i]), so t is generated in
+    ascending mask order; linear domain, for mask counts within cap.
     """
-    t = np.ones(1, dtype=dtype)
+    t = np.empty(1 << len(factors), dtype=dtype)
+    t[0] = 1.0
+    m = 1
     for f in factors:
-        t = np.concatenate([t, t * dtype(f)])
+        np.multiply(t[:m], dtype(f), out=t[m : 2 * m])
+        m *= 2
     return t
 
 
@@ -297,7 +301,8 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
 
     All products run in log2 domain with prefix/suffix sums, so the
     cost is O(n) and nothing overflows on the way; only the final
-    linear-scale fields can saturate to inf for extreme inputs, and
+    linear-scale fields can saturate to inf for extreme inputs (with no
+    warning; terms with a_i = 1 still add exactly 0 to the entropy), and
     log2_l2_sq plus coeff_log_magnitude stay finite regardless.
     """
     a = params.a
@@ -312,12 +317,18 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
         np.cumsum(lg[:-1], out=others[1:])
         np.cumsum(lg[:0:-1], out=right[-2::-1])
     np.add(others, right, out=others)
-    np.exp2(others, out=others)
     log2_a2 = np.log2(a, out=lg)     # lg is spent; reuse its buffer
     log2_a2 *= 2.0
-    terms = np.multiply(a2, others, out=right)   # a_i^2 prod_{j != i}(1 + a_j^2)
-    influence = float(np.sum(terms))
-    entropy = float(-np.sum(np.multiply(terms, log2_a2, out=terms)))
+    with np.errstate(over="ignore", invalid="ignore"):  # products past the range read inf
+        np.exp2(others, out=others)
+        terms = np.multiply(a2, others, out=right)   # a_i^2 prod_{j != i}(1 + a_j^2)
+        influence = float(np.sum(terms))
+        np.multiply(terms, log2_a2, out=terms)
+    entropy = float(-np.sum(terms))
+    if math.isnan(entropy):
+        # inf * log2(1) is nan, but a term with a_i = 1 is exactly 0
+        terms[log2_a2 == 0.0] = 0.0
+        entropy = float(-np.sum(terms))
     k = float(np.sum(a2))
     l2 = _or_inf(pow, 2.0, 0.5 * total)
     log2_a2.setflags(write=False)
@@ -377,15 +388,29 @@ def _unit_modulus_factor(params: ParamSeq) -> float:
 def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
     """P scaled to unit L2 norm; bounded by sqrt(2) pointwise."""
     check_table_dim(params.n, max_table_n)
-    p, _ = _pq_tables(params.a)
-    return HypercubeFunction(params.n, p * _l2_scale_factor(params))
+    p = _pq_tables(params.a)[0]
+    out = np.zeros(p.size, dtype=np.complex128)
+    np.multiply(p, _l2_scale_factor(params), out=out.real)
+    return _adopt(HypercubeFunction, params.n, out)
 
 
 def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
-    """(P + iQ) / (sqrt(2) ||P||_2): every value on the unit circle."""
+    """(P + iQ) / (sqrt(2) ||P||_2): every value on the unit circle.
+
+    The expression runs block by block into the result, with the same
+    elementwise operations (and so the same bits and signed zeros) as
+    on the whole tables at once.  A block is a 64th of the table (at
+    least 2^10 entries), so its complex128 temporaries stay small.
+    """
     check_table_dim(params.n, max_table_n)
     p, q = _pq_tables(params.a)
-    return HypercubeFunction(params.n, (p + 1j * q) * _unit_modulus_factor(params))
+    c = _unit_modulus_factor(params)
+    out = np.empty(p.size, dtype=np.complex128)
+    block = max(1 << 10, p.size >> 6)
+    for lo in range(0, p.size, block):
+        hi = lo + block
+        np.multiply(p[lo:hi] + 1j * q[lo:hi], c, out=out[lo:hi])
+    return _adopt(HypercubeFunction, params.n, out)
 
 
 def four_variants(params: ParamSeq, max_table_n: int | None = None):
@@ -399,10 +424,10 @@ def four_variants(params: ParamSeq, max_table_n: int | None = None):
     p, q = _pq_tables(params.a)
     n = params.n
     return (
-        HypercubeFunction(n, p + 1j * q),
-        HypercubeFunction(n, p - 1j * q),
-        HypercubeFunction(n, q + 1j * p),
-        HypercubeFunction(n, q - 1j * p),
+        _adopt(HypercubeFunction, n, p + 1j * q),
+        _adopt(HypercubeFunction, n, p - 1j * q),
+        _adopt(HypercubeFunction, n, q + 1j * p),
+        _adopt(HypercubeFunction, n, q - 1j * p),
     )
 
 
@@ -472,8 +497,13 @@ def neeman_function(
     if not clamp > 0.0:
         raise ParameterError(f"clamp threshold must be positive, got {clamp}")
     check_table_dim(n, max_table_n)
-    pc = popcounts(n).astype(np.float64)
-    values = np.clip((n - 2.0 * pc) / math.sqrt(n), -clamp, clamp)
+    out = np.zeros(1 << n, dtype=np.complex128)
+    values = out.real  # a view: (n - 2 popcount) / sqrt(n), clamped, in place
+    np.copyto(values, popcounts(n))
+    values *= 2.0
+    np.subtract(n, values, out=values)
+    values /= math.sqrt(n)
+    np.clip(values, -clamp, clamp, out=values)
     if normalize:
-        values = values / clamped_sum_l2_norm(n, clamp)
-    return HypercubeFunction(n, values)
+        values /= clamped_sum_l2_norm(n, clamp)
+    return _adopt(HypercubeFunction, n, out)

@@ -16,7 +16,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .spectrum import FourierSpectrum, HypercubeFunction
+from .spectrum import FourierSpectrum, HypercubeFunction, _adopt
 
 KINDS = ("real", "complex", "spectrum")
 
@@ -124,7 +124,7 @@ def read_function(path_or_file) -> HypercubeFunction:
             fh.close()
     if kind == "spectrum":
         raise FormatError("file holds a spectrum, not a value table", line=1)
-    return HypercubeFunction(n, table)
+    return _adopt(HypercubeFunction, n, table)
 
 
 def read_spectrum(path_or_file) -> FourierSpectrum:
@@ -136,4 +136,4 @@ def read_spectrum(path_or_file) -> FourierSpectrum:
             fh.close()
     if kind != "spectrum":
         raise FormatError(f"file holds kind={kind}, not a spectrum", line=1)
-    return FourierSpectrum(n, table)
+    return _adopt(FourierSpectrum, n, table)

@@ -25,17 +25,18 @@ Values are stored as complex128 (a pair of float64 per point); real
 functions are the subcase with zero imaginary part.  `stats` transforms
 only the float64 real plane of such a table, which gives bit-identical
 results at half the memory traffic; every other operation treats real
-and complex tables alike.  Tables of size 2^n are refused above a
-configurable cap (default n = 26, about 1 GiB of values).  All
-operations are pure and the stored arrays are frozen, so values are safe
-to share across threads; reductions run in a fixed order for run-to-run
-determinism.
+and complex tables alike.  Every transform runs through one in-place
+kernel, `fwht_inplace`: cache-blocked constant-geometry passes with one
+block of scratch.  Tables of size 2^n are refused above a configurable
+cap (default n = 26, about 1 GiB of values).  All operations are pure
+and the stored arrays are frozen, so values are safe to share across
+threads; reductions run in a fixed order for run-to-run determinism.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -54,20 +55,16 @@ def check_table_dim(n: int, max_table_n: int | None = None) -> None:
     """Raise ResourceLimitError when a 2^n table would exceed the cap."""
     cap = DEFAULT_TABLE_CAP if max_table_n is None else max_table_n
     if n > cap:
-        raise ResourceLimitError(
-            f"dimension n={n} exceeds the table cap {cap}; "
-            f"a 2^{n}-entry table was refused"
-        )
+        raise ResourceLimitError(f"dimension n={n} exceeds the table cap {cap}; "
+                                 f"a 2^{n}-entry table was refused")
 
 
-def _frozen_table(values, n: int) -> np.ndarray:
+def _frozen_table(values, n: int, copy: bool = True) -> np.ndarray:
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ParameterError(f"dimension must be a non-negative integer, got {n!r}")
-    arr = np.array(values, dtype=np.complex128, order="C").reshape(-1)
+    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C").reshape(-1)
     if arr.size != (1 << n):
-        raise ParameterError(
-            f"table length {arr.size} does not match 2^{n} = {1 << n}"
-        )
+        raise ParameterError(f"table length {arr.size} does not match 2^{n} = {1 << n}")
     if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
         raise ParameterError("table contains non-finite values")
     arr.setflags(write=False)
@@ -100,6 +97,15 @@ class FourierSpectrum:
         object.__setattr__(self, "coeffs", _frozen_table(self.coeffs, self.n))
 
 
+def _adopt(cls, n: int, table: np.ndarray):
+    # cls(n, table) for a fresh complex128 table held nowhere else: checked
+    # and frozen in place like the constructor does, but not copied again
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, fields(cls)[1].name, _frozen_table(table, n, copy=False))
+    return obj
+
+
 @dataclass(frozen=True)
 class SpectralStats:
     """Norms plus the two spectral functionals of one function."""
@@ -122,66 +128,60 @@ def popcounts(n: int) -> np.ndarray:
 
 
 # Kernel blocking.  A block of 2^15 elements is 256 KiB of float64 or
-# 512 KiB of complex128, so it stays in a core's L2 across its passes.
+# 512 KiB of complex128, so it and the scratch stay in a core's L2.
 _BLOCK = 1 << 15
-# Narrowest column slab for the high passes (rows of at least 256 bytes).
+# Narrowest column slab for the high passes (rows of at least 128 bytes).
 _MIN_SLAB_WIDTH = 16
-# Passes with h up to this run column by column: numpy's 2-D loop over
-# an (m, h) view with a tiny inner extent is several times slower.
-_COLUMN_LOOP_MAX_H = 4
 
 
-def _butterfly(top: np.ndarray, bottom: np.ndarray, scratch: np.ndarray) -> None:
-    # (top, bottom) <- (top + bottom, top - bottom), through scratch
-    tmp = scratch[: top.size].reshape(top.shape)
-    np.subtract(top, bottom, out=tmp)
-    np.add(top, bottom, out=top)
-    np.copyto(bottom, tmp)
+def _passes(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
+    # `count` constant-geometry passes along axis 0, ping-ponging between
+    # x and y; returns whichever of the two holds the result
+    m = x.shape[0] // 2
+    for _ in range(count):
+        np.add(x[0::2], x[1::2], out=y[:m])
+        np.subtract(x[0::2], x[1::2], out=y[m:])
+        x, y = y, x
+    return x
 
 
 def fwht_inplace(table: np.ndarray) -> np.ndarray:
-    """Unnormalized in-place butterfly transform, one pass per coordinate.
+    """Unnormalized in-place Walsh-Hadamard transform of a 2^n table.
 
-    Works on any real or complex float dtype; `table` must be a 1-D
-    C-contiguous array of length 2^n.  Pass h (h = 1, 2, 4, ...) maps
-    each index pair (i, i + h) with bit h of i clear to
-    (t[i] + t[i+h], t[i] - t[i+h]).
-
-    The passes are cache-blocked: passes with h below 2^15 pair indices
-    inside one aligned block of 2^15 elements, so each block runs all of
-    them before the next block is touched; the remaining passes pair
-    whole block-rows and run slab by slab over narrow column ranges.
-    Blocks and slabs are disjoint, so every element sees exactly the
-    passes, operands and order of the plain pass-by-pass loop, and the
-    results are bit-identical to it.  Scratch is one buffer of at most
-    half a block or slab, never a table-sized temporary.
+    `table`: 1-D, C-contiguous, length 2^n, any real or complex float dtype.
+    Each pass is Pease's constant-geometry step y[:m] = x[0::2] + x[1::2],
+    y[m:] = x[0::2] - x[1::2] (m = len/2): the butterfly on index bit 0,
+    then a rotation of the index bits, back in natural order after the
+    last pass.  The low 15 bits run per aligned 2^15-element block,
+    ping-ponging with a scratch buffer (one copy back after an odd pass
+    count); the higher bits run per narrow column slab of the block-rows,
+    ping-ponging between two halves of the scratch.  Every output is the
+    same sum or difference of the same operands as in the plain butterfly
+    loop (pass h maps (t[i], t[i+h]) to (t[i] + t[i+h], t[i] - t[i+h])),
+    so results are bit-identical to it, signed zeros, inf and nan too.
+    Scratch is one block (two _MIN_SLAB_WIDTH slabs above 2^25 elements).
     """
     size = table.size
     if table.ndim != 1 or not table.flags.c_contiguous or size < 1 or size & (size - 1):
         raise ParameterError("fwht_inplace needs a contiguous 1-D table of length 2^n")
     block = min(size, _BLOCK)
     rows = size // block
-    width = min(block, max(_BLOCK // rows, _MIN_SLAB_WIDTH))
-    scratch = np.empty(max(block, rows * width) // 2, dtype=table.dtype)
+    width = min(block, max(block // (2 * rows), _MIN_SLAB_WIDTH))  # two slabs fill a block
+    scratch = np.empty(max(block, 2 * rows * width), dtype=table.dtype)
 
     for start in range(0, size, block):
         seg = table[start : start + block]
-        h = 1
-        while h < block:
-            view = seg.reshape(-1, 2, h)
-            if h <= _COLUMN_LOOP_MAX_H:
-                for j in range(h):
-                    _butterfly(view[:, 0, j], view[:, 1, j], scratch)
-            else:
-                _butterfly(view[:, 0, :], view[:, 1, :], scratch)
-            h *= 2
+        done = _passes(seg, scratch[:block], block.bit_length() - 1)
+        if done is not seg:
+            np.copyto(seg, done)
 
-    for col in range(0, block, width):
-        h = 1  # in rows of `block` elements
-        while h < rows:
-            view = table.reshape(-1, 2, h, block)[:, :, :, col : col + width]
-            _butterfly(view[:, 0], view[:, 1], scratch)
-            h *= 2
+    if rows > 1:
+        grid = table.reshape(rows, block)
+        halves = scratch[: 2 * rows * width].reshape(2, rows, width)
+        for col in range(0, block, width):
+            slab = grid[:, col : col + width]
+            np.copyto(halves[0], slab)
+            np.copyto(slab, _passes(halves[0], halves[1], rows.bit_length() - 1))
     return table
 
 
@@ -191,7 +191,7 @@ def walsh_transform(f: HypercubeFunction, max_table_n: int | None = None) -> Fou
     table = f.values.copy()
     fwht_inplace(table)
     table *= math.ldexp(1.0, -f.n)  # exact power-of-two scaling
-    return FourierSpectrum(f.n, table)
+    return _adopt(FourierSpectrum, f.n, table)
 
 
 def inverse_transform(s: FourierSpectrum, max_table_n: int | None = None) -> HypercubeFunction:
@@ -199,7 +199,7 @@ def inverse_transform(s: FourierSpectrum, max_table_n: int | None = None) -> Hyp
     check_table_dim(s.n, max_table_n)
     table = s.coeffs.copy()
     fwht_inplace(table)
-    return HypercubeFunction(s.n, table)
+    return _adopt(HypercubeFunction, s.n, table)
 
 
 def _squared_weights(coeffs: np.ndarray) -> np.ndarray:
@@ -287,12 +287,12 @@ def scale(f: HypercubeFunction, a: complex) -> HypercubeFunction:
     a = complex(a)
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise ParameterError(f"scale factor must be finite, got {a!r}")
-    return HypercubeFunction(f.n, f.values * a)
+    return _adopt(HypercubeFunction, f.n, f.values * a)
 
 
 def conjugate(f: HypercubeFunction) -> HypercubeFunction:
     """Pointwise complex conjugate; squared coefficient weights are unchanged."""
-    return HypercubeFunction(f.n, np.conj(f.values))
+    return _adopt(HypercubeFunction, f.n, np.conj(f.values))
 
 
 def lift_zero_mean(f: HypercubeFunction, max_table_n: int | None = None) -> HypercubeFunction:
@@ -303,4 +303,4 @@ def lift_zero_mean(f: HypercubeFunction, max_table_n: int | None = None) -> Hype
     coefficient moves up one degree).
     """
     check_table_dim(f.n + 1, max_table_n)
-    return HypercubeFunction(f.n + 1, np.concatenate([f.values, -f.values]))
+    return _adopt(HypercubeFunction, f.n + 1, np.concatenate([f.values, -f.values]))

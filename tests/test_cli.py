@@ -500,6 +500,24 @@ def test_stats_file_refuses_build_options(capsys, tmp_path, build):
     assert stderr.startswith("error: --file")
 
 
+@pytest.mark.parametrize("build", [["--kind", "neeman"], ["--kind", "real"], ["--C", "1.5"], ["--C", "2"]])
+def test_stats_file_refuses_kind_and_clamp(capsys, tmp_path, build):
+    # the kind comes from the file and no clamp applies, so both are usage errors
+    table = tmp_path / "f.txt"
+    table.write_text("n=1 kind=real\n1.0\n-1.0\n")
+    code, stdout, stderr = run(capsys, ["stats", "--file", str(table)] + build)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: --file")
+
+
+def test_stats_builds_with_default_kind_and_clamp(capsys):
+    assert run(capsys, ["stats", "--n", "6"]) == run(capsys, ["stats", "--n", "6", "--kind", "real"])
+    default = run(capsys, ["stats", "--n", "6", "--kind", "neeman", "--format", "csv"])
+    assert default == run(capsys, ["stats", "--n", "6", "--kind", "neeman", "--C", "2", "--format", "csv"])
+    assert default[0] == 0 and ",neeman," in default[1]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--kind", "real", "--n", "6", "--tol", "0"], "tolerance must be positive"),
     (["verify", "--kind", "real", "--n", "6", "--tol=-1e-9"], "tolerance must be positive"),

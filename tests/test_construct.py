@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cubespec import (
     normalized_closed_form,
     normalized_real,
     normalized_sum,
+    popcounts,
     remark3_params,
     stats,
     subset_products,
@@ -316,6 +318,34 @@ class TestClosedFormSaturation:
         assert at.l2_norm == at.linf_lower == at.remark1_bound == math.inf
         assert at.log2_l2_sq == 2048.0
 
+    def test_entropy_of_unit_weights_past_the_range_is_zero(self):
+        # prod_{j != i}(1 + a_j^2) = 2^2047 overflows, and inf * log2(1)
+        # would read nan; every a_i = 1 term is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (2048, 2049, 5000):
+                rep = closed_form(ParamSeq([1.0] * n))
+                assert rep.entropy == 0.0, n
+                assert rep.influence == math.inf
+
+    @pytest.mark.parametrize("weights", [
+        [1.0] * 2047 + [0.5],
+        [0.5] + [1.0] * 3000,
+        [1.0] * 1500 + [0.9] * 1500,
+    ], ids=["last-below-one", "first-below-one", "halves"])
+    def test_mixed_weights_past_the_range_saturate(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = closed_form(ParamSeq(weights))
+        assert rep.entropy == math.inf
+        assert rep.influence == math.inf
+
+    def test_in_range_unit_weights_keep_their_bits(self):
+        for n in (1, 10, 700):
+            got = closed_form(ParamSeq([1.0] * n)).entropy
+            want = _reference_closed_form(np.ones(n))[0]["entropy"]
+            assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
+
 
 class TestClosedForm:
     def test_matches_reference_on_random_sequences(self):
@@ -434,6 +464,72 @@ class TestParamFamilies:
     def test_subset_products_hand_case(self):
         got = subset_products([2.0, 3.0, 5.0])
         assert got.tolist() == [1.0, 2.0, 3.0, 6.0, 5.0, 10.0, 15.0, 30.0]
+
+
+def _concatenating_subset_products(factors, dtype=np.float64):
+    """The doubling by concatenation: the reference the in-place builder matches."""
+    t = np.ones(1, dtype=dtype)
+    for f in factors:
+        t = np.concatenate([t, t * dtype(f)])
+    return t
+
+
+class TestSubsetProducts:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 16])
+    def test_float64_same_bytes_as_concatenation(self, n):
+        factors = np.random.default_rng(n).uniform(0.01, 3.0, n)
+        got = subset_products(factors)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _concatenating_subset_products(factors).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 11, 14])
+    def test_longdouble_same_values_as_concatenation(self, n):
+        # longdouble padding bytes are undefined: compare values
+        a = np.random.default_rng(100 + n).uniform(0.05, 1.0, n).astype(np.longdouble)
+        a2 = a * a
+        got = subset_products(a2, dtype=np.longdouble)
+        want = _concatenating_subset_products(a2, dtype=np.longdouble)
+        assert got.dtype == np.longdouble
+        assert np.array_equal(got, want)
+
+    def test_list_of_factors_and_zero_factor(self):
+        got = subset_products([0.5, 0.0, -2.0])
+        want = _concatenating_subset_products([0.5, 0.0, -2.0])
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+class TestBuildersCopyOnce:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 10, 11, 12, 16, 17])
+    def test_unimodular_blocks_match_whole_table_expression(self, n):
+        # all-ones weights make exact zeros in P and Q, so this pins the
+        # signed zeros of (p + 1j*q) * c as well
+        for params in (ParamSeq(np.ones(n)), ParamSeq(np.random.default_rng(n).uniform(0.05, 1.0, n))):
+            pair = build_pq(params)
+            p, q = pair.p.values.real.copy(), pair.q.values.real.copy()
+            want = (p + 1j * q) * construct._unit_modulus_factor(params)
+            assert unimodular_complex(params).values.tobytes() == want.tobytes()
+
+    def test_real_builders_match_whole_table_expression(self):
+        for n in (1, 5, 11, 16):
+            params = ParamSeq(np.random.default_rng(n).uniform(0.05, 1.0, n))
+            p = build_pq(params).p.values.real.copy()
+            want = (p * construct._l2_scale_factor(params)).astype(np.complex128)
+            assert normalized_real(params).values.tobytes() == want.tobytes()
+            for clamp, normalize in ((0.7, True), (2.0, False), (100.0, True)):
+                pc = popcounts(n).astype(np.float64)
+                raw = np.clip((n - 2.0 * pc) / math.sqrt(n), -clamp, clamp)
+                if normalize:
+                    raw = raw / clamped_sum_l2_norm(n, clamp)
+                got = neeman_function(n, clamp, normalize)
+                assert got.values.tobytes() == raw.astype(np.complex128).tobytes()
+
+    def test_built_tables_are_frozen(self):
+        params = theorem_params(6)
+        for f in (normalized_real(params), unimodular_complex(params), neeman_function(6),
+                  *four_variants(params)):
+            assert not f.values.flags.writeable
+            assert f.values.dtype == np.complex128 and f.values.flags.c_contiguous
 
 
 class TestNormalizedBuilders:

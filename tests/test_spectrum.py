@@ -30,6 +30,7 @@ from cubespec import (
     unimodular_complex,
     walsh_transform,
 )
+from cubespec import spectrum
 from cubespec.spectrum import fwht_inplace
 
 RNG = np.random.default_rng(416)
@@ -158,6 +159,94 @@ class TestKernel:
         for bad in (np.ones(6), np.ones((4, 4)), np.ones(16)[::2], np.ones(0)):
             with pytest.raises(ParameterError):
                 fwht_inplace(bad)
+
+
+# With the block shrunk to 2^2..2^6 elements, n <= 14 spans up to 4096
+# block-rows: odd and even low and high pass counts, many slabs, and
+# slabs at the narrowest width.
+SMALL_BLOCKS = [1 << k for k in range(2, 7)]
+
+
+class TestKernelSmallBlocks:
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_bit_identical_to_reference(self, monkeypatch, block, dtype, huge):
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(15):
+                x = kernel_input(n, dtype, huge)
+                got = fwht_inplace(x.copy())
+                want = reference_fwht(x.copy())
+                assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_longdouble_matches_reference(self, monkeypatch, block, huge):
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(15):
+                x = kernel_input(n, np.longdouble, huge)
+                if huge:
+                    x *= np.longdouble(2.0) ** 15000
+                got = fwht_inplace(x.copy())
+                want = reference_fwht(x.copy())
+                assert np.array_equal(got, want, equal_nan=True), n
+                assert np.array_equal(np.signbit(got), np.signbit(want)), n
+
+    def test_narrowest_slabs_are_reached(self, monkeypatch):
+        # at n = 14 with 2^6-element blocks the slabs are _MIN_SLAB_WIDTH wide
+        monkeypatch.setattr(spectrum, "_BLOCK", 1 << 6)
+        widths = []
+        real_passes = spectrum._passes
+
+        def spy(x, y, count):
+            widths.append(x.shape[1:])
+            return real_passes(x, y, count)
+
+        monkeypatch.setattr(spectrum, "_passes", spy)
+        x = kernel_input(14, np.float64, False)
+        assert fwht_inplace(x.copy()).tobytes() == reference_fwht(x.copy()).tobytes()
+        assert (spectrum._MIN_SLAB_WIDTH,) in widths
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestCopies:
+    @pytest.mark.parametrize("build", [normalized_real, unimodular_complex])
+    def test_builder_peak_at_most_twice_the_result(self, build):
+        params = theorem_params(16)
+        f = build(params)  # also warms caches outside the traced call
+        assert peak_bytes(lambda: build(params)) <= 2.1 * f.values.nbytes
+
+    def test_walsh_and_inverse_peak_below_one_point_six_tables(self):
+        f = unimodular_complex(theorem_params(16))
+        s = walsh_transform(f)
+        assert peak_bytes(lambda: walsh_transform(f)) <= 1.6 * f.values.nbytes
+        assert peak_bytes(lambda: inverse_transform(s)) <= 1.6 * s.coeffs.nbytes
+
+    def test_results_are_frozen_and_do_not_share_memory(self):
+        f = unimodular_complex(theorem_params(6))
+        s = walsh_transform(f)
+        back = inverse_transform(s)
+        for arr in (s.coeffs, back.values):
+            assert not arr.flags.writeable and arr.dtype == np.complex128
+        assert not np.shares_memory(s.coeffs, f.values)
+        assert not np.shares_memory(back.values, s.coeffs)
+
+    def test_constructor_still_copies_caller_arrays(self):
+        vals = np.arange(4, dtype=np.complex128)
+        f = HypercubeFunction(2, vals)
+        vals[0] = 9.0
+        assert f.values[0] == 0.0 and vals.flags.writeable
 
 
 class TestInverse:

@@ -188,7 +188,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         if args.n or args.param_spec is not None or args.kind is not None or args.clamp is not None:
             raise ParameterError("--file reads n and the values from the table; "
                                  "--n, --a, --kind and --C only apply to a built function")
-        f = fileio.read_function(args.in_file)
+        f = fileio.read_function(args.in_file, args.max_table_n)
         n = f.n
         kind = "real" if f.is_real else "complex"
     else:

@@ -320,15 +320,20 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     log2_a2 = np.log2(a, out=lg)     # lg is spent; reuse its buffer
     log2_a2 *= 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # products past the range read inf
-        np.exp2(others, out=others)
-        terms = np.multiply(a2, others, out=right)   # a_i^2 prod_{j != i}(1 + a_j^2)
+        terms = np.exp2(others, out=right)
+        np.multiply(a2, terms, out=terms)            # a_i^2 prod_{j != i}(1 + a_j^2)
         influence = float(np.sum(terms))
         np.multiply(terms, log2_a2, out=terms)
-    entropy = float(-np.sum(terms))
-    if math.isnan(entropy):
-        # inf * log2(1) is nan, but a term with a_i = 1 is exactly 0
-        terms[log2_a2 == 0.0] = 0.0
         entropy = float(-np.sum(terms))
+        if math.isnan(entropy):
+            # an a_i^2 that underflows against a product that overflows
+            # reads 0 * inf: take each term in log2 domain instead; a term
+            # with a_i = 1 is exactly 0 in the entropy (inf * log2(1) is nan)
+            np.exp2(np.add(log2_a2, others, out=terms), out=terms)
+            influence = float(np.sum(terms))
+            np.multiply(terms, log2_a2, out=terms)
+            terms[log2_a2 == 0.0] = 0.0
+            entropy = float(-np.sum(terms))
     k = float(np.sum(a2))
     l2 = _or_inf(pow, 2.0, 0.5 * total)
     log2_a2.setflags(write=False)

@@ -5,26 +5,33 @@ exactly 2^n data lines.  Line x holds the value at point (or mask)
 index x under the bit convention of `spectrum`.  Real kind: one decimal
 per line.  Complex and spectrum kinds: `<re> <im>`.  Floats are written
 with shortest round-trip repr, so write/read is lossless and a fixed
-table always produces byte-identical files.
+table always produces byte-identical files.  Readers check the header's
+n against the table cap (`spectrum.check_table_dim`) before they
+allocate the 2^n table.
+
+Every reader and writer takes a path or an open file; a file the caller
+opened is left open.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .spectrum import FourierSpectrum, HypercubeFunction, _adopt
+from .spectrum import FourierSpectrum, HypercubeFunction, _adopt, check_table_dim
 
 KINDS = ("real", "complex", "spectrum")
 
 
 def _open_maybe(path_or_file, mode: str):
+    """A context for the file: a caller's open file stays open on exit."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode, encoding="ascii"), True
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, mode, encoding="ascii")
 
 
 def _format_lines(table: np.ndarray, n: int, kind: str) -> Iterator[str]:
@@ -45,21 +52,13 @@ def write_function(path_or_file, f: HypercubeFunction, kind: str | None = None) 
         raise ParameterError(f"function kind must be real or complex, got {kind!r}")
     if kind == "real" and not f.is_real:
         raise ParameterError("kind=real requested for a table with imaginary parts")
-    fh, close = _open_maybe(path_or_file, "w")
-    try:
+    with _open_maybe(path_or_file, "w") as fh:
         fh.writelines(_format_lines(f.values, f.n, kind))
-    finally:
-        if close:
-            fh.close()
 
 
 def write_spectrum(path_or_file, s: FourierSpectrum) -> None:
-    fh, close = _open_maybe(path_or_file, "w")
-    try:
+    with _open_maybe(path_or_file, "w") as fh:
         fh.writelines(_format_lines(s.coeffs, s.n, "spectrum"))
-    finally:
-        if close:
-            fh.close()
 
 
 def _parse_header(line: str) -> tuple[int, str]:
@@ -95,45 +94,38 @@ def _parse_value(fields: list[str], kind: str, lineno: int) -> complex:
     return complex(re, im)
 
 
-def _read_table(fh: IO[str]) -> tuple[int, str, np.ndarray]:
-    header = fh.readline()
-    if not header:
-        raise FormatError("empty file", line=1)
-    n, kind = _parse_header(header)
-    size = 1 << n
-    table = np.empty(size, dtype=np.complex128)
-    for i in range(size):
-        line = fh.readline()
-        lineno = i + 2
-        if not line:
-            raise FormatError(f"file ends after {i} of {size} data lines", line=lineno)
-        table[i] = _parse_value(line.split(), kind, lineno)
-    extra = fh.readline()
+def _read_table(path_or_file, max_table_n: int | None) -> tuple[int, str, np.ndarray]:
+    with _open_maybe(path_or_file, "r") as fh:
+        header = fh.readline()
+        if not header:
+            raise FormatError("empty file", line=1)
+        n, kind = _parse_header(header)
+        check_table_dim(n, max_table_n)
+        size = 1 << n
+        table = np.empty(size, dtype=np.complex128)
+        for i in range(size):
+            line = fh.readline()
+            lineno = i + 2
+            if not line:
+                raise FormatError(f"file ends after {i} of {size} data lines", line=lineno)
+            table[i] = _parse_value(line.split(), kind, lineno)
+        extra = fh.readline()
     if extra.strip():
         raise FormatError(f"trailing data after {size} lines", line=size + 2)
     return n, kind, table
 
 
-def read_function(path_or_file) -> HypercubeFunction:
-    """Parse a value table; FormatError (with line number) on malformed input."""
-    fh, close = _open_maybe(path_or_file, "r")
-    try:
-        n, kind, table = _read_table(fh)
-    finally:
-        if close:
-            fh.close()
+def read_function(path_or_file, max_table_n: int | None = None) -> HypercubeFunction:
+    """Parse a value table; FormatError (with line number) on malformed
+    input, ResourceLimitError when the header's n exceeds the table cap."""
+    n, kind, table = _read_table(path_or_file, max_table_n)
     if kind == "spectrum":
         raise FormatError("file holds a spectrum, not a value table", line=1)
     return _adopt(HypercubeFunction, n, table)
 
 
 def read_spectrum(path_or_file) -> FourierSpectrum:
-    fh, close = _open_maybe(path_or_file, "r")
-    try:
-        n, kind, table = _read_table(fh)
-    finally:
-        if close:
-            fh.close()
+    n, kind, table = _read_table(path_or_file, None)
     if kind != "spectrum":
         raise FormatError(f"file holds kind={kind}, not a spectrum", line=1)
     return _adopt(FourierSpectrum, n, table)

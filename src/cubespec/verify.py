@@ -11,7 +11,10 @@ that per-mask coefficient comparisons stay meaningful: the smallest
 squared coefficient of a pair with weights a_i is prod a_i^2, which for
 small weights sits many orders below the double-precision noise floor
 of a 2^n transform.  Extended precision is an oracle-side measure only;
-the library under test stays in complex128.
+the library under test stays in complex128.  `oracle_compare` is the one
+entry point to the enumeration; it caches the six error figures per
+weight vector and table cap (least recently used, at most 256 entries),
+so certificates that share weights enumerate them once.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
@@ -21,9 +24,10 @@ error.  Strict claims get no epsilon forgiveness.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -175,22 +179,21 @@ class OracleReport:
     err_influence: float
     err_entropy: float
 
+    def errors(self) -> tuple[float, ...]:
+        """The six error figures, in field order."""
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name.startswith("err_"))
+
     def max_error(self) -> float:
-        return max(
-            self.err_constancy,
-            self.err_l2,
-            self.err_linf_bracket,
-            self.err_coefficients,
-            self.err_influence,
-            self.err_entropy,
-        )
+        return max(self.errors())
 
     def passed(self, tol: float) -> bool:
         return self.max_error() < tol
 
 
-def _oracle_errors(a64: np.ndarray, max_table_n: int | None) -> tuple[float, ...]:
+@functools.lru_cache(maxsize=256)
+def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]:
     ld = np.longdouble
+    a64 = np.frombuffer(a_bytes)
     n = a64.size
     check_table_dim(n, max_table_n)
     a = a64.astype(ld)
@@ -205,20 +208,6 @@ def _oracle_errors(a64: np.ndarray, max_table_n: int | None) -> tuple[float, ...
     target_const = 2.0 * big_l
     err_const = float(np.max(np.abs(s - target_const)) / target_const)
 
-    # coefficient tables, expectation scale
-    cp = p.copy()
-    cq = q.copy()
-    fwht_inplace(cp)
-    fwht_inplace(cq)
-    cp /= ld(1 << n)
-    cq /= ld(1 << n)
-
-    err_l2 = 0.0
-    err_bracket = 0.0
-    err_coeff = 0.0
-    err_infl = 0.0
-    err_ent = 0.0
-
     # independent closed-form targets, linear domain (no log/exp route)
     others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
     target_l2 = np.sqrt(big_l)
@@ -228,43 +217,29 @@ def _oracle_errors(a64: np.ndarray, max_table_n: int | None) -> tuple[float, ...
 
     prod_table = subset_products(a2, dtype=ld)
 
-    for table, coeffs in ((p, cp), (q, cq)):
+    worst = (0.0,) * 5
+    for table in (p, q):
+        w = table.copy()
+        fwht_inplace(w)
+        w /= ld(1 << n)  # coefficients, expectation scale
+        w *= w
         l2 = np.sqrt(np.sum(table * table) / ld(1 << n))
-        err_l2 = max(err_l2, float(abs(l2 - target_l2) / target_l2))
-
         linf = np.max(np.abs(table))
         lo, hi = target_l2, SQRT2 * target_l2
-        viol = max((lo - linf) / lo, (linf - hi) / hi, ld(0.0))
-        err_bracket = max(err_bracket, float(viol))
-
-        w = coeffs * coeffs
-        err_coeff = max(err_coeff, float(np.max(np.abs(w - prod_table) / prod_table)))
-
-        infl = _influence_sum(w, n)
-        denom = max(abs(target_infl), ld(1e-300))
-        err_infl = max(err_infl, float(abs(infl - target_infl) / denom))
-
-        ent = _entropy_sum(w)
-        ent_denom = max(abs(target_ent), big_l)
-        err_ent = max(err_ent, float(abs(ent - target_ent) / ent_denom))
-
-    return err_const, err_l2, err_bracket, err_coeff, err_infl, err_ent
+        errs = (
+            abs(l2 - target_l2) / target_l2,
+            max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
+            np.max(np.abs(w - prod_table) / prod_table),
+            abs(_influence_sum(w, n) - target_infl) / max(abs(target_infl), ld(1e-300)),
+            abs(_entropy_sum(w) - target_ent) / max(abs(target_ent), big_l),
+        )
+        worst = tuple(map(max, worst, map(float, errs)))
+    return (err_const, *worst)
 
 
-_ORACLE_MEMO: dict[tuple, tuple[float, ...]] = {}
-
-
-def oracle_compare(params: ParamSeq, tol: float = 1e-9, max_table_n: int | None = None) -> OracleReport:
-    """Re-derive every closed-form quantity by enumeration; report max errors.
-
-    `tol` is recorded by callers when gating; the report itself always
-    carries the raw error figures.
-    """
-    key = (params.a.tobytes(), max_table_n)
-    if key not in _ORACLE_MEMO:
-        _ORACLE_MEMO[key] = _oracle_errors(params.a, max_table_n)
-    errs = _ORACLE_MEMO[key]
-    return OracleReport(1, None, *errs)
+def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> OracleReport:
+    """Re-derive every closed-form quantity by enumeration; report max errors."""
+    return OracleReport(1, None, *_oracle_errors(params.a.tobytes(), max_table_n))
 
 
 def oracle_campaign(
@@ -287,15 +262,7 @@ def oracle_campaign(
     for _ in range(trials):
         a = 1.0 - rng.uniform(0.0, 1.0 - low, size=n)
         rep = oracle_compare(ParamSeq(a), max_table_n=max_table_n)
-        errs = (
-            rep.err_constancy,
-            rep.err_l2,
-            rep.err_linf_bracket,
-            rep.err_coefficients,
-            rep.err_influence,
-            rep.err_entropy,
-        )
-        worst = tuple(max(w, e) for w, e in zip(worst, errs))
+        worst = tuple(map(max, worst, rep.errors()))
     return OracleReport(trials, seed, *worst)
 
 
@@ -314,17 +281,12 @@ COEFF_GATE_MAX_N = 14
 
 
 def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
-    rep = oracle_compare(params, tol=tol, max_table_n=max_table_n)
-    errs = [
-        rep.err_constancy,
-        rep.err_l2,
-        rep.err_linf_bracket,
-        rep.err_influence,
-        rep.err_entropy,
-    ]
-    if params.n <= COEFF_GATE_MAX_N:
-        errs.append(rep.err_coefficients)
-    return check_lt("closed_form_oracle_agreement", max(errs), tol)
+    rep = oracle_compare(params, max_table_n=max_table_n)
+    if params.n > COEFF_GATE_MAX_N:
+        # every figure is >= 0 (or nan, which max() passes over unless it
+        # comes first), so a zero drops this one from the maximum
+        rep = replace(rep, err_coefficients=0.0)
+    return check_lt("closed_form_oracle_agreement", rep.max_error(), tol)
 
 
 def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
@@ -490,9 +452,7 @@ def neeman_regression(
     entropies = [r[2] for r in rows]
     increasing = all(b > a for a, b in zip(entropies, entropies[1:]))
     band = NEEMAN_INFLUENCE_BAND if clamp == 2.0 else None
-    in_band = True
-    if band is not None:
-        in_band = all(band[0] <= r[1] <= band[1] for r in rows)
+    in_band = band is None or all(band[0] <= r[1] <= band[1] for r in rows)
     return NeemanReport(clamp, tuple(rows), increasing, band, in_band, increasing and in_band)
 
 

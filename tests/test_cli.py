@@ -511,6 +511,16 @@ def test_stats_file_refuses_kind_and_clamp(capsys, tmp_path, build):
     assert stderr.startswith("error: --file")
 
 
+@pytest.mark.parametrize("n", [30, 64])
+def test_stats_file_header_above_the_cap_exits_two(capsys, tmp_path, n):
+    table = tmp_path / "f.txt"
+    table.write_text(f"n={n} kind=real\n1.0\n-1.0\n")
+    code, stdout, stderr = run(capsys, ["stats", "--file", str(table)])
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:") and "table cap" in stderr
+
+
 def test_stats_builds_with_default_kind_and_clamp(capsys):
     assert run(capsys, ["stats", "--n", "6"]) == run(capsys, ["stats", "--n", "6", "--kind", "real"])
     default = run(capsys, ["stats", "--n", "6", "--kind", "neeman", "--format", "csv"])

@@ -340,6 +340,16 @@ class TestClosedFormSaturation:
         assert rep.entropy == math.inf
         assert rep.influence == math.inf
 
+    def test_underflowing_weight_against_an_overflowing_product(self):
+        # a_1^2 underflows to 0 while prod_{j != 1}(1 + a_j^2) = 2^2048
+        # overflows; in log2 domain the first term is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = closed_form(ParamSeq([1e-170] + [1.0] * 2048))
+        log2_a2 = 2.0 * math.log2(1e-170)
+        assert rep.influence == math.inf
+        assert math.isclose(math.log2(rep.entropy), 2048 + log2_a2 + math.log2(-log2_a2), rel_tol=1e-14)
+
     def test_in_range_unit_weights_keep_their_bits(self):
         for n in (1, 10, 700):
             got = closed_form(ParamSeq([1.0] * n)).entropy
@@ -409,6 +419,16 @@ class TestNormalizedClosedForm:
             co = orc.transform(list(vals))
             assert abs(orc.influence(co) - ncf.influence) <= 1e-11 * max(1.0, ncf.influence)
             assert abs(orc.entropy(co) - ncf.entropy) <= 1e-11 * max(1.0, ncf.entropy)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 10**3, 10**5, 10**6])
+    def test_theorem_weights_hit_exact_targets(self, n):
+        # a_i^2 = 1/n: influence n/(n+1), and entropy minus the bound
+        # (n/(n+1)) log2 n is n log2(1 + 1/n), taken through log1p
+        ncf = normalized_closed_form(theorem_params(n))
+        target = n / (n + 1)
+        assert abs(ncf.influence - target) <= 1e-15 * target
+        gap = ncf.entropy - target * math.log2(n)
+        assert abs(gap - n * math.log1p(1 / n) / math.log(2)) <= 1e-14 * ncf.entropy
 
     def test_unit_weights_give_half_n_and_n(self):
         for n in (2, 8, 12):

@@ -10,6 +10,7 @@ from cubespec import (
     FourierSpectrum,
     HypercubeFunction,
     ParameterError,
+    ResourceLimitError,
     read_function,
     read_spectrum,
     walsh_transform,
@@ -125,3 +126,22 @@ class TestParseErrors:
     def test_spectrum_reader_requires_spectrum_kind(self):
         with pytest.raises(FormatError):
             read_spectrum(io.StringIO("n=1 kind=real\n1.0\n1.0\n"))
+
+
+class TestTableCap:
+    """A header n above the cap is refused before the 2^n table exists."""
+
+    @pytest.mark.parametrize("n", [27, 40, 64, 70])
+    def test_function_header_above_default_cap(self, n):
+        with pytest.raises(ResourceLimitError):
+            read_function(io.StringIO(f"n={n} kind=real\n"))
+
+    def test_spectrum_header_above_default_cap(self):
+        with pytest.raises(ResourceLimitError):
+            read_spectrum(io.StringIO("n=64 kind=spectrum\n0.5 0.0\n"))
+
+    def test_function_reader_takes_the_callers_cap(self):
+        text = "n=1 kind=real\n1.0\n-1.0\n"
+        with pytest.raises(ResourceLimitError):
+            read_function(io.StringIO(text), max_table_n=0)
+        assert read_function(io.StringIO(text), max_table_n=1).values.tolist() == [1.0, -1.0]

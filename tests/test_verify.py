@@ -107,6 +107,22 @@ class TestOracle:
         b = cs.oracle_campaign(4, trials=5, seed=2)
         assert a != b
 
+    def test_tol_is_not_a_positional_argument(self):
+        with pytest.raises(TypeError):
+            cs.oracle_compare(cs.theorem_params(3), 1e-9)
+
+    def test_repeated_compare_returns_an_equal_report_from_the_cache(self):
+        params = cs.ParamSeq([0.3, 0.7, 0.9])
+        first = cs.oracle_compare(params)
+        hits = cs.verify._oracle_errors.cache_info().hits
+        assert cs.oracle_compare(params) == first
+        assert cs.verify._oracle_errors.cache_info().hits == hits + 1
+
+    def test_cache_stays_bounded(self):
+        cs.oracle_campaign(3, trials=300, seed=4)
+        info = cs.verify._oracle_errors.cache_info()
+        assert info.currsize <= info.maxsize < 300
+
     def test_per_mask_error_grows_past_gate_but_certificate_holds(self):
         # beyond the gate cutoff the per-mask figure is reported, not gated
         n = COEFF_GATE_MAX_N + 3
@@ -151,6 +167,17 @@ class TestCertificates:
         assert cert.overall
         assert len(cert.checks) == 3
         assert all(c.name.startswith("cf_") for c in cert.checks)
+
+    def test_scaled_family_gate_and_tables_follow_the_cap(self):
+        inside = [c.name for c in cs.certify_remark3(10, 4.0, max_table_n=10).checks]
+        assert inside[0] == "closed_form_oracle_agreement"
+        assert "real_influence_matches_closed_form" in inside
+        assert "complex_entropy_matches_closed_form" in inside
+        outside = cs.certify_remark3(10, 4.0, max_table_n=9)
+        assert outside.overall
+        assert [c.name for c in outside.checks] == [
+            "cf_influence_above_half_scale", "cf_influence_below_scale", "cf_entropy_above_bound"
+        ]
 
     def test_scaled_family_precondition(self):
         with pytest.raises(cs.ParameterError):

@@ -93,16 +93,6 @@ def _read_weight_file(path: str) -> list[float]:
     return vals
 
 
-def _resolve_params(args: argparse.Namespace, n: int) -> ParamSeq:
-    if args.kind in FIXED_WEIGHT_KINDS:
-        if args.param_spec is not None:
-            raise ParameterError(
-                f"--a has no effect for kind={args.kind}; weights are fixed"
-            )
-        return ParamSeq(np.ones(n))  # only the classical path uses this
-    return parse_param_spec(args.param_spec or "one-over-sqrt-n", n)
-
-
 def _cell(v):
     """One csv cell or k=v value: floats round-trip, booleans lower-case."""
     if isinstance(v, bool):
@@ -143,34 +133,32 @@ def _emit(args: argparse.Namespace, rows: list[dict], doc=None, text: str | None
             fh.write(text)
 
 
-def _build_function(args: argparse.Namespace, n: int) -> tuple[HypercubeFunction, dict]:
-    """Build the requested family member plus its summary quantities."""
+def _build_function(args: argparse.Namespace, n: int) -> tuple[HypercubeFunction, ParamSeq | None]:
+    """The requested family member's table and its weights (None for sum and neeman)."""
     cap = args.max_table_n
-    kind = args.kind
-    if kind in ("real", "complex", "classical"):
-        params = _resolve_params(args, n)
-        ncf = construct.normalized_closed_form(params)
-        f = (
-            construct.unimodular_complex(params, cap)
-            if kind == "complex"
-            else construct.normalized_real(params, cap)
-        )
-        summary = {"l2": 1.0, "influence": ncf.influence, "entropy": ncf.entropy}
-    elif kind == "sum":
-        _resolve_params(args, n)  # rejects a stray --a
-        f = construct.normalized_sum(n, cap)
-        summary = {"l2": 1.0, "influence": 1.0, "entropy": math.log2(n)}
-    else:  # neeman
-        _resolve_params(args, n)
-        f = construct.neeman_function(n, args.clamp, normalize=True, max_table_n=cap)
-        st = stats(f, cap)
-        summary = {"l2": st.l2_norm, "influence": st.influence, "entropy": st.entropy}
-    return f, summary
+    if args.kind in FIXED_WEIGHT_KINDS and args.param_spec is not None:
+        raise ParameterError(f"--a has no effect for kind={args.kind}; weights are fixed")
+    if args.kind == "sum":
+        return construct.normalized_sum(n, cap), None
+    if args.kind == "neeman":
+        return construct.neeman_function(n, args.clamp, normalize=True, max_table_n=cap), None
+    spec = args.param_spec or "one-over-sqrt-n"
+    params = ParamSeq(np.ones(n)) if args.kind == "classical" else parse_param_spec(spec, n)
+    build = construct.unimodular_complex if args.kind == "complex" else construct.normalized_real
+    return build(params, cap), params
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     n = _single_n(args)
-    f, summary = _build_function(args, n)
+    f, params = _build_function(args, n)
+    if params is not None:
+        ncf = construct.normalized_closed_form(params)
+        summary = {"l2": 1.0, "influence": ncf.influence, "entropy": ncf.entropy}
+    elif args.kind == "sum":
+        summary = {"l2": 1.0, "influence": 1.0, "entropy": math.log2(n)}
+    else:  # neeman
+        st = stats(f, args.max_table_n)
+        summary = {"l2": st.l2_norm, "influence": st.influence, "entropy": st.entropy}
     file_kind = "complex" if args.kind == "complex" else "real"
     parts = " ".join(f"{k}={_cell(v)}" for k, v in summary.items())
     summary_line = f"summary n={n} kind={args.kind} {parts}"
@@ -214,6 +202,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _select_certificates(args: argparse.Namespace, n: int) -> list:
     cap, tol = args.max_table_n, args.tol
+    if args.remark3_scale is not None and args.kind not in ("real", "complex"):
+        raise ParameterError(f"--remark3 certifies the real and complex families, not kind={args.kind}")
+    if args.run_remark2 and args.kind != "real":
+        raise ParameterError(f"--remark2 certifies the lift of the real family, not kind={args.kind}")
     certs = []
     if args.remark3_scale is not None:
         certs.append(verify.certify_remark3(n, args.remark3_scale, tol, cap))
@@ -253,13 +245,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ParameterError("sweep needs --n with one or more dimensions")
     if not args.a_values:
         raise ParameterError("sweep needs --a with one or more scale values")
+    rows = []
     for n in args.n:
         for a in args.a_values:
             if not 1.0 < a < n:
                 raise ParameterError(f"sweep cell (n={n}, a={a}) invalid: need 1 < a < n")
-    rows = []
-    for n in args.n:
-        for a in args.a_values:
             ncf = construct.normalized_closed_form(construct.remark3_params(n, a))
             rows.append({"n": n, "a": a, "influence": ncf.influence, "entropy": ncf.entropy,
                          "bound": ncf.entropy_lower_bound, "ratio": _ratio(ncf.entropy, ncf.influence)})

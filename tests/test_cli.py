@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cubespec import cli, construct, read_function, verify
+from cubespec import cli, construct, read_function, stats, verify
 from cubespec.verify import NEEMAN_INFLUENCE_BAND
 
 STATS_HEADER = "n,kind,l2,linf,influence,entropy,bound,ratio"
@@ -200,6 +200,23 @@ class TestVerify:
         code, _, stderr = run(capsys, ["verify", "--kind", "sum", "--n", "4"])
         assert code == 2 and "error:" in stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "neeman", "--n", "8", "--remark2"],
+        ["--kind", "complex", "--n", "6", "--remark2"],
+        ["--kind", "sum", "--n", "8", "--remark3", "4"],
+        ["--kind", "classical", "--n", "8", "--remark3", "4"],
+    ])
+    def test_remark_flags_refuse_other_kinds(self, capsys, argv):
+        # a remark certificate covers the real (remark 2) or the real and
+        # complex (remark 3) families, never the kind that was asked for
+        code, stdout, stderr = run(capsys, ["verify"] + argv)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error:") and f"kind={argv[1]}" in stderr
+
+    def test_scaled_family_flag_accepts_complex_kind(self, capsys):
+        code, stdout, _ = run(capsys, ["verify", "--kind", "complex", "--n", "6", "--remark3", "3"])
+        assert code == 0 and "overall=true" in stdout
+
 
 class TestSweep:
     def test_ratio_strictly_increases(self, capsys):
@@ -221,6 +238,12 @@ class TestSweep:
         code, stdout, _ = run(capsys, ["sweep", "--n", "16,64", "--a", "2,4"])
         heads = [tuple(line.split(",")[:2]) for line in stdout.splitlines()[1:]]
         assert heads == [("16", "2.0"), ("16", "4.0"), ("64", "2.0"), ("64", "4.0")]
+
+    @pytest.mark.parametrize("argv", [["--a", "4"], ["--n", "16"]])
+    def test_missing_grid_axis(self, capsys, argv):
+        code, stdout, stderr = run(capsys, ["sweep"] + argv)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: sweep needs")
 
     def test_scale_must_stay_below_dimension(self, capsys):
         code, _, _ = run(capsys, ["sweep", "--n", "4", "--a", "4"])
@@ -519,6 +542,23 @@ def test_stats_file_header_above_the_cap_exits_two(capsys, tmp_path, n):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error:") and "table cap" in stderr
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["stats", "--n", "12", "--kind", "neeman"], 1),
+    (["gen", "--n", "12", "--kind", "neeman"], 1),
+    (["gen", "--n", "12", "--kind", "real"], 0),
+])
+def test_one_transform_per_command(capsys, monkeypatch, argv, calls):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return stats(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "stats", spy)
+    assert run(capsys, argv)[0] == 0
+    assert len(seen) == calls
 
 
 def test_stats_builds_with_default_kind_and_clamp(capsys):

@@ -630,6 +630,41 @@ class TestSumFamilies:
                 got = clamped_sum_l2_norm(n, c)
                 assert abs(got - want) <= 1e-13 * want
 
+    def test_normalized_sum_is_the_unclamped_raw_sum(self):
+        for n in range(1, 13):
+            pc = popcounts(n).astype(np.float64)
+            want = (n - 2.0 * pc) / math.sqrt(n)
+            got = normalized_sum(n).values
+            assert got.real.tobytes() == want.tobytes()
+            assert not np.any(got.imag)
+
+    def test_l2_normalizer_matches_float_binomial_formula(self):
+        # the formula the normalizer used before it kept C(n, k) exact;
+        # it overflows from n = 1024 but agrees bit for bit below that
+        def float_binomial(n, clamp):
+            inv_s = 1.0 / math.sqrt(n)
+            terms = []
+            for k in range(n + 1):
+                v = max(-clamp, min(clamp, (n - 2 * k) * inv_s))
+                terms.append(math.comb(n, k) * (v * v))
+            return math.sqrt(math.ldexp(math.fsum(terms), -n))
+
+        for n in list(range(1, 41)) + [64, 65, 127, 200, 300]:
+            for c in (0.5, 1.0, 2.0, 3.7, 10.0, 1e9):
+                assert clamped_sum_l2_norm(n, c) == float_binomial(n, c)
+
+    @pytest.mark.parametrize("n", [1024, 2000, 10**4])
+    def test_l2_normalizer_finite_at_large_n(self, n):
+        # sqrt(E[min(Z^2, 4)]) for a standard normal Z, the n -> inf limit
+        c = 2.0
+        inside = math.erf(c / math.sqrt(2.0))
+        limit = math.sqrt(inside - 2.0 * c * math.exp(-c * c / 2.0) / math.sqrt(2.0 * math.pi)
+                          + c * c * (1.0 - inside))
+        assert abs(limit - 0.9594461557) <= 1e-10
+        got = clamped_sum_l2_norm(n, c)
+        assert math.isfinite(got) and abs(got - limit) <= 5e-4
+        assert clamped_sum_l2_norm(n, 10.0) == 1.0
+
     def test_clamp_must_be_positive(self):
         for bad in (0.0, -1.0):
             with pytest.raises(ParameterError):

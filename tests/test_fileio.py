@@ -102,6 +102,22 @@ class TestParseErrors:
             read_function(io.StringIO(text))
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("header", ["n=x kind=real", "n=-1 kind=real"])
+    def test_bad_header_dimension(self, header):
+        with pytest.raises(FormatError) as exc:
+            read_function(io.StringIO(header + "\n1.0\n"))
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("n=1 kind=real\n1.0\nnan\n", 3),
+        ("n=1 kind=real\ninf\n1.0\n", 2),
+        ("n=1 kind=complex\n1.0 0.0\n1.0 -inf\n", 3),
+    ])
+    def test_non_finite_value_reports_line(self, text, line):
+        with pytest.raises(FormatError, match="non-finite") as exc:
+            read_function(io.StringIO(text))
+        assert exc.value.line == line
+
     def test_too_few_rows(self):
         with pytest.raises(FormatError):
             read_function(io.StringIO("n=2 kind=real\n1.0\n2.0\n"))

@@ -133,15 +133,25 @@ def _emit(args: argparse.Namespace, rows: list[dict], doc=None, text: str | None
             fh.write(text)
 
 
+def _neeman_clamp(args: argparse.Namespace) -> float | None:
+    """--C, which only kind=neeman reads: 2 when absent, refused for any other kind."""
+    if args.kind == "neeman":
+        return 2.0 if args.clamp is None else args.clamp
+    if args.clamp is not None:
+        raise ParameterError(f"--C applies only to kind=neeman, not kind={args.kind}")
+    return None
+
+
 def _build_function(args: argparse.Namespace, n: int) -> tuple[HypercubeFunction, ParamSeq | None]:
     """The requested family member's table and its weights (None for sum and neeman)."""
     cap = args.max_table_n
+    clamp = _neeman_clamp(args)
     if args.kind in FIXED_WEIGHT_KINDS and args.param_spec is not None:
         raise ParameterError(f"--a has no effect for kind={args.kind}; weights are fixed")
     if args.kind == "sum":
         return construct.normalized_sum(n, cap), None
     if args.kind == "neeman":
-        return construct.neeman_function(n, args.clamp, normalize=True, max_table_n=cap), None
+        return construct.neeman_function(n, clamp, normalize=True, max_table_n=cap), None
     spec = args.param_spec or "one-over-sqrt-n"
     params = ParamSeq(np.ones(n)) if args.kind == "classical" else parse_param_spec(spec, n)
     build = construct.unimodular_complex if args.kind == "complex" else construct.normalized_real
@@ -181,7 +191,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
         kind = "real" if f.is_real else "complex"
     else:
         args.kind = args.kind or "real"
-        args.clamp = 2.0 if args.clamp is None else args.clamp
         n = _single_n(args)
         f, _ = _build_function(args, n)
         kind = args.kind
@@ -202,6 +211,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _select_certificates(args: argparse.Namespace, n: int) -> list:
     cap, tol = args.max_table_n, args.tol
+    clamp = _neeman_clamp(args)
     if args.remark3_scale is not None and args.kind not in ("real", "complex"):
         raise ParameterError(f"--remark3 certifies the real and complex families, not kind={args.kind}")
     if args.run_remark2 and args.kind != "real":
@@ -220,7 +230,7 @@ def _select_certificates(args: argparse.Namespace, n: int) -> list:
     if args.kind == "classical":
         return [verify.certify_classical_rs(n, tol, cap)]
     if args.kind == "neeman":
-        return [verify.certify_neeman(n, args.clamp, tol, cap)]
+        return [verify.certify_neeman(n, clamp, tol, cap)]
     raise ParameterError(f"no certificate family for kind={args.kind}")
 
 
@@ -332,7 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
         if kind:
             sp.add_argument("--kind", choices=KIND_CHOICES, default="real")
         if table:
-            sp.add_argument("--C", type=float, default=2.0, dest="clamp",
+            # with --kind, _neeman_clamp resolves the default and refuses
+            # --C for every kind but neeman
+            sp.add_argument("--C", type=float, default=None if kind else 2.0, dest="clamp",
                             help="clamp threshold for kind=neeman (default 2)")
             sp.add_argument("--max-table-n", type=int, default=None,
                             help="override the 2^n table cap (default 26); "
@@ -349,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--a", default=None, dest="param_spec", help=a_help)
     s.add_argument("--file", default=None, dest="in_file",
                    help="read the function from a value-table file instead of building")
-    s.set_defaults(kind=None, clamp=None)  # resolved in cmd_stats, so --file can refuse them
+    s.set_defaults(kind=None)  # resolved in cmd_stats, so --file can refuse it
 
     v = command("verify", cmd_verify, "run certificates; exit 0 iff all pass")
     v.add_argument("--tol", type=_positive_float, default=1e-9)

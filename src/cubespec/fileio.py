@@ -46,12 +46,13 @@ def _format_lines(table: np.ndarray, n: int, kind: str) -> Iterator[str]:
 
 def write_function(path_or_file, f: HypercubeFunction, kind: str | None = None) -> None:
     """Write a value table; kind defaults to real iff f has no imaginary part."""
-    if kind is None:
-        kind = "real" if f.is_real else "complex"
-    if kind not in ("real", "complex"):
+    if kind not in (None, "real", "complex"):
         raise ParameterError(f"function kind must be real or complex, got {kind!r}")
-    if kind == "real" and not f.is_real:
-        raise ParameterError("kind=real requested for a table with imaginary parts")
+    if kind != "complex":  # one scan of the imaginary plane settles both cases
+        real = f.is_real
+        if kind == "real" and not real:
+            raise ParameterError("kind=real requested for a table with imaginary parts")
+        kind = "real" if real else "complex"
     with _open_maybe(path_or_file, "w") as fh:
         fh.writelines(_format_lines(f.values, f.n, kind))
 

@@ -31,6 +31,16 @@ block of scratch.  Tables of size 2^n are refused above a configurable
 cap (default n = 26, about 1 GiB of values).  All operations are pure
 and the stored arrays are frozen, so values are safe to share across
 threads; reductions run in a fixed order for run-to-run determinism.
+
+Norms, influence, Parseval mass and entropy are reduced block by block:
+each aligned 2^15-element block is squared, weighted and summed while
+it sits in L2, with no table-sized temporary.  The per-block partial
+sums are recombined along np.sum's own pairwise split (above the block
+size a length L splits at L//2 - (L//2) % 8), so every sum is
+bit-identical to np.sum over the whole table.  The live entropy terms
+are compacted, in mask order, into the already-read front of the
+transformed table and summed there with one np.sum, so the entropy has
+the whole-array bits too.
 """
 
 from __future__ import annotations
@@ -83,7 +93,9 @@ class HypercubeFunction:
 
     @property
     def is_real(self) -> bool:
-        return bool(np.all(self.values.imag == 0.0))
+        """True iff every imaginary part is zero (-0.0 counts as zero)."""
+        imag = self.values.imag
+        return not any(imag[lo : lo + _BLOCK].any() for lo in range(0, imag.size, _BLOCK))
 
 
 @dataclass(frozen=True)
@@ -120,15 +132,20 @@ class SpectralStats:
 @lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
     """popcount of every mask in [0, 2^n), in ascending mask order."""
-    pc = np.zeros(1, dtype=np.uint8)
+    # pc[m:2m] = pc[:m] + 1, doubling in place inside the final array
+    pc = np.empty(1 << n, dtype=np.uint8)
+    pc[0] = 0
+    m = 1
     for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])
+        np.add(pc[:m], np.uint8(1), out=pc[m : 2 * m])
+        m *= 2
     pc.setflags(write=False)
     return pc
 
 
-# Kernel blocking.  A block of 2^15 elements is 256 KiB of float64 or
-# 512 KiB of complex128, so it and the scratch stay in a core's L2.
+# Kernel and reduction blocking.  A block of 2^15 elements is 256 KiB of
+# float64 or 512 KiB of complex128, so it and the scratch stay in a
+# core's L2.  Reductions need at least 128 (np.sum's own pairwise leaf).
 _BLOCK = 1 << 15
 # Narrowest column slab for the high passes (rows of at least 128 bytes).
 _MIN_SLAB_WIDTH = 16
@@ -202,31 +219,105 @@ def inverse_transform(s: FourierSpectrum, max_table_n: int | None = None) -> Hyp
     return _adopt(HypercubeFunction, s.n, table)
 
 
-def _squared_weights(coeffs: np.ndarray) -> np.ndarray:
-    # re^2 + im^2 rather than abs()**2: keeps exact cases exact.
-    return coeffs.real ** 2 + coeffs.imag ** 2
+def _pairwise_sum(leaf, start: int, stop: int):
+    """Sum of [start, stop) in np.sum's order, one piece of at most _BLOCK at a time.
+
+    np.sum adds pairwise: a length L above 128 splits at
+    L//2 - (L//2) % 8 and the halves are summed recursively.  This makes
+    the same splits down to pieces of at most _BLOCK elements and adds
+    leaf(lo, hi) -- the np.sum of one piece, or an array of several such
+    sums -- along them, calling leaf on the pieces in ascending order.
+    The result is bit-identical to np.sum over the whole range (up to
+    the sign of a zero total).
+    """
+    length = stop - start
+    if length <= _BLOCK:
+        return leaf(start, stop)
+    half = length // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, start, start + half) + _pairwise_sum(leaf, start + half, stop)
 
 
-def _influence_sum(w: np.ndarray, n: int):
-    """sum_m w[m] popcount(m), in w's dtype."""
-    return np.sum(w * popcounts(n))
+def _abs_squared(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # |x|^2 into out[0]: re^2 + im^2 (im^2 goes through out[1]), not
+    # abs()**2, so exact cases stay exact; x * x for real x
+    if x.dtype.kind != "c":
+        return np.multiply(x, x, out=out[0, : x.size])
+    sq = np.multiply(x.real, x.real, out=out[0, : x.size])
+    return np.add(sq, np.multiply(x.imag, x.imag, out=out[1, : x.size]), out=sq)
 
 
-def _entropy_sum(w: np.ndarray):
-    """-sum w log2 w over the weights at or above ZERO_WEIGHT_CUTOFF, in w's dtype."""
-    live = w >= ZERO_WEIGHT_CUTOFF
-    if not live.any():
-        return w.dtype.type(0.0)
-    if not live.all():
-        w = w[live]
-    terms = np.log2(w)
-    np.multiply(w, terms, out=terms)
-    return -np.sum(terms)
+def _norm_sums(table: np.ndarray, source: np.ndarray | None = None):
+    """(sum |x|^2, max |x|) over `table`, in np.sum/np.max order, block by block.
+
+    With `source`, each block is first copied into `table` from it, so
+    the copy and the norms take one pass.
+    """
+    block = min(table.size, _BLOCK)
+    scratch = np.empty((2 if table.dtype.kind == "c" else 1, block), dtype=table.real.dtype)
+    peaks = []
+
+    def leaf(lo, hi):
+        x = table[lo:hi]
+        if source is not None:
+            np.copyto(x, source[lo:hi])
+        total = np.sum(_abs_squared(x, scratch))
+        peaks.append(np.max(np.abs(x, out=scratch[0, : x.size])))
+        return total
+
+    return _pairwise_sum(leaf, 0, table.size), np.max(peaks)
+
+
+def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.float64):
+    """(influence, Parseval mass, entropy) of a 2^n spectrum, block by block.
+
+    weights(lo, hi) returns the squared weights of masks [lo, hi) in a
+    buffer of its own; blocks come in ascending order.  Influence
+    sum_m w_m popcount(m) and mass sum_m w_m are recombined along
+    np.sum's split (_pairwise_sum).  With `spent`, the entropy terms
+    w log2 w of the live weights (w >= ZERO_WEIGHT_CUTOFF) are written,
+    in mask order, to the front of it, and -np.sum of them is the
+    entropy: `spent` may be the transformed table itself, since the
+    terms never run past the blocks already handed out.  Without it the
+    entropy is None.  `dtype` is the weights' dtype, and the sums'.
+    """
+    size = 1 << n
+    pc = popcounts(n)
+    block = min(size, _BLOCK)
+    scratch = np.empty(block, dtype=dtype)
+    live = np.empty(block, dtype=bool)
+    count = 0
+
+    def leaf(lo, hi):
+        nonlocal count
+        w = weights(lo, hi)
+        buf = scratch[: w.size]
+        sums = np.array((np.sum(np.multiply(w, pc[lo:hi], out=buf)), np.sum(w)))
+        if spent is not None:
+            keep = np.greater_equal(w, ZERO_WEIGHT_CUTOFF, out=live[: w.size])
+            k = int(np.count_nonzero(keep))
+            if k < w.size:
+                w = np.compress(keep, w, out=buf[:k])
+            terms = np.log2(w, out=spent[count : count + k])
+            np.multiply(w, terms, out=terms)
+            count += k
+        return sums
+
+    influence_sum, mass = _pairwise_sum(leaf, 0, size)
+    if spent is None:
+        return influence_sum, mass, None
+    entropy_sum = -np.sum(spent[:count]) if count else spent.dtype.type(0.0)
+    return influence_sum, mass, entropy_sum
+
+
+def _coefficient_sums(s: FourierSpectrum, spent: np.ndarray | None = None):
+    scratch = np.empty((2, min(s.coeffs.size, _BLOCK)))
+    return _spectral_sums(s.n, lambda lo, hi: _abs_squared(s.coeffs[lo:hi], scratch), spent)
 
 
 def influence(s: FourierSpectrum) -> float:
     """Degree-weighted spectral mass sum_m |coeff[m]|^2 popcount(m)."""
-    return float(_influence_sum(_squared_weights(s.coeffs), s.n))
+    return float(_coefficient_sums(s)[0])
 
 
 def entropy(s: FourierSpectrum) -> float:
@@ -235,46 +326,43 @@ def entropy(s: FourierSpectrum) -> float:
     Zero weights contribute nothing; the sum is well defined (and used)
     for non-normalized spectra too.
     """
-    return float(_entropy_sum(_squared_weights(s.coeffs)))
+    return float(_coefficient_sums(s, np.empty(s.coeffs.size))[2])
 
 
 def stats(f: HypercubeFunction, max_table_n: int | None = None) -> SpectralStats:
     """L2/Linf norms plus influence, entropy and Parseval mass of f.
 
-    Equal, field for field, to the norms of f and the functionals of
-    walsh_transform(f).  A table whose imaginary parts are all zero is
-    transformed in its float64 real plane alone: the complex butterfly
-    adds and subtracts the two planes independently and the imaginary
-    plane would only contribute +0.0 to every squared weight.
+    Equal, field for field and bit for bit, to the norms of f and the
+    functionals of walsh_transform(f).  A table whose imaginary parts
+    are all zero is transformed in its float64 real plane alone: the
+    complex butterfly adds and subtracts the two planes independently
+    and the imaginary plane would only contribute +0.0 to every squared
+    weight.  The one table-sized allocation is the transform copy: the
+    norms are taken block by block as the table is copied in, and after
+    the transform each block is scaled and squared and its influence,
+    mass and entropy terms taken while it is in cache (see the module
+    docstring for the summation order).
     """
     check_table_dim(f.n, max_table_n)
-    values = f.values
-    real = f.is_real
-    if real:
-        plane = values.real
-        l2_sq = np.sum(plane * plane)
-        linf = np.max(np.abs(plane))  # |x + 0j| == |x| exactly
-        table = plane.copy()
-    else:
-        l2_sq = np.sum(_squared_weights(values))
-        linf = np.max(np.abs(values))
-        table = values.copy()
+    source = f.values.real if f.is_real else f.values
+    table = np.empty(source.size, dtype=source.dtype)
+    l2_sq, linf = _norm_sums(table, source)
     fwht_inplace(table)
-    table *= math.ldexp(1.0, -f.n)
-    if real:
-        w = np.multiply(table, table, out=table)
-    else:
-        # square both planes in place, then one float64 sum of the two
-        np.multiply(table.real, table.real, out=table.real)
-        np.multiply(table.imag, table.imag, out=table.imag)
-        w = np.add(table.real, table.imag)
-        del table  # the reductions below need only w
+    factor = math.ldexp(1.0, -f.n)  # exact power-of-two scaling
+    scratch = np.empty((2, min(table.size, _BLOCK)))
+
+    def weights(lo, hi):
+        c = table[lo:hi]
+        c *= factor
+        return _abs_squared(c, scratch)
+
+    infl, mass, ent = _spectral_sums(f.n, weights, table.view(np.float64))
     return SpectralStats(
         l2_norm=math.sqrt(float(l2_sq) * math.ldexp(1.0, -f.n)),
         linf_norm=float(linf),
-        influence=float(_influence_sum(w, f.n)),
-        entropy=float(_entropy_sum(w)),
-        total_weight=float(np.sum(w)),
+        influence=float(infl),
+        entropy=float(ent),
+        total_weight=float(mass),
     )
 
 

@@ -51,8 +51,9 @@ from .construct import (
 from .errors import ParameterError
 from .spectrum import (
     DEFAULT_TABLE_CAP,
-    _entropy_sum,
-    _influence_sum,
+    _BLOCK,
+    _norm_sums,
+    _spectral_sums,
     check_table_dim,
     fwht_inplace,
     lift_zero_mean,
@@ -190,8 +191,25 @@ class OracleReport:
         return self.max_error() < tol
 
 
+def _max_deviation(p: np.ndarray, q: np.ndarray, target) -> np.floating:
+    """max |p*p + q*q - target| (pointwise constancy), one block at a time."""
+    block = min(p.size, _BLOCK)
+    scratch = np.empty((2, block), dtype=p.dtype)
+    peaks = []
+    for lo in range(0, p.size, block):
+        s = np.multiply(p[lo : lo + block], p[lo : lo + block], out=scratch[0])
+        np.add(s, np.multiply(q[lo : lo + block], q[lo : lo + block], out=scratch[1]), out=s)
+        np.subtract(s, target, out=s)
+        peaks.append(np.max(np.abs(s, out=s)))
+    return np.max(peaks)
+
+
 @functools.lru_cache(maxsize=256)
 def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]:
+    # Whole-table figures taken block by block (spectrum._norm_sums and
+    # _spectral_sums): every figure keeps the bits of the whole-array
+    # expression it stands for, and p and q are transformed in place once
+    # their norms are taken, so the tables held are p, q and the products.
     ld = np.longdouble
     a64 = np.frombuffer(a_bytes)
     n = a64.size
@@ -202,11 +220,8 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
     big_l = ld(np.prod(one_plus)) if n else ld(1.0)
 
     p, q = _pq_tables(a64, dtype=ld)
-
-    # pointwise constancy of |P|^2 + |Q|^2
-    s = p * p + q * q
     target_const = 2.0 * big_l
-    err_const = float(np.max(np.abs(s - target_const)) / target_const)
+    err_const = float(_max_deviation(p, q, target_const) / target_const)
 
     # independent closed-form targets, linear domain (no log/exp route)
     others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
@@ -216,22 +231,36 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
     target_ent = ld(-np.sum(others * a2 * log2_a2)) if n else ld(0.0)
 
     prod_table = subset_products(a2, dtype=ld)
+    size_ld = ld(1 << n)
+    w = np.empty(min(1 << n, _BLOCK), dtype=ld)
 
     worst = (0.0,) * 5
     for table in (p, q):
-        w = table.copy()
-        fwht_inplace(w)
-        w /= ld(1 << n)  # coefficients, expectation scale
-        w *= w
-        l2 = np.sqrt(np.sum(table * table) / ld(1 << n))
-        linf = np.max(np.abs(table))
+        l2_sq, linf = _norm_sums(table)
+        l2 = np.sqrt(l2_sq / size_ld)
+        fwht_inplace(table)
+        coeff_peaks = []
+
+        def weights(lo, hi):
+            # coefficients on the expectation scale, squared; then the
+            # per-mask error |w - prod| / prod in the spent block
+            c = table[lo:hi]
+            c /= size_ld
+            sq = np.multiply(c, c, out=w[: c.size])
+            np.subtract(sq, prod_table[lo:hi], out=c)
+            np.abs(c, out=c)
+            np.divide(c, prod_table[lo:hi], out=c)
+            coeff_peaks.append(np.max(c))
+            return sq
+
+        infl, _, ent = _spectral_sums(n, weights, table, ld)
         lo, hi = target_l2, SQRT2 * target_l2
         errs = (
             abs(l2 - target_l2) / target_l2,
             max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
-            np.max(np.abs(w - prod_table) / prod_table),
-            abs(_influence_sum(w, n) - target_infl) / max(abs(target_infl), ld(1e-300)),
-            abs(_entropy_sum(w) - target_ent) / max(abs(target_ent), big_l),
+            np.max(coeff_peaks),
+            abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
+            abs(ent - target_ent) / max(abs(target_ent), big_l),
         )
         worst = tuple(map(max, worst, map(float, errs)))
     return (err_const, *worst)

@@ -1,9 +1,16 @@
 """Reference implementations the tests trust.
 
-Everything here is deliberately naive: plain Python loops over all 2^n
-points and all 2^n masks, fsum for every accumulation, no numpy. The
-production code has to agree with these on small instances, and a handful
-of the numbers these produce are frozen as literals in the test modules.
+Everything up to `point_values` is deliberately naive: plain Python
+loops over all 2^n points and all 2^n masks, fsum for every accumulation,
+no numpy. The production code has to agree with these on small instances,
+and a handful of the numbers these produce are frozen as literals in the
+test modules.
+
+The `whole_array_*` functions after it are the numpy versions of
+`stats`, `influence`, `entropy` and the longdouble oracle that reduced
+whole tables at once (one table-sized temporary per operation), and
+`concatenated_popcounts` is the popcount table built by concatenation.
+The blockwise code has to return exactly their bits, at any n.
 
 Conventions match the library: point index bit (i-1) = 0 means coordinate
 i is +1, mask bit (i-1) set means coordinate i is in the subset, the
@@ -11,6 +18,17 @@ forward transform carries the 2^-n factor, logs are base 2.
 """
 
 import math
+
+import numpy as np
+
+from cubespec.construct import _pq_tables, subset_products
+from cubespec.spectrum import (
+    ZERO_WEIGHT_CUTOFF,
+    SpectralStats,
+    check_table_dim,
+    fwht_inplace,
+    popcounts,
+)
 
 
 def bits(x):
@@ -99,3 +117,100 @@ def point_values(a, point):
         else:
             p, q = p + aq, ap - q
     return p, q
+
+
+def whole_array_influence_sum(w, n):
+    return np.sum(w * popcounts(n))
+
+
+def whole_array_entropy_sum(w):
+    live = w >= ZERO_WEIGHT_CUTOFF
+    if not live.any():
+        return w.dtype.type(0.0)
+    if not live.all():
+        w = w[live]
+    terms = np.log2(w)
+    np.multiply(w, terms, out=terms)
+    return -np.sum(terms)
+
+
+def whole_array_stats(f):
+    """`stats` with every reduction over the whole table at once."""
+    values = f.values
+    real = bool(np.all(values.imag == 0.0))
+    if real:
+        plane = values.real
+        l2_sq = np.sum(plane * plane)
+        linf = np.max(np.abs(plane))
+        table = plane.copy()
+    else:
+        l2_sq = np.sum(values.real ** 2 + values.imag ** 2)
+        linf = np.max(np.abs(values))
+        table = values.copy()
+    fwht_inplace(table)
+    table *= math.ldexp(1.0, -f.n)
+    if real:
+        w = np.multiply(table, table, out=table)
+    else:
+        np.multiply(table.real, table.real, out=table.real)
+        np.multiply(table.imag, table.imag, out=table.imag)
+        w = np.add(table.real, table.imag)
+    return SpectralStats(
+        l2_norm=math.sqrt(float(l2_sq) * math.ldexp(1.0, -f.n)),
+        linf_norm=float(linf),
+        influence=float(whole_array_influence_sum(w, f.n)),
+        entropy=float(whole_array_entropy_sum(w)),
+        total_weight=float(np.sum(w)),
+    )
+
+
+def whole_array_oracle_errors(a64, max_table_n=None):
+    """The oracle's six error figures with whole-table longdouble temporaries."""
+    ld = np.longdouble
+    a64 = np.asarray(a64, dtype=np.float64)
+    n = a64.size
+    check_table_dim(n, max_table_n)
+    a = a64.astype(ld)
+    a2 = a * a
+    one_plus = 1.0 + a2
+    big_l = ld(np.prod(one_plus)) if n else ld(1.0)
+
+    p, q = _pq_tables(a64, dtype=ld)
+    s = p * p + q * q
+    target_const = 2.0 * big_l
+    err_const = float(np.max(np.abs(s - target_const)) / target_const)
+
+    others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
+    target_l2 = np.sqrt(big_l)
+    target_infl = ld(np.sum(a2 * others)) if n else ld(0.0)
+    log2_a2 = np.log2(a2) if n else np.zeros(0, dtype=ld)
+    target_ent = ld(-np.sum(others * a2 * log2_a2)) if n else ld(0.0)
+
+    prod_table = subset_products(a2, dtype=ld)
+
+    worst = (0.0,) * 5
+    for table in (p, q):
+        w = table.copy()
+        fwht_inplace(w)
+        w /= ld(1 << n)
+        w *= w
+        l2 = np.sqrt(np.sum(table * table) / ld(1 << n))
+        linf = np.max(np.abs(table))
+        lo, hi = target_l2, math.sqrt(2.0) * target_l2
+        errs = (
+            abs(l2 - target_l2) / target_l2,
+            max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
+            np.max(np.abs(w - prod_table) / prod_table),
+            abs(whole_array_influence_sum(w, n) - target_infl) / max(abs(target_infl), ld(1e-300)),
+            abs(whole_array_entropy_sum(w) - target_ent) / max(abs(target_ent), big_l),
+        )
+        worst = tuple(map(max, worst, map(float, errs)))
+    return (err_const, *worst)
+
+
+def concatenated_popcounts(n):
+    """popcount table by repeated concatenation, [pc, pc + 1]."""
+    pc = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        pc = np.concatenate([pc, pc + 1])
+    return pc

@@ -580,3 +580,24 @@ def test_values_argparse_cannot_check_exit_two(capsys, argv, message):
     code, stdout, stderr = run(capsys, argv)
     assert code == 2 and stdout == ""
     assert message in stderr
+
+
+#: the subcommands that take --kind and --C
+C_COMMANDS = ("gen", "stats", "verify")
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "sum", "classical"])
+@pytest.mark.parametrize("command", C_COMMANDS)
+def test_clamp_refused_for_kinds_that_ignore_it(capsys, command, kind):
+    code, stdout, stderr = run(capsys, [command, "--n", "3", "--kind", kind, "--C", "9"])
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: --C applies only to kind=neeman, not kind={kind}\n"
+
+
+@pytest.mark.parametrize("command", C_COMMANDS)
+def test_clamp_defaults_to_two_for_neeman(capsys, command):
+    argv = [command, "--n", "6", "--kind", "neeman"]
+    default = run(capsys, argv)
+    assert default[0] == 0
+    assert default == run(capsys, argv + ["--C", "2"])
+    assert default != run(capsys, argv + ["--C", "1.5"])

@@ -80,6 +80,28 @@ class TestLayout:
         with pytest.raises(ParameterError):
             dump(f, kind="real")
 
+    @pytest.mark.parametrize("kind, values, reads", [
+        (None, [1.0, -0.5], 1),
+        (None, [1 + 2j, 0j], 1),
+        ("real", [1.0, -0.5], 1),
+        ("complex", [1.0, -0.5], 0),
+    ])
+    def test_imaginary_plane_scanned_at_most_once(self, monkeypatch, kind, values, reads):
+        seen = []
+        real_is_real = HypercubeFunction.is_real
+
+        def spy(f):
+            seen.append(f)
+            return real_is_real.fget(f)
+
+        monkeypatch.setattr(HypercubeFunction, "is_real", property(spy))
+        dump(HypercubeFunction(1, np.array(values)), kind=kind)
+        assert len(seen) == reads
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ParameterError, match="real or complex"):
+            dump(HypercubeFunction(1, np.array([1.0, 2.0])), kind="spectrum")
+
     def test_spectrum_layout_frozen(self):
         buf = io.StringIO()
         write_spectrum(buf, FourierSpectrum(1, np.array([0.25, 0.75], dtype=complex)))

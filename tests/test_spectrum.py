@@ -376,6 +376,116 @@ class TestStatsEquivalence:
         assert peak <= 2.1 * f.values.nbytes
 
 
+def stats_bits(st_):
+    return np.array([getattr(st_, name) for name in SpectralStats.__dataclass_fields__]).tobytes()
+
+
+def functional_bits(s):
+    """influence(s) and entropy(s) carry the whole-array code's bits."""
+    w = s.coeffs.real ** 2 + s.coeffs.imag ** 2
+    want = (orc.whole_array_influence_sum(w, s.n), orc.whole_array_entropy_sum(w))
+    return np.array([influence(s), entropy(s)]).tobytes() == np.array(want).tobytes()
+
+
+def family_tables(n):
+    params = ParamSeq(np.random.default_rng(n).uniform(0.2, 1.0, n))
+    tables = {"real": normalized_real(params), "complex": unimodular_complex(params)}
+    if n:
+        tables["neeman"] = neeman_function(n, 2.0)
+    return tables
+
+
+#: Tables whose blocks hold weights below ZERO_WEIGHT_CUTOFF: every odd
+#: mask dead (live and dead mixed in every block), whole blocks dead
+#: after a live one, and nothing live at all.
+DEAD_WEIGHT_TABLES = {
+    "odd_masks_dead": lambda: normalized_real(ParamSeq([1e-160] + [0.5] * 16)),
+    "high_blocks_dead": lambda: unimodular_complex(ParamSeq([0.5] * 15 + [1e-160] * 2)),
+    "all_dead": lambda: hf(np.zeros(1 << 16)),
+}
+
+
+class TestBlockwiseReducer:
+    @pytest.mark.parametrize("n", list(range(19)) + [20])
+    def test_stats_bits_equal_the_whole_array_code(self, n):
+        for name, f in family_tables(n).items():
+            assert stats_bits(stats(f)) == stats_bits(orc.whole_array_stats(f)), name
+
+    @pytest.mark.parametrize("block", [1 << 7, 1 << 8])
+    def test_stats_bits_with_small_blocks(self, monkeypatch, block):
+        # many blocks at small n; 2^7 is np.sum's own leaf size, the
+        # smallest block at which the emulated split stays exact
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        for n in range(13):
+            for name, f in family_tables(n).items():
+                assert stats_bits(stats(f)) == stats_bits(orc.whole_array_stats(f)), (n, name)
+
+    @pytest.mark.parametrize("name", list(DEAD_WEIGHT_TABLES))
+    def test_bits_with_dead_weights(self, name):
+        f = DEAD_WEIGHT_TABLES[name]()
+        assert stats_bits(stats(f)) == stats_bits(orc.whole_array_stats(f))
+        assert functional_bits(walsh_transform(f))
+
+    @pytest.mark.parametrize("n", [0, 5, 15, 16, 17])
+    def test_influence_and_entropy_bits_equal_the_whole_array_code(self, n):
+        for name, f in family_tables(n).items():
+            assert functional_bits(walsh_transform(f)), name
+
+    @pytest.mark.parametrize("length", [1, 129, 32769, 10**6, (1 << 20) + 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_pairwise_split_matches_np_sum(self, length, dtype):
+        x = np.random.default_rng(length).standard_normal(length).astype(dtype)
+        pieces = []
+
+        def leaf(lo, hi):
+            pieces.append((lo, hi))
+            return np.sum(x[lo:hi])
+
+        got = spectrum._pairwise_sum(leaf, 0, length)
+        want = np.sum(x)
+        assert got.dtype == want.dtype and got == want
+        # pieces cover the range in ascending order, none above the block
+        assert [lo for lo, _ in pieces] == [0] + [hi for _, hi in pieces[:-1]]
+        assert pieces[-1][1] == length
+        assert all(hi - lo <= spectrum._BLOCK for lo, hi in pieces)
+
+    @pytest.mark.parametrize("build", [normalized_real, unimodular_complex])
+    def test_stats_peak_is_the_transform_copy_plus_two_mib(self, build):
+        f = build(theorem_params(20))
+        stats(f)  # warms the popcount table outside the traced call
+        copy_bytes = f.values.nbytes // 2 if f.is_real else f.values.nbytes
+        assert peak_bytes(lambda: stats(f)) <= copy_bytes + (2 << 20)
+
+    def test_stats_reads_is_real_once(self, monkeypatch):
+        seen = []
+        real_is_real = HypercubeFunction.is_real
+
+        def spy(f):
+            seen.append(f)
+            return real_is_real.fget(f)
+
+        monkeypatch.setattr(HypercubeFunction, "is_real", property(spy))
+        stats(normalized_real(theorem_params(6)))
+        assert len(seen) == 1
+
+
+class TestIsReal:
+    def test_one_imaginary_part_in_the_last_block(self):
+        vals = np.ones(1 << 17, dtype=complex)
+        assert hf(vals).is_real
+        vals[-1] += 1e-300j
+        assert not hf(vals).is_real
+
+    def test_negative_zero_counts_as_real(self):
+        vals = np.ones(1 << 16, dtype=complex)
+        vals.imag = -0.0
+        assert hf(vals).is_real
+
+    def test_no_table_sized_temporary(self):
+        f = unimodular_complex(theorem_params(20))
+        assert peak_bytes(lambda: f.is_real) < (1 << 20) // 8
+
+
 class TestScale:
     def test_identity(self):
         f = hf([1.0, 2.0, 3.0, 4.0])
@@ -470,6 +580,12 @@ class TestValidation:
         got = popcounts(10)
         want = np.array([bin(x).count("1") for x in range(1 << 10)])
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_popcounts_equal_the_concatenating_build(self, n):
+        got = popcounts(n)
+        assert got.dtype == np.uint8 and not got.flags.writeable
+        assert got.tobytes() == orc.concatenated_popcounts(n).tobytes()
 
 
 @given(tables(want_complex=True))

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,46 @@ class TestOracle:
         rep = cs.oracle_compare(cs.theorem_params(n))
         assert rep.err_coefficients > 1e-12
         assert cs.certify_theorem1(n).overall
+
+
+def _uniform_draw(seed, n):
+    return 1.0 - np.random.default_rng(seed).uniform(0.0, 0.95, n)
+
+
+#: Weight sequences the blockwise oracle must reproduce bit for bit: the
+#: theorem weights across the block boundary (n = 0 is the empty
+#: sequence), the classical all-ones pair, uniform(0.05, 1] draws, a
+#: weight whose squares sink below the entropy cutoff in every other
+#: mask, and weights small enough that most masks are dead.
+ORACLE_WEIGHTS = {
+    **{f"theorem n={n}": (lambda n=n: cs.theorem_params(n).a if n else np.zeros(0))
+       for n in (0, 1, 2, 12, 14, 16, 18, 20)},
+    **{f"ones n={n}": (lambda n=n: np.ones(n)) for n in (16, 18)},
+    **{f"uniform n={n}": (lambda n=n: _uniform_draw(n, n)) for n in (3, 14, 17)},
+    "tiny first weight": lambda: np.array([1e-170] + [0.5] * 9),
+    "all 0.001": lambda: np.full(14, 0.001),
+}
+
+
+class TestBlockwiseOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_figures_bits_equal_the_whole_array_code(self, name):
+        a = ORACLE_WEIGHTS[name]()
+        got = cs.verify._oracle_errors.__wrapped__(a.tobytes(), None)
+        assert np.array(got).tobytes() == np.array(orc.whole_array_oracle_errors(a)).tobytes()
+
+    def test_peak_is_three_longdouble_tables_plus_two_mib(self):
+        n = 16
+        a_bytes = cs.theorem_params(n).a.tobytes()
+        cs.verify._oracle_errors.__wrapped__(a_bytes, None)  # warms the popcount table
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cs.verify._oracle_errors.__wrapped__(a_bytes, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (1 << n) * np.dtype(np.longdouble).itemsize + (2 << 20)
 
 
 class TestCertificates:

@@ -183,3 +183,45 @@ class TestTableCap:
         with pytest.raises(ResourceLimitError):
             read_function(io.StringIO(text), max_table_n=0)
         assert read_function(io.StringIO(text), max_table_n=1).values.tolist() == [1.0, -1.0]
+
+
+def _ones(count):
+    return "1.0\n" * count
+
+
+class TestReaderErrorsExact:
+    """Each malformed file's exact FormatError message and line number."""
+
+    @pytest.mark.parametrize("text, message, line", [
+        pytest.param("n=2 kind=real\n1.0\n2.0\n3.0\n",
+                     "file ends after 3 of 4 data lines", 5, id="one-line-short"),
+        pytest.param("n=13 kind=real\n" + _ones(4096),
+                     "file ends after 4096 of 8192 data lines", 4098, id="ends-on-4096-lines"),
+        pytest.param("n=1 kind=real\n1.0\n2.0\n3.0\n",
+                     "trailing data after 2 lines", 4, id="trailing-row"),
+        pytest.param("n=1 kind=complex\n1.0 0.0\n1.0\n",
+                     "expected 2 value(s) per line for kind=complex, got 1", 3, id="one-column"),
+        pytest.param("n=1 kind=complex\n1.0 0.0\n1.0 x\n",
+                     "unparseable value on line 3", 3, id="bad-second-column"),
+        pytest.param("n=2 kind=real\n1.0\nnan\n1.0\nnan\n",
+                     "non-finite value on line 3", 3, id="non-finite-repeated"),
+        pytest.param("n=2 kind=complex\n1.0 0.0\n1.0 0.0\n1.0 inf\n1.0 0.0\n",
+                     "non-finite value on line 4", 4, id="non-finite-after-repeats"),
+        pytest.param("n=2 kind=real\n1.0\nfoo\nbar\n1.0\n",
+                     "unparseable value on line 3", 3, id="first-of-two-bad"),
+        pytest.param("n=2 kind=real\nbar\n1.0\nfoo\nbar\n",
+                     "unparseable value on line 2", 2, id="repeated-bad-first"),
+        pytest.param("n=2 kind=real\n1.0\nbogus\n",
+                     "unparseable value on line 3", 3, id="bad-line-then-eof"),
+        pytest.param("n=13 kind=real\n" + _ones(4096) + "x\n" + _ones(4095),
+                     "unparseable value on line 4098", 4098, id="bad-line-4098"),
+        pytest.param("n=13 kind=real\n" + _ones(5000) + "x\n" + _ones(3191),
+                     "unparseable value on line 5002", 5002, id="bad-line-5002"),
+        pytest.param("n=13 kind=real\n" + _ones(5000) + "x\n" + _ones(100),
+                     "unparseable value on line 5002", 5002, id="bad-line-5002-then-eof"),
+    ])
+    def test_message_and_line(self, text, message, line):
+        with pytest.raises(FormatError) as exc:
+            read_function(io.StringIO(text))
+        assert str(exc.value) == message
+        assert exc.value.line == line

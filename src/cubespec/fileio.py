@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .errors import FormatError, ParameterError
 from .spectrum import FourierSpectrum, HypercubeFunction, _adopt, check_table_dim
 
 KINDS = ("real", "complex", "spectrum")
+
+# lines per chunk: bounds the temporaries of a read or write whatever n is
+_CHUNK = 4096
 
 
 def _open_maybe(path_or_file, mode: str):
@@ -34,14 +37,33 @@ def _open_maybe(path_or_file, mode: str):
     return open(path_or_file, mode, encoding="ascii")
 
 
-def _format_lines(table: np.ndarray, n: int, kind: str) -> Iterator[str]:
-    yield f"n={n} kind={kind}\n"
-    if kind == "real":
-        for v in table:
-            yield f"{float(v.real)!r}\n"
+def _format_chunk(chunk: np.ndarray, real: bool) -> str:
+    """The data lines of `chunk`, each distinct value formatted once.
+
+    Values are grouped by float64 bit pattern, not by value, so 0.0 and
+    -0.0 keep their own repr; two-column lines are built once per
+    distinct (re, im) pair and gathered back into index order.
+    """
+    re_bits, re_of = np.unique(chunk.real.view(np.uint64), return_inverse=True)
+    re_text = [repr(v) for v in re_bits.view(np.float64).tolist()]
+    if real:
+        lines = [f"{t}\n" for t in re_text]
+        line_of = re_of
     else:
-        for v in table:
-            yield f"{float(v.real)!r} {float(v.imag)!r}\n"
+        im_bits, im_of = np.unique(chunk.imag.view(np.uint64), return_inverse=True)
+        im_text = [repr(v) for v in im_bits.view(np.float64).tolist()]
+        pairs, line_of = np.unique(re_of * im_bits.size + im_of, return_inverse=True)
+        lines = [
+            f"{re_text[i]} {im_text[j]}\n"
+            for i, j in (divmod(k, im_bits.size) for k in pairs.tolist())
+        ]
+    return "".join(map(lines.__getitem__, line_of.tolist()))
+
+
+def _write_table(fh, table: np.ndarray, n: int, kind: str) -> None:
+    fh.write(f"n={n} kind={kind}\n")
+    for lo in range(0, table.size, _CHUNK):
+        fh.write(_format_chunk(table[lo : lo + _CHUNK], kind == "real"))
 
 
 def write_function(path_or_file, f: HypercubeFunction, kind: str | None = None) -> None:
@@ -54,12 +76,12 @@ def write_function(path_or_file, f: HypercubeFunction, kind: str | None = None) 
             raise ParameterError("kind=real requested for a table with imaginary parts")
         kind = "real" if real else "complex"
     with _open_maybe(path_or_file, "w") as fh:
-        fh.writelines(_format_lines(f.values, f.n, kind))
+        _write_table(fh, f.values, f.n, kind)
 
 
 def write_spectrum(path_or_file, s: FourierSpectrum) -> None:
     with _open_maybe(path_or_file, "w") as fh:
-        fh.writelines(_format_lines(s.coeffs, s.n, "spectrum"))
+        _write_table(fh, s.coeffs, s.n, "spectrum")
 
 
 def _parse_header(line: str) -> tuple[int, str]:
@@ -95,6 +117,29 @@ def _parse_value(fields: list[str], kind: str, lineno: int) -> complex:
     return complex(re, im)
 
 
+def _parse_chunk(lines: list[str], kind: str, lineno: int, out: np.ndarray) -> None:
+    """Parse `lines`, the first of which is line `lineno`, into `out`.
+
+    Each distinct line is parsed once, in order of first occurrence, so
+    the first one that fails is the chunk's earliest bad line.
+    """
+    slots = dict.fromkeys(lines)
+    values = []
+    for line in slots:
+        try:
+            value = _parse_value(line.split(), kind, lineno)
+        except FormatError:
+            break
+        slots[line] = len(values)
+        values.append(value)
+    else:
+        index = np.fromiter(map(slots.__getitem__, lines), dtype=np.intp, count=len(lines))
+        np.take(np.array(values, dtype=np.complex128), index, out=out)
+        return
+    # raise the bad line's error again, now with its own line number
+    _parse_value(line.split(), kind, lineno + lines.index(line))
+
+
 def _read_table(path_or_file, max_table_n: int | None) -> tuple[int, str, np.ndarray]:
     with _open_maybe(path_or_file, "r") as fh:
         header = fh.readline()
@@ -104,15 +149,16 @@ def _read_table(path_or_file, max_table_n: int | None) -> tuple[int, str, np.nda
         check_table_dim(n, max_table_n)
         size = 1 << n
         table = np.empty(size, dtype=np.complex128)
-        for i in range(size):
-            line = fh.readline()
-            lineno = i + 2
-            if not line:
-                raise FormatError(f"file ends after {i} of {size} data lines", line=lineno)
-            table[i] = _parse_value(line.split(), kind, lineno)
-        extra = fh.readline()
-    if extra.strip():
-        raise FormatError(f"trailing data after {size} lines", line=size + 2)
+        for lo in range(0, size, _CHUNK):
+            want = min(_CHUNK, size - lo)
+            lines = list(islice(fh, want))
+            _parse_chunk(lines, kind, lo + 2, table[lo : lo + len(lines)])
+            if len(lines) < want:
+                read = lo + len(lines)
+                raise FormatError(f"file ends after {read} of {size} data lines", line=read + 2)
+        for lineno, line in enumerate(fh, size + 2):
+            if line.strip():
+                raise FormatError(f"trailing data after {size} lines", line=lineno)
     return n, kind, table
 
 

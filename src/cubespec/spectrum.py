@@ -306,6 +306,10 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.fl
     influence_sum, mass = _pairwise_sum(leaf, 0, size)
     if spent is None:
         return influence_sum, mass, None
+    if np.isnan(mass):
+        # a nan weight fails the cutoff test and would drop out of the
+        # entropy; the weights are >= 0, so the mass is nan exactly then
+        return influence_sum, mass, mass
     entropy_sum = -np.sum(spent[:count]) if count else spent.dtype.type(0.0)
     return influence_sum, mass, entropy_sum
 

@@ -12,6 +12,10 @@ whole tables at once (one table-sized temporary per operation), and
 `concatenated_popcounts` is the popcount table built by concatenation.
 The blockwise code has to return exactly their bits, at any n.
 
+`line_by_line_format` and `line_by_line_read` are the table writer and
+reader that format and parse every line on its own; the chunked ones in
+`cubespec.fileio` have to write the same bytes and read the same bits.
+
 Conventions match the library: point index bit (i-1) = 0 means coordinate
 i is +1, mask bit (i-1) set means coordinate i is in the subset, the
 forward transform carries the 2^-n factor, logs are base 2.
@@ -22,6 +26,8 @@ import math
 import numpy as np
 
 from cubespec.construct import _pq_tables, subset_products
+from cubespec.errors import FormatError
+from cubespec.fileio import _open_maybe, _parse_header, _parse_value
 from cubespec.spectrum import (
     ZERO_WEIGHT_CUTOFF,
     SpectralStats,
@@ -214,3 +220,39 @@ def concatenated_popcounts(n):
     for _ in range(n):
         pc = np.concatenate([pc, pc + 1])
     return pc
+
+
+def line_by_line_format(table, n, kind):
+    """Header and data lines of a table file, one repr per value."""
+    yield f"n={n} kind={kind}\n"
+    if kind == "real":
+        for v in table:
+            yield f"{float(v.real)!r}\n"
+    else:
+        for v in table:
+            yield f"{float(v.real)!r} {float(v.imag)!r}\n"
+
+
+def line_by_line_read(path_or_file, max_table_n=None):
+    """(n, kind, table) of a table file, one readline and parse per line.
+
+    Only the line after the table is checked for trailing data.
+    """
+    with _open_maybe(path_or_file, "r") as fh:
+        header = fh.readline()
+        if not header:
+            raise FormatError("empty file", line=1)
+        n, kind = _parse_header(header)
+        check_table_dim(n, max_table_n)
+        size = 1 << n
+        table = np.empty(size, dtype=np.complex128)
+        for i in range(size):
+            line = fh.readline()
+            lineno = i + 2
+            if not line:
+                raise FormatError(f"file ends after {i} of {size} data lines", line=lineno)
+            table[i] = _parse_value(line.split(), kind, lineno)
+        extra = fh.readline()
+    if extra.strip():
+        raise FormatError(f"trailing data after {size} lines", line=size + 2)
+    return n, kind, table

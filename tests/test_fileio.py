@@ -1,18 +1,23 @@
 """Serialization round trips and strict parsing."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles as orc
 from cubespec import (
     FormatError,
     FourierSpectrum,
     HypercubeFunction,
     ParameterError,
     ResourceLimitError,
+    normalized_real,
     read_function,
     read_spectrum,
+    theorem_params,
+    unimodular_complex,
     walsh_transform,
     write_function,
     write_spectrum,
@@ -225,3 +230,138 @@ class TestReaderErrorsExact:
             read_function(io.StringIO(text))
         assert str(exc.value) == message
         assert exc.value.line == line
+
+
+class TestTrailingText:
+    """Only blank lines may follow the 2^n data lines, however many."""
+
+    @pytest.mark.parametrize("tail, line", [
+        ("\n99\n", 5),
+        ("   \nfoo bar\n", 5),
+        ("\t\n\n \n1.0", 7),
+        ("\n" * 5000 + "x\n", 5004),
+    ])
+    def test_text_after_blank_lines_rejected(self, tail, line):
+        with pytest.raises(FormatError) as exc:
+            read_function(io.StringIO("n=1 kind=real\n1.0\n2.0\n" + tail))
+        assert str(exc.value) == "trailing data after 2 lines"
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("tail", ["", "\n", "  \n\t\n\n", "\n" * 5000, "\r\n \r\n"])
+    def test_blank_lines_accepted(self, tail):
+        f = read_function(io.StringIO("n=1 kind=real\n1.0\n2.0\n" + tail))
+        assert f.values.tolist() == [1.0, 2.0]
+
+
+def reference_text(table, n, kind):
+    return "".join(orc.line_by_line_format(table, n, kind))
+
+
+def assert_reads_like_reference(text):
+    n, kind, table = orc.line_by_line_read(io.StringIO(text))
+    back = read_spectrum(io.StringIO(text)) if kind == "spectrum" else read_function(io.StringIO(text))
+    assert back.n == n
+    assert (back.coeffs if kind == "spectrum" else back.values).tobytes() == table.tobytes()
+
+
+def random_table(n, complex_):
+    rng = np.random.default_rng(1000 + n)
+    values = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-300, 300, 1 << n)
+    if complex_:
+        values = values + 1j * rng.standard_normal(1 << n)
+    return HypercubeFunction(n, values)
+
+
+class TestMatchesLineByLine:
+    """Chunked files are byte for byte, and read tables bit for bit, the
+    line-by-line writer's and reader's (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("n", range(19))
+    @pytest.mark.parametrize("family, kind", [(normalized_real, "real"), (unimodular_complex, "complex")])
+    def test_constant_weight_families(self, n, family, kind):
+        if n == 0:
+            f = HypercubeFunction(0, np.array([1.0 if kind == "real" else 0.6 + 0.8j]))
+        else:
+            f = family(theorem_params(n))
+        text = dump(f)
+        assert text == reference_text(f.values, n, kind)
+        assert_reads_like_reference(text)
+
+    @pytest.mark.parametrize("n", [3, 13, 16])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_seeded_random_weights(self, n, complex_):
+        f = random_table(n, complex_)
+        text = dump(f)
+        assert text == reference_text(f.values, n, "complex" if complex_ else "real")
+        assert_reads_like_reference(text)
+
+    @pytest.mark.parametrize("f", [unimodular_complex(theorem_params(12)), random_table(10, False)])
+    def test_spectrum_of_a_transform(self, f):
+        s = walsh_transform(f)
+        buf = io.StringIO()
+        write_spectrum(buf, s)
+        assert buf.getvalue() == reference_text(s.coeffs, s.n, "spectrum")
+        assert_reads_like_reference(buf.getvalue())
+
+    @pytest.mark.parametrize("kind", [None, "complex"])
+    def test_signed_zeros_subnormals_and_swapped_pairs(self, kind):
+        values = [0.0, -0.0, 5e-324, -5e-324, 0.0, -0.0, 5e-324, 1.0]
+        if kind == "complex":
+            values = [complex(0.0, -0.0), complex(-0.0, 0.0), 1 + 2j, 2 + 1j,
+                      complex(5e-324, 0.0), complex(0.0, 5e-324), 1 + 2j, complex(-0.0, -0.0)]
+        f = HypercubeFunction(3, np.array(values))
+        text = dump(f, kind=kind)
+        assert text == reference_text(f.values, 3, kind or "real")
+        assert_reads_like_reference(text)
+
+    def test_repeats_across_chunk_boundaries(self):
+        # period 7 never lines up with the 4096-line chunks
+        index = np.arange(1 << 14)
+        f = HypercubeFunction(14, (index % 7 - 3.0) + 1j * (index % 5 * 0.1))
+        text = dump(f)
+        assert text == reference_text(f.values, 14, "complex")
+        assert_reads_like_reference(text)
+
+    @pytest.mark.parametrize("kind", [None, "complex"])
+    @pytest.mark.parametrize("via_path", [False, True])
+    def test_crlf_and_padded_fields(self, tmp_path, kind, via_path):
+        f = unimodular_complex(theorem_params(13)) if kind else normalized_real(theorem_params(13))
+        header, *rows = dump(f).splitlines()
+        text = header + "\r\n" + "".join(f"  {'   '.join(r.split())} \t\r\n" for r in rows)
+        if via_path:
+            path = tmp_path / "crlf.txt"
+            path.write_bytes(text.encode("ascii"))
+            back = read_function(path)
+            n, _, table = orc.line_by_line_read(path)
+        else:
+            back = read_function(io.StringIO(text))
+            n, _, table = orc.line_by_line_read(io.StringIO(text))
+        assert back.n == n == 13
+        assert back.values.tobytes() == table.tobytes() == f.values.tobytes()
+
+
+def peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Chunks bound the temporaries of a read or write at any n."""
+
+    MiB = 1 << 20
+
+    @pytest.mark.parametrize("family", [normalized_real, unimodular_complex])
+    def test_write_peak_below_two_mib(self, tmp_path, family):
+        f = family(theorem_params(18))
+        assert peak_bytes(lambda: write_function(tmp_path / "f.txt", f)) <= 2 * self.MiB
+
+    @pytest.mark.parametrize("family", [normalized_real, unimodular_complex])
+    def test_read_peak_below_table_plus_two_mib(self, tmp_path, family):
+        f = family(theorem_params(18))
+        write_function(tmp_path / "f.txt", f)
+        assert peak_bytes(lambda: read_function(tmp_path / "f.txt")) <= f.values.nbytes + 2 * self.MiB

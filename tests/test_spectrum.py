@@ -303,6 +303,13 @@ class TestInfluenceEntropy:
         c2[1] = 1e-140  # squared weight 1e-280, still counted
         assert entropy(FourierSpectrum(2, c2)) > 0.0
 
+    def test_nan_weight_makes_entropy_nan(self):
+        # the constructor refuses non-finite tables, so build one by hand
+        s = object.__new__(FourierSpectrum)
+        object.__setattr__(s, "n", 2)
+        object.__setattr__(s, "coeffs", np.array([0.5, complex(np.nan, 0.0), 0.5, 0.5]))
+        assert math.isnan(entropy(s))
+
 
 class TestStats:
     def test_constant(self):
@@ -318,6 +325,13 @@ class TestStats:
         st_ = stats(build_pq(ParamSeq([r, r])).p)
         for got in (st_.l2_norm, st_.influence, st_.entropy):
             assert abs(got - 1.5) <= 1.5e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_weight_makes_entropy_nan(self):
+        # the sum overflows and its scaling by 1/2 turns 2j into inf*0 + 1j = nan
+        st_ = stats(hf(np.array([1e308 + 1j, 1e308 + 1j])))
+        assert math.isnan(st_.total_weight)
+        assert math.isnan(st_.entropy)
 
     def test_total_weight_is_squared_l2(self):
         vals = RNG.uniform(-2, 2, 64)

@@ -7,7 +7,16 @@ per line.  Complex and spectrum kinds: `<re> <im>`.  Floats are written
 with shortest round-trip repr, so write/read is lossless and a fixed
 table always produces byte-identical files.  Readers check the header's
 n against the table cap (`spectrum.check_table_dim`) before they
-allocate the 2^n table.
+allocate the 2^n table.  Only blank lines may follow the data lines.
+
+Both directions go through the table in chunks of `_CHUNK` lines, so
+their temporaries stay bounded at any n.  Within a chunk the writer
+formats each distinct float64 bit pattern (each distinct (re, im) pair
+of them for two columns) once, and the reader parses each distinct line
+once: the paper's families have constant weights, so a table holds few
+distinct values.  The files are byte for byte those of formatting every
+value on its own with repr, the parsed tables bit for bit those of
+parsing every line, and a FormatError names the earliest bad line.
 
 Every reader and writer takes a path or an open file; a file the caller
 opened is left open.

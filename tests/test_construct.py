@@ -481,6 +481,33 @@ class TestParamFamilies:
         with pytest.raises(ParameterError):
             ParamSeq([float("nan")])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_message(self, bad):
+        with pytest.raises(ParameterError) as exc:
+            ParamSeq([0.5, bad, 0.25])
+        assert str(exc.value) == "weights must be finite"
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0000000000000002])
+    def test_out_of_range_weight_message(self, bad):
+        # the offending weight is quoted as numpy's repr of its float64
+        with pytest.raises(ParameterError) as exc:
+            ParamSeq([0.5, bad, 0.25, 2.0])
+        assert str(exc.value) == f"weights must lie in (0, 1], got {np.float64(bad)!r}"
+
+    @pytest.mark.parametrize("weights", [[math.nan, 2.0], [2.0, math.nan], [0.0, math.inf]])
+    def test_non_finite_reported_before_range(self, weights):
+        with pytest.raises(ParameterError) as exc:
+            ParamSeq(weights)
+        assert str(exc.value) == "weights must be finite"
+
+    def test_validated_weights_are_a_frozen_copy(self):
+        source = np.array([0.5, 1.0, 5e-324])
+        params = ParamSeq(source)
+        assert params.a.tobytes() == source.tobytes()
+        assert not np.shares_memory(params.a, source)
+        assert not params.a.flags.writeable
+        assert ParamSeq([]).n == 0
+
     def test_subset_products_hand_case(self):
         got = subset_products([2.0, 3.0, 5.0])
         assert got.tolist() == [1.0, 2.0, 3.0, 6.0, 5.0, 10.0, 15.0, 30.0]

@@ -81,13 +81,13 @@ def parse_param_spec(spec: str, n: int) -> ParamSeq:
 
 def _read_weight_file(path: str) -> list[float]:
     vals = []
-    with open(path, encoding="ascii") as fh:
+    with fileio._open_maybe(path, "r") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                vals.append(float(line))
+                vals.append(fileio._number(line, float))
             except ValueError:
                 raise FormatError(f"unparseable weight on line {i}", line=i) from None
     return vals

@@ -43,7 +43,17 @@ def _open_maybe(path_or_file, mode: str):
     """A context for the file: a caller's open file stays open on exit."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         return contextlib.nullcontext(path_or_file)
-    return open(path_or_file, mode, encoding="ascii")
+    # a stray non-ASCII byte reads as a lone surrogate, which _number
+    # rejects like any other bad field, instead of failing the decode
+    return open(path_or_file, mode, encoding="ascii", errors="surrogateescape")
+
+
+def _number(text: str, convert):
+    # int() and float() also take "_" digit separators and non-ASCII
+    # digits; the format has neither
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return convert(text)
 
 
 def _format_chunk(chunk: np.ndarray, real: bool) -> str:
@@ -98,7 +108,7 @@ def _parse_header(line: str) -> tuple[int, str]:
     if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("kind="):
         raise FormatError(f"malformed header {line.rstrip()!r}", line=1)
     try:
-        n = int(parts[0][2:])
+        n = _number(parts[0][2:], int)
     except ValueError:
         raise FormatError(f"bad dimension in header {line.rstrip()!r}", line=1) from None
     kind = parts[1][5:]
@@ -117,8 +127,8 @@ def _parse_value(fields: list[str], kind: str, lineno: int) -> complex:
             line=lineno,
         )
     try:
-        re = float(fields[0])
-        im = float(fields[1]) if want == 2 else 0.0
+        re = _number(fields[0], float)
+        im = _number(fields[1], float) if want == 2 else 0.0
     except ValueError:
         raise FormatError(f"unparseable value on line {lineno}", line=lineno) from None
     if not (math.isfinite(re) and math.isfinite(im)):

@@ -7,8 +7,9 @@ and a handful of the numbers these produce are frozen as literals in the
 test modules.
 
 The `whole_array_*` functions after it are the numpy versions of
-`stats`, `influence`, `entropy` and the longdouble oracle that reduced
-whole tables at once (one table-sized temporary per operation), and
+`stats`, `influence`, `entropy`, the longdouble oracle and
+`normalized_closed_form` that reduced whole arrays at once (one
+array-sized temporary per operation), and
 `concatenated_popcounts` is the popcount table built by concatenation.
 The blockwise code has to return exactly their bits, at any n.
 
@@ -168,6 +169,19 @@ def whole_array_stats(f):
         entropy=float(whole_array_entropy_sum(w)),
         total_weight=float(np.sum(w)),
     )
+
+
+def whole_array_normalized_closed_form(a):
+    """(influence, entropy, bound) of `normalized_closed_form`, whole arrays at once."""
+    if a.size == 0:
+        return 0.0, 0.0, 0.0
+    a2 = a * a
+    frac = a2 / (1.0 + a2)
+    log2_a2 = 2.0 * np.log2(a)
+    influence = float(np.sum(frac))
+    entropy = float(-np.sum(frac * log2_a2) + np.sum(np.log1p(a * a) / math.log(2.0)))
+    bound = float(-np.sum(a2 * log2_a2) / (1.0 + float(np.max(a2))))
+    return influence, entropy, bound
 
 
 def whole_array_oracle_errors(a64, max_table_n=None):

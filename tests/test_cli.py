@@ -135,6 +135,25 @@ class TestStats:
         code, _, stderr = run(capsys, ["stats", "--file", str(table)])
         assert code == 2 and "line 3" in stderr
 
+    @pytest.mark.parametrize("data, message", [
+        (b"n=1 kind=real\n1.0\n2.0\xc3\xa9\n", "unparseable value on line 3"),
+        (b"n=1 kind=real\n1_0.5\n2.0\n", "unparseable value on line 2"),
+        (b"n=0_1 kind=real\n1_0.5\n2.0\n", "bad dimension in header 'n=0_1 kind=real'"),
+    ], ids=["non-ascii-byte", "underscore-value", "underscore-dimension"])
+    def test_non_plain_numbers_are_config_errors(self, capsys, tmp_path, data, message):
+        table = tmp_path / "bad.txt"
+        table.write_bytes(data)
+        code, stdout, stderr = run(capsys, ["stats", "--file", str(table)])
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("data", [b"0.5\n0_0.5\n", b"0.5\n0.\xc3\xa9\n"])
+    def test_non_plain_weights_are_config_errors(self, capsys, tmp_path, data):
+        weights = tmp_path / "w.txt"
+        weights.write_bytes(data)
+        argv = ["stats", "--n", "2", "--kind", "real", "--a", f"file:{weights}"]
+        code, stdout, stderr = run(capsys, argv)
+        assert (code, stdout, stderr) == (2, "", "error: unparseable weight on line 2\n")
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["stats", "--file", str(tmp_path / "nope.txt")])
         assert code == 3

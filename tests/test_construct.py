@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as orc
-from cubespec import construct
+from cubespec import construct, spectrum
 from cubespec import (
     ParamSeq,
     ParameterError,
@@ -247,16 +248,7 @@ def _reference_closed_form(a):
     return fields, log2_a2
 
 
-def _reference_normalized_closed_form(a):
-    if a.size == 0:
-        return 0.0, 0.0, 0.0
-    a2 = a * a
-    frac = a2 / (1.0 + a2)
-    log2_a2 = 2.0 * np.log2(a)
-    influence = float(np.sum(frac))
-    entropy = float(-np.sum(frac * log2_a2) + np.sum(np.log1p(a * a) / math.log(2.0)))
-    bound = float(-np.sum(a2 * log2_a2) / (1.0 + float(np.max(a2))))
-    return influence, entropy, bound
+_reference_normalized_closed_form = orc.whole_array_normalized_closed_form
 
 
 CLOSED_FORM_WEIGHTS = [
@@ -286,6 +278,86 @@ class TestClosedFormBuffers:
         assert (ncf.influence, ncf.entropy, ncf.entropy_lower_bound) == (
             _reference_normalized_closed_form(params.a)
         )
+
+
+def _pieces(n):
+    """The (lo, hi) pieces np.sum's pairwise split cuts [0, n) into."""
+    out = []
+    spectrum._pairwise_sum(lambda lo, hi: out.append((lo, hi)) or 0.0, 0, n)
+    return out
+
+
+def _runs(n, cuts, values):
+    """Piecewise-constant weights: values[k] on [cuts[k-1], cuts[k])."""
+    return np.repeat(values, np.diff([0, *cuts, n]))
+
+
+def _same_value_pieces_of_two_lengths():
+    # first and last piece hold 0.5, everything between 0.7; their lengths differ
+    n = (1 << 16) + 1000
+    pieces = _pieces(n)
+    (_, first_hi), (last_lo, last_hi) = pieces[0], pieces[-1]
+    assert first_hi != last_hi - last_lo
+    return _runs(n, [first_hi, last_lo], [0.5, 0.7, 0.5])
+
+
+# weight factories, so the million-entry arrays exist one test at a time
+NORMALIZED_WEIGHTS = {
+    **{f"const-n{n}": lambda n=n: np.full(n, 0.3) for n in
+       (1, 127, 128, 129, 32767, 32768, 32769, 65537, 10**6, (1 << 20) + 5)},
+    "theorem-n10^6": lambda: theorem_params(10**6).a,
+    "theorem-n65537": lambda: theorem_params(65537).a,
+    "remark3-n10^6": lambda: remark3_params(10**6, 32.0).a,
+    "remark3-n33000": lambda: remark3_params(33000, 4.0).a,
+    "ones-n10^6": lambda: np.ones(10**6),
+    "ones-n5": lambda: np.ones(5),
+    # run boundaries inside pieces, and runs spanning several pieces
+    "runs-4": lambda: _runs(10**6, [100_003, 333_333, 700_001], [0.25, 1.0, 0.6, 0.01]),
+    "runs-short": lambda: _runs(70_000, [1, 32_770, 32_771], [0.9, 0.4, 1e-160, 0.4]),
+    "same-value-two-lengths": _same_value_pieces_of_two_lengths,
+    "random-n10^6": lambda: np.random.default_rng(7).uniform(1e-6, 1.0, 10**6),
+    "random-n40000": lambda: np.random.default_rng(8).uniform(0.5, 1.0, 40_000),
+    "tiny-n70000": lambda: np.full(70_000, 1e-160),
+    "tiny-and-ones": lambda: _runs(50_000, [20_000], [1e-160, 1.0]),
+}
+
+
+class TestNormalizedClosedFormBlocks:
+    """normalized_closed_form against the whole-array reference, by bytes."""
+
+    @pytest.mark.parametrize("name", NORMALIZED_WEIGHTS)
+    def test_bit_identical_to_whole_array(self, name):
+        params = ParamSeq(NORMALIZED_WEIGHTS[name]())
+        ncf = normalized_closed_form(params)
+        got = np.array([ncf.influence, ncf.entropy, ncf.entropy_lower_bound])
+        want = np.array(orc.whole_array_normalized_closed_form(params.a))
+        assert got.tobytes() == want.tobytes()
+
+    def test_constant_pieces_reduced_once_per_length(self, monkeypatch):
+        calls = []
+        real = construct._log2_one_plus
+        monkeypatch.setattr(
+            construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
+        )
+        for a in (theorem_params(10**6).a, _same_value_pieces_of_two_lengths()):
+            calls.clear()
+            normalized_closed_form(ParamSeq(a))
+            pieces = _pieces(a.size)
+            keys = {(a[lo], hi - lo) for lo, hi in pieces}
+            assert len(calls) == len(keys) < len(pieces)
+            assert sorted(calls) == sorted(length for _, length in keys)
+
+    def test_working_memory_stays_under_two_mib(self):
+        params = theorem_params(10**6)
+        random_params = ParamSeq(np.random.default_rng(9).uniform(0.1, 1.0, 10**6))
+        for p in (params, random_params):
+            tracemalloc.start()
+            try:
+                normalized_closed_form(p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 << 20, peak
 
 
 class TestClosedFormSaturation:

@@ -232,6 +232,64 @@ class TestReaderErrorsExact:
         assert exc.value.line == line
 
 
+class TestOnlyPlainAsciiNumbers:
+    """Fields with "_" separators or non-ASCII characters are refused.
+
+    int() and float() take both ("1_0.5" is 10.5, fullwidth digits are
+    digits); the format has neither, and a stray non-ASCII byte in a file
+    is a FormatError at its line, not a decode error.
+    """
+
+    @pytest.mark.parametrize("text, line", [
+        pytest.param("n=1 kind=real\n1_0.5\n2.0\n", 2, id="underscore-real"),
+        pytest.param("n=1 kind=real\n1.0\n2.0_0\n", 3, id="underscore-fraction"),
+        pytest.param("n=1 kind=complex\n1.0 0.0\n1.0 1_0\n", 3, id="underscore-imag"),
+        pytest.param("n=1 kind=real\n1.0\n\uff11.\uff15\n", 3, id="fullwidth-digits"),
+        pytest.param("n=1 kind=real\n\u0661\n1.0\n", 2, id="arabic-indic-digit"),
+        pytest.param("n=1 kind=complex\n1.0 0.0\n2.0\u00e9 0.0\n", 3, id="accent"),
+    ])
+    def test_data_field_rejected(self, text, line):
+        with pytest.raises(FormatError) as exc:
+            read_function(io.StringIO(text))
+        assert str(exc.value) == f"unparseable value on line {line}"
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("header", ["n=0_1 kind=real", "n=\uff11 kind=real"])
+    def test_header_dimension_rejected(self, header):
+        with pytest.raises(FormatError) as exc:
+            read_function(io.StringIO(header + "\n1.0\n2.0\n"))
+        assert str(exc.value) == f"bad dimension in header {header!r}"
+        assert exc.value.line == 1
+
+    def test_non_ascii_byte_in_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"n=1 kind=real\n1.0\n2.0\xc3\xa9\n")
+        with pytest.raises(FormatError) as exc:
+            read_function(path)
+        assert str(exc.value) == "unparseable value on line 3"
+        assert exc.value.line == 3
+
+    def test_non_ascii_byte_in_header(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"n=1\xff kind=real\n1.0\n2.0\n")
+        with pytest.raises(FormatError, match="^bad dimension in header ") as exc:
+            read_function(path)
+        assert exc.value.line == 1
+
+    def test_non_ascii_byte_after_table(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"n=1 kind=real\n1.0\n2.0\n\n\xe9\n")
+        with pytest.raises(FormatError) as exc:
+            read_function(path)
+        assert str(exc.value) == "trailing data after 2 lines"
+        assert exc.value.line == 5
+
+    def test_plain_fields_still_read(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"n=01 kind=real\n+1e1\n-.5\n")
+        assert read_function(path).values.tolist() == [10.0, -0.5]
+
+
 class TestTrailingText:
     """Only blank lines may follow the 2^n data lines, however many."""
 

@@ -19,16 +19,13 @@ Closed forms: with L = prod(1 + a_i^2),
     I(P)          = sum_i a_i^2 prod_{j != i} (1 + a_j^2),
     H(Phat^2)     = -sum_i prod_{j != i}(1 + a_j^2) * a_i^2 log2 a_i^2,
 
-and identically for Q.  The report builders below evaluate these in
-log2 domain with prefix/suffix sums so they stay finite and O(n) far
-beyond table scale (n up to 10^6 and more); tables are only built on
-request and under the cap from `spectrum`.
-
-normalized_closed_form takes its four sums block by block with the
-reducer behind `stats`, bit-identical to whole-array sums, and reduces
-each constant block once per call (see its docstring).  closed_form
-stays whole-array: its prefix/suffix sums make every term distinct, and
-a blockwise form measured no faster.
+and identically for Q.  Since prod_{j != i}(1 + a_j^2) = L / (1 + a_i^2),
+I and H are L times sums of per-weight terms.  Both closed-form
+reports take their sums in one pass, block by block with the reducer
+behind `stats` (bit-identical to whole-array sums), reducing each
+constant block once per call, and keep L in log2 domain, so they stay
+finite and O(n) far beyond table scale (n up to 10^6 and more); tables
+are only built on request and under the cap from `spectrum`.
 """
 
 from __future__ import annotations
@@ -311,47 +308,126 @@ def _or_inf(fn, *args) -> float:
         return math.inf
 
 
+def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
+    """Five sums over the weights, plus the largest and smallest weight.
+
+    The sums, in order: p_i, p_i log2 a_i^2, log2(1 + a_i^2),
+    a_i^2 log2 a_i^2 and a_i^2, where p_i = a_i^2 / (1 + a_i^2).  They
+    run piece by piece along np.sum's pairwise split
+    (spectrum._pairwise_sum), each piece of at most 2^15 weights in one
+    L2-sized scratch, so each has the bits of the whole-array np.sum of
+    the same elementwise terms.  A piece whose weights are all equal is
+    reduced once per (value, length) within the call, and a later piece
+    with the same key reuses its sums: the same bits in the same order
+    sum to the same bits.  With `log2_out`, 2 log2 a_i is written to
+    log2_out[i] (a reused piece fills its slice from the stored value).
+    """
+    if a.size == 0:
+        return np.zeros(5), 0.0, 0.0
+    scratch = np.empty((3, min(a.size, _BLOCK)))
+    constant_pieces = {}
+    peaks = []
+
+    def leaf(lo, hi):
+        x = a[lo:hi]
+        low, high = x.min(), x.max()
+        peaks.append((high, low))
+        key = (float(low), x.size) if low == high else None
+        if key in constant_pieces:
+            sums, fill = constant_pieces[key]
+            if log2_out is not None:
+                log2_out[lo:hi] = fill
+            return sums
+        m = x.size
+        a2 = np.multiply(x, x, out=scratch[0, :m])
+        frac = np.add(a2, 1.0, out=scratch[1, :m])
+        np.divide(a2, frac, out=frac)    # a_i^2 / (1 + a_i^2)
+        log2_a2 = np.log2(x, out=scratch[2, :m] if log2_out is None else log2_out[lo:hi])
+        log2_a2 *= 2.0
+        fill = log2_a2[0]
+        sums = np.array((
+            np.sum(frac),
+            np.sum(np.multiply(frac, log2_a2, out=frac)),
+            np.sum(_log2_one_plus(a2, out=frac)),
+            np.sum(np.multiply(a2, log2_a2, out=scratch[2, :m])),
+            np.sum(a2),
+        ))
+        if key is not None:
+            constant_pieces[key] = sums, fill
+        return sums
+
+    sums = _pairwise_sum(leaf, 0, a.size)
+    highs, lows = zip(*peaks)
+    return sums, max(highs), min(lows)
+
+
+def _log2_domain_terms(a: np.ndarray, log2_a2: np.ndarray, total: float) -> tuple[float, float]:
+    # influence and entropy term by term, term i being 2^t_i a_i^2 with
+    # t_i = total - log2(1 + a_i^2): as 2^(t_i + log2 a_i^2) it stays
+    # finite where a_i^2 underflows against a product past the float range
+    scratch = np.empty((2, min(a.size, _BLOCK)))
+
+    def leaf(lo, hi):
+        m = hi - lo
+        x, lg2 = a[lo:hi], log2_a2[lo:hi]
+        t = _log2_one_plus(np.multiply(x, x, out=scratch[0, :m]), out=scratch[0, :m])
+        np.subtract(total, t, out=t)
+        terms = np.exp2(np.add(t, lg2, out=t), out=t)
+        ent = np.multiply(terms, lg2, out=scratch[1, :m])
+        ent[lg2 == 0.0] = 0.0            # a_i = 1 adds exactly 0 (not inf * 0)
+        return np.array((np.sum(terms), -np.sum(ent)))
+
+    # terms past the range read inf; inf * 0 reads nan until masked
+    with np.errstate(over="ignore", invalid="ignore"):
+        influence, entropy = _pairwise_sum(leaf, 0, a.size)
+    return float(influence), float(entropy)
+
+
 def closed_form(params: ParamSeq) -> ClosedFormReport:
     """Exact norms, influence and entropy of the raw pair, any n.
 
-    All products run in log2 domain with prefix/suffix sums, so the
-    cost is O(n) and nothing overflows on the way; only the final
-    linear-scale fields can saturate to inf for extreme inputs (with no
-    warning; terms with a_i = 1 still add exactly 0 to the entropy), and
-    log2_l2_sq plus coeff_log_magnitude stay finite regardless.
+    With p_i = a_i^2 / (1 + a_i^2), T = sum log2(1 + a_i^2) and
+    L = 2^T = ||P||_2^2,
+
+        I = sum_i a_i^2 prod_{j != i}(1 + a_j^2) = L * sum p_i,
+        H = -L * sum p_i log2 a_i^2,
+
+    so both come from the sums normalized_closed_form takes (one
+    blockwise pass, _closed_form_sums), with no per-index products.
+    Three cases:
+
+    - L finite: I and H are L times the sums (exact for unit weights:
+      I = n 2^(n-1) and H = 0);
+    - L past the float range and every a_i^2 >= 2^-1021 (so every p_i
+      is a normal float): I = 2^(T + log2 sum p_i), likewise H, which is
+      0 when sum p_i log2 a_i^2 is 0;
+    - L past the range and some a_i^2 smaller: term by term in log2
+      domain, 2^(T - log2(1 + a_i^2) + log2 a_i^2), so a weight whose
+      square underflows still adds its finite share.
+
+    Linear-scale fields saturate to inf past the float range, with no
+    warning; log2_l2_sq and coeff_log_magnitude stay finite.
+    log2_l2_sq, total_mass, the norms, remark1_bound and
+    coeff_log_magnitude (2 log2 a_i, read-only) have the bits of
+    whole-array numpy expressions; I and H agree with a 60-digit
+    reference to about 1e-15 relative for the paper's weights at
+    n = 10^6.
     """
     a = params.a
-    n = a.size
-    a2 = a * a
-    lg = _log2_one_plus(a2)          # log2(1 + a_i^2), entrywise
-    total = float(np.sum(lg))
-    # log2 prod_{j != i} (1 + a_j^2): sums strictly left and right of i
-    others = np.zeros(n)
-    right = np.zeros(n)
-    if n:
-        np.cumsum(lg[:-1], out=others[1:])
-        np.cumsum(lg[:0:-1], out=right[-2::-1])
-    np.add(others, right, out=others)
-    log2_a2 = np.log2(a, out=lg)     # lg is spent; reuse its buffer
-    log2_a2 *= 2.0
-    with np.errstate(over="ignore", invalid="ignore"):  # products past the range read inf
-        terms = np.exp2(others, out=right)
-        np.multiply(a2, terms, out=terms)            # a_i^2 prod_{j != i}(1 + a_j^2)
-        influence = float(np.sum(terms))
-        np.multiply(terms, log2_a2, out=terms)
-        entropy = float(-np.sum(terms))
-        if math.isnan(entropy):
-            # an a_i^2 that underflows against a product that overflows
-            # reads 0 * inf: take each term in log2 domain instead; a term
-            # with a_i = 1 is exactly 0 in the entropy (inf * log2(1) is nan)
-            np.exp2(np.add(log2_a2, others, out=terms), out=terms)
-            influence = float(np.sum(terms))
-            np.multiply(terms, log2_a2, out=terms)
-            terms[log2_a2 == 0.0] = 0.0
-            entropy = float(-np.sum(terms))
-    k = float(np.sum(a2))
-    l2 = _or_inf(pow, 2.0, 0.5 * total)
+    log2_a2 = np.empty(a.size)
+    sums, _, amin = _closed_form_sums(a, log2_a2)
     log2_a2.setflags(write=False)
+    frac, weighted, total, _, k = map(float, sums)
+    amin = float(amin)
+    l2 = _or_inf(pow, 2.0, 0.5 * total)
+    l2_sq = _or_inf(pow, 2.0, total)
+    if l2_sq < math.inf:
+        influence, entropy = l2_sq * frac, l2_sq * -weighted
+    elif amin * amin >= 2.0 ** -1021:
+        influence = _or_inf(pow, 2.0, total + math.log2(frac))
+        entropy = _or_inf(pow, 2.0, total + math.log2(-weighted)) if weighted else -weighted
+    else:
+        influence, entropy = _log2_domain_terms(a, log2_a2, total)
     return ClosedFormReport(
         n=params.n,
         l2_norm=l2,
@@ -374,46 +450,15 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     and the lower bound (-1 / (1 + max a_i^2)) sum a_i^2 log2 a_i^2,
     which the entropy strictly exceeds whenever some a_i < 1.
 
-    The four sums run piece by piece along np.sum's pairwise split
-    (spectrum._pairwise_sum), each piece of at most 2^15 weights in one
-    L2-sized scratch, so every result has the bits of the whole-array
-    sums and the working memory is under 1 MiB at any n.  A piece whose
-    weights are all equal is reduced once per (value, length) within
-    the call, and a later piece with the same key reuses its sums: the
-    same bits in the same order sum to the same bits.  The paper's
-    constant sequences at n = 10^6 make 31 pieces of 2 or 3 lengths.
+    The sums come from _closed_form_sums, so every result has the bits
+    of the whole-array sums and the working memory is under 1 MiB at
+    any n.  The paper's constant sequences at n = 10^6 make 31 pieces of
+    2 or 3 lengths, each length reduced once.
     """
     a = params.a
     if a.size == 0:
         return NormalizedClosedForm(0.0, 0.0, 0.0)
-    scratch = np.empty((3, min(a.size, _BLOCK)))
-    constant_pieces = {}
-    peaks = []
-
-    def leaf(lo, hi):
-        x = a[lo:hi]
-        low, high = x.min(), x.max()
-        peaks.append(high)
-        key = (float(low), x.size) if low == high else None
-        if key in constant_pieces:
-            return constant_pieces[key]
-        a2 = np.multiply(x, x, out=scratch[0, : x.size])
-        frac = np.add(a2, 1.0, out=scratch[1, : x.size])
-        np.divide(a2, frac, out=frac)    # a_i^2 / (1 + a_i^2)
-        log2_a2 = np.log2(x, out=scratch[2, : x.size])
-        log2_a2 *= 2.0
-        sums = np.array((
-            np.sum(frac),
-            np.sum(np.multiply(frac, log2_a2, out=frac)),
-            np.sum(_log2_one_plus(a2, out=frac)),
-            np.sum(np.multiply(a2, log2_a2, out=log2_a2)),
-        ))
-        if key is not None:
-            constant_pieces[key] = sums
-        return sums
-
-    influence, weighted, log2_l2_sq, mass_log = _pairwise_sum(leaf, 0, a.size)
-    amax = max(peaks)
+    (influence, weighted, log2_l2_sq, mass_log, _), amax, _ = _closed_form_sums(a)
     # squaring is monotone under rounding, so this is the largest a_i^2
     bound = -mass_log / (1.0 + float(amax * amax))
     return NormalizedClosedForm(float(influence), float(-weighted + log2_l2_sq), float(bound))

@@ -12,6 +12,8 @@ The `whole_array_*` functions after it are the numpy versions of
 array-sized temporary per operation), and
 `concatenated_popcounts` is the popcount table built by concatenation.
 The blockwise code has to return exactly their bits, at any n.
+`decimal_closed_form` is the raw pair's influence and entropy at 60
+digits, against which `closed_form` is held to a relative error bound.
 
 `line_by_line_format` and `line_by_line_read` are the table writer and
 reader that format and parse every line on its own; the chunked ones in
@@ -22,6 +24,7 @@ i is +1, mask bit (i-1) set means coordinate i is in the subset, the
 forward transform carries the 2^-n factor, logs are base 2.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -182,6 +185,28 @@ def whole_array_normalized_closed_form(a):
     entropy = float(-np.sum(frac * log2_a2) + np.sum(np.log1p(a * a) / math.log(2.0)))
     bound = float(-np.sum(a2 * log2_a2) / (1.0 + float(np.max(a2))))
     return influence, entropy, bound
+
+
+def decimal_closed_form(a):
+    """(influence, entropy) of the raw pair for weights `a`, at 60 digits.
+
+    I = L sum p_i and H = -L sum p_i log2 a_i^2, with L = prod(1 + a_i^2)
+    and p_i = a_i^2 / (1 + a_i^2); each distinct weight (np.unique) is
+    evaluated once and weighted by its count.  Rounded to float at the
+    end, so a value past the float range reads inf.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ctx.Emax, ctx.Emin = decimal.MAX_EMAX, decimal.MIN_EMIN
+        log_l = frac = weighted = decimal.Decimal(0)
+        for v, count in zip(*np.unique(np.asarray(a, dtype=np.float64), return_counts=True)):
+            a2 = decimal.Decimal(float(v)) ** 2
+            p = a2 / (1 + a2)
+            log_l += int(count) * (1 + a2).ln()
+            frac += int(count) * p
+            weighted += int(count) * p * a2.ln()
+        l = log_l.exp()
+        return float(l * frac), float(-l * weighted / decimal.Decimal(2).ln())
 
 
 def whole_array_oracle_errors(a64, max_table_n=None):

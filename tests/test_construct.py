@@ -271,13 +271,72 @@ class TestClosedFormBuffers:
         fields, log2_a2 = _reference_closed_form(params.a)
         rep = closed_form(params)
         for name, value in fields.items():
-            assert getattr(rep, name) == value, name
+            if name in ("influence", "entropy"):
+                # the cumsum formula is itself off by ~1e-11 at n = 10^6:
+                # test_within_1e_14_of_decimal_reference holds these
+                assert math.isclose(getattr(rep, name), value, rel_tol=1e-10), name
+            else:
+                assert getattr(rep, name) == value, name
         assert rep.coeff_log_magnitude.tobytes() == log2_a2.tobytes()
         assert not rep.coeff_log_magnitude.flags.writeable
         ncf = normalized_closed_form(params)
         assert (ncf.influence, ncf.entropy, ncf.entropy_lower_bound) == (
             _reference_normalized_closed_form(params.a)
         )
+
+    @pytest.mark.parametrize("weights", [
+        lambda: theorem_params(10**6).a,
+        lambda: remark3_params(10**6, 8.0).a,
+        lambda: theorem_params(1000).a,
+        lambda: remark3_params(1000, 8.0).a,
+        lambda: np.random.default_rng(2025).uniform(1e-6, 1.0, 1000),
+        lambda: [0.3, 0.9],
+        lambda: [1e-300, 1.0, 0.5],
+        lambda: [1.0] * 5,
+    ], ids=["theorem-n10^6", "remark3-a8-n10^6", "theorem-n1000", "remark3-a8-n1000",
+            "random-n1000", "n2", "tiny-one-half", "ones-n5"])
+    def test_within_1e_14_of_decimal_reference(self, weights):
+        # the prefix/suffix cumsum formulation read 9.9e-12 (theorem) and
+        # 1.1e-11 (remark 3) here at n = 10^6, and 1e-14..2e-14 at n = 1000
+        weights = weights()
+        rep = closed_form(ParamSeq(weights))
+        want_i, want_h = orc.decimal_closed_form(weights)
+        assert abs(rep.influence - want_i) <= 1e-14 * want_i
+        assert abs(rep.entropy - want_h) <= 1e-14 * want_h
+
+    def test_working_memory_is_the_returned_array(self):
+        # 8 MiB of the peak is coeff_log_magnitude; the cumsum
+        # formulation peaked at 30.5 MiB
+        for params in (theorem_params(10**6),
+                       ParamSeq(np.random.default_rng(9).uniform(0.1, 1.0, 10**6))):
+            tracemalloc.start()
+            try:
+                closed_form(params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10 << 20, peak
+
+    @pytest.mark.parametrize("weights, saturated", [
+        (lambda: np.random.default_rng(0).uniform(1e-6, 1.0, 10**5),
+         ("l2_norm", "linf_lower", "linf_upper", "influence", "entropy", "remark1_bound")),
+        (lambda: np.random.default_rng(0).uniform(0.001, 0.05, 10**6),
+         ("influence", "entropy", "remark1_bound")),
+        (lambda: [1e-170] * 3 + [1.0] * 2048,
+         ("l2_norm", "linf_lower", "linf_upper", "influence", "remark1_bound")),
+        (lambda: [1e-300] * 5, ()),
+        (lambda: [1.0] * 5000,
+         ("l2_norm", "linf_lower", "linf_upper", "influence", "remark1_bound")),
+    ], ids=["l2-overflow", "exp-overflow", "tiny-against-overflow", "tiny", "ones-n5000"])
+    def test_no_floating_point_warnings(self, weights, saturated):
+        # no np.errstate here: numpy's overflow and invalid warnings raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = closed_form(ParamSeq(weights()))
+        for name in ("l2_norm", "linf_lower", "linf_upper", "influence", "entropy",
+                     "total_mass", "remark1_bound", "log2_l2_sq"):
+            value = getattr(rep, name)
+            assert value == math.inf if name in saturated else math.isfinite(value), name
 
 
 def _pieces(n):
@@ -340,12 +399,26 @@ class TestNormalizedClosedFormBlocks:
             construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
         )
         for a in (theorem_params(10**6).a, _same_value_pieces_of_two_lengths()):
-            calls.clear()
-            normalized_closed_form(ParamSeq(a))
             pieces = _pieces(a.size)
             keys = {(a[lo], hi - lo) for lo, hi in pieces}
-            assert len(calls) == len(keys) < len(pieces)
-            assert sorted(calls) == sorted(length for _, length in keys)
+            for fn in (normalized_closed_form, closed_form):
+                calls.clear()
+                fn(ParamSeq(a))
+                assert len(calls) == len(keys) < len(pieces), fn
+                assert sorted(calls) == sorted(length for _, length in keys), fn
+
+    @pytest.mark.parametrize("name", NORMALIZED_WEIGHTS)
+    def test_closed_form_whole_array_fields_keep_their_bits(self, name):
+        a = NORMALIZED_WEIGHTS[name]()
+        rep = closed_form(ParamSeq(a))
+        assert rep.coeff_log_magnitude.tobytes() == (2.0 * np.log2(a)).tobytes()
+        assert not rep.coeff_log_magnitude.flags.writeable
+        total = float(np.sum(np.log1p(a * a) / math.log(2.0)))
+        k = float(np.sum(a * a))
+        assert rep.log2_l2_sq == total
+        assert rep.l2_norm == construct._or_inf(pow, 2.0, 0.5 * total)
+        assert rep.total_mass == k
+        assert rep.remark1_bound == k * construct._or_inf(math.exp, k)
 
     def test_working_memory_stays_under_two_mib(self):
         params = theorem_params(10**6)

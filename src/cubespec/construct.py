@@ -358,7 +358,7 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
 
     sums = _pairwise_sum(leaf, 0, a.size)
     highs, lows = zip(*peaks)
-    return sums, max(highs), min(lows)
+    return sums, float(max(highs)), float(min(lows))
 
 
 def _log2_domain_terms(a: np.ndarray, log2_a2: np.ndarray, total: float) -> tuple[float, float]:
@@ -418,7 +418,6 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     sums, _, amin = _closed_form_sums(a, log2_a2)
     log2_a2.setflags(write=False)
     frac, weighted, total, _, k = map(float, sums)
-    amin = float(amin)
     l2 = _or_inf(pow, 2.0, 0.5 * total)
     l2_sq = _or_inf(pow, 2.0, total)
     if l2_sq < math.inf:
@@ -460,7 +459,7 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
         return NormalizedClosedForm(0.0, 0.0, 0.0)
     (influence, weighted, log2_l2_sq, mass_log, _), amax, _ = _closed_form_sums(a)
     # squaring is monotone under rounding, so this is the largest a_i^2
-    bound = -mass_log / (1.0 + float(amax * amax))
+    bound = -mass_log / (1.0 + amax * amax)
     return NormalizedClosedForm(float(influence), float(-weighted + log2_l2_sq), float(bound))
 
 

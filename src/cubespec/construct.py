@@ -309,7 +309,7 @@ def _or_inf(fn, *args) -> float:
 
 
 def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
-    """Five sums over the weights, plus the largest and smallest weight.
+    """Five sums over the weights, plus the largest weight.
 
     The sums, in order: p_i, p_i log2 a_i^2, log2(1 + a_i^2),
     a_i^2 log2 a_i^2 and a_i^2, where p_i = a_i^2 / (1 + a_i^2).  They
@@ -323,15 +323,15 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
     log2_out[i] (a reused piece fills its slice from the stored value).
     """
     if a.size == 0:
-        return np.zeros(5), 0.0, 0.0
+        return np.zeros(5), 0.0
     scratch = np.empty((3, min(a.size, _BLOCK)))
     constant_pieces = {}
-    peaks = []
+    highs = []
 
     def leaf(lo, hi):
         x = a[lo:hi]
         low, high = x.min(), x.max()
-        peaks.append((high, low))
+        highs.append(high)
         key = (float(low), x.size) if low == high else None
         if key in constant_pieces:
             sums, fill = constant_pieces[key]
@@ -357,30 +357,37 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
         return sums
 
     sums = _pairwise_sum(leaf, 0, a.size)
-    highs, lows = zip(*peaks)
-    return sums, float(max(highs)), float(min(lows))
+    return sums, float(max(highs))
 
 
-def _log2_domain_terms(a: np.ndarray, log2_a2: np.ndarray, total: float) -> tuple[float, float]:
-    # influence and entropy term by term, term i being 2^t_i a_i^2 with
+def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> float:
+    # entropy term by term, term i being -2^t_i a_i^2 log2 a_i^2 with
     # t_i = total - log2(1 + a_i^2): as 2^(t_i + log2 a_i^2) it stays
-    # finite where a_i^2 underflows against a product past the float range
-    scratch = np.empty((2, min(a.size, _BLOCK)))
+    # finite where a_i^2 underflows against a product past the float range;
+    # a constant piece is reduced once per (value, length), as in
+    # _closed_form_sums
+    scratch = np.empty(min(a.size, _BLOCK))
+    constant_pieces = {}
 
     def leaf(lo, hi):
         m = hi - lo
         x, lg2 = a[lo:hi], log2_a2[lo:hi]
-        t = _log2_one_plus(np.multiply(x, x, out=scratch[0, :m]), out=scratch[0, :m])
+        key = (float(x[0]), m) if x.min() == x.max() else None
+        if key in constant_pieces:
+            return constant_pieces[key]
+        t = _log2_one_plus(np.multiply(x, x, out=scratch[:m]), out=scratch[:m])
         np.subtract(total, t, out=t)
         terms = np.exp2(np.add(t, lg2, out=t), out=t)
-        ent = np.multiply(terms, lg2, out=scratch[1, :m])
-        ent[lg2 == 0.0] = 0.0            # a_i = 1 adds exactly 0 (not inf * 0)
-        return np.array((np.sum(terms), -np.sum(ent)))
+        terms *= lg2
+        terms[lg2 == 0.0] = 0.0          # a_i = 1 adds exactly 0 (not inf * 0)
+        piece_sum = np.sum(terms)
+        if key is not None:
+            constant_pieces[key] = piece_sum
+        return piece_sum
 
     # terms past the range read inf; inf * 0 reads nan until masked
     with np.errstate(over="ignore", invalid="ignore"):
-        influence, entropy = _pairwise_sum(leaf, 0, a.size)
-    return float(influence), float(entropy)
+        return float(-_pairwise_sum(leaf, 0, a.size))
 
 
 def closed_form(params: ParamSeq) -> ClosedFormReport:
@@ -394,16 +401,14 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
 
     so both come from the sums normalized_closed_form takes (one
     blockwise pass, _closed_form_sums), with no per-index products.
-    Three cases:
+    Two cases:
 
     - L finite: I and H are L times the sums (exact for unit weights:
       I = n 2^(n-1) and H = 0);
-    - L past the float range and every a_i^2 >= 2^-1021 (so every p_i
-      is a normal float): I = 2^(T + log2 sum p_i), likewise H, which is
-      0 when sum p_i log2 a_i^2 is 0;
-    - L past the range and some a_i^2 smaller: term by term in log2
-      domain, 2^(T - log2(1 + a_i^2) + log2 a_i^2), so a weight whose
-      square underflows still adds its finite share.
+    - L past the float range: I is inf, and H is taken term by term in
+      log2 domain, 2^(T - log2(1 + a_i^2) + log2 a_i^2) times
+      -log2 a_i^2, so a weight whose square underflows still adds its
+      finite share (and unit weights add 0).
 
     Linear-scale fields saturate to inf past the float range, with no
     warning; log2_l2_sq and coeff_log_magnitude stay finite.
@@ -415,18 +420,18 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     """
     a = params.a
     log2_a2 = np.empty(a.size)
-    sums, _, amin = _closed_form_sums(a, log2_a2)
+    sums, _ = _closed_form_sums(a, log2_a2)
     log2_a2.setflags(write=False)
     frac, weighted, total, _, k = map(float, sums)
     l2 = _or_inf(pow, 2.0, 0.5 * total)
     l2_sq = _or_inf(pow, 2.0, total)
     if l2_sq < math.inf:
         influence, entropy = l2_sq * frac, l2_sq * -weighted
-    elif amin * amin >= 2.0 ** -1021:
-        influence = _or_inf(pow, 2.0, total + math.log2(frac))
-        entropy = _or_inf(pow, 2.0, total + math.log2(-weighted)) if weighted else -weighted
     else:
-        influence, entropy = _log2_domain_terms(a, log2_a2, total)
+        # each p_i >= a_i^2 / 2 >= (ln 2 / 2) log2(1 + a_i^2), so
+        # sum p_i >= 0.34 T > 1 and L * sum p_i passes the range too
+        influence = math.inf
+        entropy = _log2_domain_entropy(a, log2_a2, total)
     return ClosedFormReport(
         n=params.n,
         l2_norm=l2,
@@ -457,7 +462,7 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     a = params.a
     if a.size == 0:
         return NormalizedClosedForm(0.0, 0.0, 0.0)
-    (influence, weighted, log2_l2_sq, mass_log, _), amax, _ = _closed_form_sums(a)
+    (influence, weighted, log2_l2_sq, mass_log, _), amax = _closed_form_sums(a)
     # squaring is monotone under rounding, so this is the largest a_i^2
     bound = -mass_log / (1.0 + amax * amax)
     return NormalizedClosedForm(float(influence), float(-weighted + log2_l2_sq), float(bound))

@@ -403,9 +403,12 @@ class TestNormalizedClosedFormBlocks:
             keys = {(a[lo], hi - lo) for lo, hi in pieces}
             for fn in (normalized_closed_form, closed_form):
                 calls.clear()
-                fn(ParamSeq(a))
-                assert len(calls) == len(keys) < len(pieces), fn
-                assert sorted(calls) == sorted(length for _, length in keys), fn
+                rep = fn(ParamSeq(a))
+                # past the float range closed_form takes the entropy in a
+                # second, log2-domain pass, which reduces each key once too
+                passes = 2 if fn is closed_form and rep.log2_l2_sq >= 1024 else 1
+                assert len(calls) == passes * len(keys) and len(keys) < len(pieces), fn
+                assert sorted(calls) == sorted(passes * [length for _, length in keys]), fn
 
     @pytest.mark.parametrize("name", NORMALIZED_WEIGHTS)
     def test_closed_form_whole_array_fields_keep_their_bits(self, name):

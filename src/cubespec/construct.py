@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .spectrum import (
     _adopt,
     _pairwise_sum,
     check_table_dim,
-    popcounts,
 )
 
 _LN2 = math.log(2.0)
@@ -182,7 +182,7 @@ def build_pq(params: ParamSeq, max_table_n: int | None = None) -> RSPair:
 
 
 #: Packed point bits held per chunk: bounds the working memory of
-#: evaluate_many (and the points modulus_spotcheck holds) at any n.
+#: evaluate_many at any n.
 _CHUNK_BYTES = 1 << 20
 #: Largest chunk of points: keeps the wide loop's four per-point
 #: vectors (4 x 32 KiB) cache-resident.
@@ -265,28 +265,29 @@ def _ufunc_doubling(blocks, p: np.ndarray, q: np.ndarray) -> None:
 def evaluate_many(params: ParamSeq, points) -> tuple[np.ndarray, np.ndarray]:
     """Pair values at many points, O(n) time per point, no table.
 
-    `points` is a sequence of integer point indices in [0, 2^n), bit i
+    `points` is any iterable of integer point indices in [0, 2^n), bit i
     set meaning eps_{i+1} = -1.  Returns float64 arrays (p, q) in the
     order of `points`.  Each coordinate runs the doubling step with the
     signed weight s = -a_i or a_i as p, q = p + s*q, s*p - q: the same
     roundings as build_pq (negation is exact and x - y is x + (-y)),
     so in-cap results are bit-identical to build_pq entries, signed
-    zeros included.  Points go through in chunks of at most 1 MiB of
-    packed bits and 4096 points, so working memory stays a few MiB at
-    any n and any number of points.
+    zeros included.  Points are read lazily, one chunk of at most 1 MiB
+    of packed bits and 4096 points at a time, so working memory stays a
+    few MiB at any n and any number of points (beyond the 16 bytes per
+    point of the result).
     """
-    points = list(points)
     n = params.n
-    p = np.ones(len(points))
-    q = np.ones(len(points))
+    points = iter(points)
     chunk = _points_per_chunk(n)
-    for start in range(0, len(points), chunk):
-        pts = points[start : start + chunk]
+    ps, qs = [np.ones(0)], [np.ones(0)]
+    while pts := list(islice(points, chunk)):
         m = len(pts)
         packed = np.frombuffer(_point_bytes(pts, n), dtype=np.uint8).reshape(m, -1)
         doubling = _scalar_doubling if m <= _SCALAR_LOOP_MAX_POINTS else _ufunc_doubling
-        doubling(_signed_weight_blocks(params.a, packed), p[start : start + m], q[start : start + m])
-    return p, q
+        ps.append(np.ones(m))
+        qs.append(np.ones(m))
+        doubling(_signed_weight_blocks(params.a, packed), ps[-1], qs[-1])
+    return np.concatenate(ps), np.concatenate(qs)
 
 
 def evaluate_at(params: ParamSeq, point: int) -> tuple[complex, complex]:
@@ -309,7 +310,7 @@ def _or_inf(fn, *args) -> float:
 
 
 def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
-    """Five sums over the weights, plus the largest weight.
+    """Five sums over the weights, plus the smallest and largest weight.
 
     The sums, in order: p_i, p_i log2 a_i^2, log2(1 + a_i^2),
     a_i^2 log2 a_i^2 and a_i^2, where p_i = a_i^2 / (1 + a_i^2).  They
@@ -323,14 +324,15 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
     log2_out[i] (a reused piece fills its slice from the stored value).
     """
     if a.size == 0:
-        return np.zeros(5), 0.0
+        return np.zeros(5), math.inf, -math.inf
     scratch = np.empty((3, min(a.size, _BLOCK)))
     constant_pieces = {}
-    highs = []
+    lows, highs = [], []
 
     def leaf(lo, hi):
         x = a[lo:hi]
         low, high = x.min(), x.max()
+        lows.append(low)
         highs.append(high)
         key = (float(low), x.size) if low == high else None
         if key in constant_pieces:
@@ -357,15 +359,15 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
         return sums
 
     sums = _pairwise_sum(leaf, 0, a.size)
-    return sums, float(max(highs))
+    return sums, float(min(lows)), float(max(highs))
 
 
 def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> float:
     # entropy term by term, term i being -2^t_i a_i^2 log2 a_i^2 with
-    # t_i = total - log2(1 + a_i^2): as 2^(t_i + log2 a_i^2) it stays
-    # finite where a_i^2 underflows against a product past the float range;
-    # a constant piece is reduced once per (value, length), as in
-    # _closed_form_sums
+    # t_i = total - log2(1 + a_i^2): as 2^(t_i + log2 a_i^2) it keeps the
+    # share of an a_i^2 that underflows, and stays finite where the
+    # product passes the float range; a constant piece is reduced once
+    # per (value, length), as in _closed_form_sums
     scratch = np.empty(min(a.size, _BLOCK))
     constant_pieces = {}
 
@@ -401,14 +403,12 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
 
     so both come from the sums normalized_closed_form takes (one
     blockwise pass, _closed_form_sums), with no per-index products.
-    Two cases:
-
-    - L finite: I and H are L times the sums (exact for unit weights:
-      I = n 2^(n-1) and H = 0);
-    - L past the float range: I is inf, and H is taken term by term in
-      log2 domain, 2^(T - log2(1 + a_i^2) + log2 a_i^2) times
-      -log2 a_i^2, so a weight whose square underflows still adds its
-      finite share (and unit weights add 0).
+    I is L times its sum, inf past the float range (exact for unit
+    weights: I = n 2^(n-1)).  H is L times its sum when L is finite and
+    every a_i^2 is a normal float (a_i >= 2^-511); otherwise H is taken
+    term by term in log2 domain, 2^(T - log2(1 + a_i^2) + log2 a_i^2)
+    times -log2 a_i^2, so a weight whose square underflows still adds
+    its share.  Unit weights add exactly 0 to H either way.
 
     Linear-scale fields saturate to inf past the float range, with no
     warning; log2_l2_sq and coeff_log_magnitude stay finite.
@@ -420,17 +420,17 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     """
     a = params.a
     log2_a2 = np.empty(a.size)
-    sums, _ = _closed_form_sums(a, log2_a2)
+    sums, amin, _ = _closed_form_sums(a, log2_a2)
     log2_a2.setflags(write=False)
     frac, weighted, total, _, k = map(float, sums)
     l2 = _or_inf(pow, 2.0, 0.5 * total)
     l2_sq = _or_inf(pow, 2.0, total)
-    if l2_sq < math.inf:
-        influence, entropy = l2_sq * frac, l2_sq * -weighted
+    # past the float range each p_i >= a_i^2 / 2 >= (ln 2 / 2) log2(1 + a_i^2),
+    # so sum p_i >= 0.34 T > 1 and L * sum p_i passes the range too
+    influence = l2_sq * frac if l2_sq < math.inf else math.inf
+    if l2_sq < math.inf and amin >= 2.0**-511:
+        entropy = l2_sq * -weighted
     else:
-        # each p_i >= a_i^2 / 2 >= (ln 2 / 2) log2(1 + a_i^2), so
-        # sum p_i >= 0.34 T > 1 and L * sum p_i passes the range too
-        influence = math.inf
         entropy = _log2_domain_entropy(a, log2_a2, total)
     return ClosedFormReport(
         n=params.n,
@@ -462,7 +462,7 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     a = params.a
     if a.size == 0:
         return NormalizedClosedForm(0.0, 0.0, 0.0)
-    (influence, weighted, log2_l2_sq, mass_log, _), amax = _closed_form_sums(a)
+    (influence, weighted, log2_l2_sq, mass_log, _), _, amax = _closed_form_sums(a)
     # squaring is monotone under rounding, so this is the largest a_i^2
     bound = -mass_log / (1.0 + amax * amax)
     return NormalizedClosedForm(float(influence), float(-weighted + log2_l2_sq), float(bound))
@@ -599,9 +599,12 @@ def neeman_function(
     check_table_dim(n, max_table_n)
     out = np.zeros(1 << n, dtype=np.complex128)
     values = out.real  # a view: (n - 2 popcount) / sqrt(n), clamped, in place
-    np.copyto(values, popcounts(n))
-    values *= 2.0
-    np.subtract(n, values, out=values)
+    # values[m:2m] = values[:m] - 2, doubling in place: exact integers n - 2k
+    values[0] = n
+    m = 1
+    for _ in range(n):
+        np.subtract(values[:m], 2.0, out=values[m : 2 * m])
+        m *= 2
     values /= math.sqrt(n)
     np.clip(values, -clamp, clamp, out=values)
     if normalize:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
@@ -129,9 +128,8 @@ class SpectralStats:
     total_weight: float  # sum of squared coefficient weights (Parseval mass)
 
 
-@lru_cache(maxsize=None)
 def popcounts(n: int) -> np.ndarray:
-    """popcount of every mask in [0, 2^n), in ascending mask order."""
+    """popcount of every mask in [0, 2^n), in ascending mask order; a fresh table."""
     # pc[m:2m] = pc[:m] + 1, doubling in place inside the final array
     pc = np.empty(1 << n, dtype=np.uint8)
     pc[0] = 0
@@ -282,8 +280,11 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.fl
     entropy is None.  `dtype` is the weights' dtype, and the sums'.
     """
     size = 1 << n
-    pc = popcounts(n)
     block = min(size, _BLOCK)
+    # an aligned block's popcounts are those of its low bits plus the
+    # popcount of its high bits (an exact uint8 add)
+    pc_low = popcounts(block.bit_length() - 1)
+    pc = np.empty(block, dtype=np.uint8)
     scratch = np.empty(block, dtype=dtype)
     live = np.empty(block, dtype=bool)
     count = 0
@@ -292,7 +293,8 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.fl
         nonlocal count
         w = weights(lo, hi)
         buf = scratch[: w.size]
-        sums = np.array((np.sum(np.multiply(w, pc[lo:hi], out=buf)), np.sum(w)))
+        np.add(pc_low, np.uint8(lo.bit_count()), out=pc)
+        sums = np.array((np.sum(np.multiply(w, pc, out=buf)), np.sum(w)))
         if spent is not None:
             keep = np.greater_equal(w, ZERO_WEIGHT_CUTOFF, out=live[: w.size])
             k = int(np.count_nonzero(keep))

@@ -28,6 +28,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .construct import (
     subset_products,
     theorem_params,
     unimodular_complex,
-    _points_per_chunk,
     _pq_tables,
     _unit_modulus_factor,
 )
@@ -57,7 +57,6 @@ from .spectrum import (
     check_table_dim,
     fwht_inplace,
     lift_zero_mean,
-    scale,
     stats,
     walsh_transform,
 )
@@ -217,7 +216,7 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
     a = a64.astype(ld)
     a2 = a * a
     one_plus = 1.0 + a2
-    big_l = ld(np.prod(one_plus)) if n else ld(1.0)
+    big_l = ld(np.prod(one_plus))
 
     p, q = _pq_tables(a64, dtype=ld)
     target_const = 2.0 * big_l
@@ -226,9 +225,9 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
     # independent closed-form targets, linear domain (no log/exp route)
     others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
     target_l2 = np.sqrt(big_l)
-    target_infl = ld(np.sum(a2 * others)) if n else ld(0.0)
-    log2_a2 = np.log2(a2) if n else np.zeros(0, dtype=ld)
-    target_ent = ld(-np.sum(others * a2 * log2_a2)) if n else ld(0.0)
+    target_infl = ld(np.sum(a2 * others))
+    log2_a2 = np.log2(a2)
+    target_ent = ld(-np.sum(others * a2 * log2_a2))
 
     prod_table = subset_products(a2, dtype=ld)
     size_ld = ld(1 << n)
@@ -413,7 +412,7 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     sp = walsh_transform(pair.p, max_table_n)
     coeff_dev = float(np.max(np.abs(np.abs(sp.coeffs) - 1.0)))
     raw = stats(pair.p, max_table_n)
-    norm = stats(scale(pair.p, 2.0 ** (-n / 2.0)), max_table_n)
+    norm = stats(normalized_real(params, max_table_n), max_table_n)
     checks = [
         gate,
         check_le("coefficient_magnitude_deviation", coeff_dev, 1e-12),
@@ -490,9 +489,10 @@ def modulus_spotcheck(params: ParamSeq, samples: int = 10_000, seed: int = 2024)
 
     Each sample point is n independent fair coordinate bits packed into
     a Python int (`random.Random(seed).getrandbits(n)`), so points are
-    uniform on {-1,1}^n for every n, far past 64.  Points are drawn and
-    evaluated chunk by chunk through evaluate_many, so working memory
-    stays a few MiB at any n and sample count; the time is about
+    uniform on {-1,1}^n for every n, far past 64.  The draws go lazily
+    through one evaluate_many call, so working memory is a few MiB at
+    any n plus about 110 bytes per sample for the values and their
+    deviations (1 MiB for the default 10 000 samples); the time is about
     samples * n steps of the doubling recursion (0.15 s for the default
     10 000 samples at n = 1000 on a 2-CPU x86-64 host).  This is the
     only modulus check available past the table cap.  The same integer
@@ -500,16 +500,10 @@ def modulus_spotcheck(params: ParamSeq, samples: int = 10_000, seed: int = 2024)
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    n = params.n
     rng = random.Random(seed)
     factor = _unit_modulus_factor(params)
-    chunk = _points_per_chunk(n)
-    worst = 0.0
-    for start in range(0, samples, chunk):
-        points = [rng.getrandbits(n) for _ in range(min(chunk, samples - start))]
-        p, q = evaluate_many(params, points)
-        # max over (worst, *devs) keeps the one-sample-at-a-time result,
-        # NaN handling included
-        devs = [abs(math.hypot(pv, qv) * factor - 1.0) for pv, qv in zip(p.tolist(), q.tolist())]
-        worst = max(worst, *devs)
-    return worst
+    p, q = evaluate_many(params, map(rng.getrandbits, repeat(params.n, samples)))
+    devs = (abs(math.hypot(pv, qv) * factor - 1.0) for pv, qv in zip(p.tolist(), q.tolist()))
+    # a left fold from 0.0 in sample order: a NaN deviation never
+    # replaces the running maximum, as in the one-sample-at-a-time loop
+    return max(0.0, *devs)

@@ -200,6 +200,24 @@ class TestBatchedEvaluator:
         a = params.a.tolist()
         assert list(zip(p.tolist(), q.tolist())) == [orc.point_values(a, x) for x in points]
 
+    def test_generator_is_read_one_chunk_at_a_time(self, monkeypatch):
+        # 1000 points of 12.5 KB each: reading the whole generator into a
+        # list first peaked at 15.8 MiB here (4.1 MiB now).  The wide
+        # loop's arithmetic, which holds two chunk-wide vectors and takes
+        # most of the time, is skipped; its signed-weight blocks are drawn.
+        monkeypatch.setattr(construct, "_ufunc_doubling", lambda blocks, p, q: sum(1 for _ in blocks))
+        n = 10**5
+        params = remark3_params(n, 4.0)
+        rng = random.Random(4)
+        tracemalloc.start()
+        try:
+            p, q = evaluate_many(params, (rng.getrandbits(n) for _ in range(1000)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.shape == q.shape == (1000,)
+        assert peak <= 6 << 20, peak
+
     def test_empty_batch_and_zero_dimension(self):
         p, q = evaluate_many(ParamSeq([0.5, 0.5]), [])
         assert p.shape == q.shape == (0,)
@@ -497,6 +515,32 @@ class TestClosedFormSaturation:
         log2_a2 = 2.0 * math.log2(1e-170)
         assert rep.influence == math.inf
         assert math.isclose(math.log2(rep.entropy), 2048 + log2_a2 + math.log2(-log2_a2), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("weights, rel_tol", [
+        ([1e-170] + [1.0] * 1000, 1e-13),
+        ([1.0] * 500 + [1e-170] * 3 + [0.5] * 500, 1e-13),
+        ([5e-324] + [0.7] * 3, 1e-15),
+        ([1e-160] + [1.0] * 10, 1e-6),      # the true entropy, 1.1e-314, is subnormal
+    ], ids=["tiny-against-ones", "tiny-inside", "smallest-subnormal", "subnormal-entropy"])
+    def test_underflowing_weight_against_a_finite_product(self, weights, rel_tol):
+        # a_i^2 underflows while L = prod(1 + a_j^2) is finite: the linear
+        # route read entropy -0.0 for the first case (true value 1.2e-36)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = closed_form(ParamSeq(weights))
+        want_i, want_h = orc.decimal_closed_form(weights)
+        assert math.isclose(rep.influence, want_i, rel_tol=rel_tol)
+        assert abs(rep.entropy - want_h) <= rel_tol * want_h
+
+    def test_log2_domain_below_normal_squares_only(self, monkeypatch):
+        # a_i >= 2^-511 keeps every a_i^2 normal and the linear route
+        def refuse(*args):
+            raise AssertionError("log2-domain pass")
+
+        monkeypatch.setattr(construct, "_log2_domain_entropy", refuse)
+        closed_form(ParamSeq([2.0**-511, 0.5]))
+        with pytest.raises(AssertionError):
+            closed_form(ParamSeq([np.nextafter(2.0**-511, 0.0), 0.5]))
 
     def test_in_range_unit_weights_keep_their_bits(self):
         for n in (1, 10, 700):

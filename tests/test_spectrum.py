@@ -389,6 +389,20 @@ class TestStatsEquivalence:
             tracemalloc.stop()
         assert peak <= 2.1 * f.values.nbytes
 
+    def test_no_table_sized_memory_held_after_return(self):
+        # the popcount table of every n ever transformed used to stay
+        # cached (2^n bytes each); n = 21 is transformed by no other test
+        f = normalized_real(theorem_params(21))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats(f)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < (1 << 21) // 8, held
+        assert popcounts(5) is not popcounts(5)
+
 
 def stats_bits(st_):
     return np.array([getattr(st_, name) for name in SpectralStats.__dataclass_fields__]).tobytes()

@@ -293,6 +293,7 @@ def test_spotcheck_points_are_uniform_bits(monkeypatch):
     real_evaluate = cs.verify.evaluate_many
 
     def spy(params, points):
+        points = list(points)
         seen.extend(points)
         return real_evaluate(params, points)
 

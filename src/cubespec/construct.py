@@ -187,8 +187,6 @@ _CHUNK_BYTES = 1 << 20
 #: Largest chunk of points: keeps the wide loop's four per-point
 #: vectors (4 x 32 KiB) cache-resident.
 _CHUNK_MAX_POINTS = 4096
-#: Signed weights expanded per coordinate block (256 KiB as float64).
-_BLOCK_ELEMS = 1 << 15
 #: Chunks of up to this many points run the doubling step as a Python
 #: float loop per point; wider chunks run it as four numpy ufuncs per
 #: coordinate across the chunk.  Measured at n = 1000 (2 CPUs, Python
@@ -223,10 +221,10 @@ def _signed_weight_blocks(a: np.ndarray, packed: np.ndarray):
     """Blocks sa[j, s] = -a_i if bit i of point s is set else a_i, i = lo + j.
 
     `packed` holds one row of little-endian point bytes per point; the
-    blocks cover i = 0..n-1 in order, about _BLOCK_ELEMS entries each.
+    blocks cover i = 0..n-1 in order, about _BLOCK entries each.
     """
     n = a.size
-    step = 8 * max(1, _BLOCK_ELEMS // (8 * packed.shape[0]))
+    step = 8 * max(1, _BLOCK // (8 * packed.shape[0]))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         bits = np.unpackbits(
@@ -287,6 +285,7 @@ def evaluate_many(params: ParamSeq, points) -> tuple[np.ndarray, np.ndarray]:
         ps.append(np.ones(m))
         qs.append(np.ones(m))
         doubling(_signed_weight_blocks(params.a, packed), ps[-1], qs[-1])
+        del pts, packed  # before islice reads the next chunk
     return np.concatenate(ps), np.concatenate(qs)
 
 
@@ -496,19 +495,17 @@ def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> Hypercu
 def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
     """(P + iQ) / (sqrt(2) ||P||_2): every value on the unit circle.
 
-    The expression runs block by block into the result, with the same
-    elementwise operations (and so the same bits and signed zeros) as
-    on the whole tables at once.  A block is a 64th of the table (at
-    least 2^10 entries), so its complex128 temporaries stay small.
+    P and Q are scaled straight into the result's real and imaginary
+    planes.  That has the bits of (p + 1j*q) * c, signed zeros included:
+    the tables never hold -0.0 and are never both zero at a point, so
+    the complex product's p*c - q*0 and p*0 + q*c are p*c and q*c.
     """
     check_table_dim(params.n, max_table_n)
     p, q = _pq_tables(params.a)
     c = _unit_modulus_factor(params)
     out = np.empty(p.size, dtype=np.complex128)
-    block = max(1 << 10, p.size >> 6)
-    for lo in range(0, p.size, block):
-        hi = lo + block
-        np.multiply(p[lo:hi] + 1j * q[lo:hi], c, out=out[lo:hi])
+    np.multiply(p, c, out=out.real)
+    np.multiply(q, c, out=out.imag)
     return _adopt(HypercubeFunction, params.n, out)
 
 

@@ -266,7 +266,7 @@ def _norm_sums(table: np.ndarray, source: np.ndarray | None = None):
     return _pairwise_sum(leaf, 0, table.size), np.max(peaks)
 
 
-def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.float64):
+def _spectral_sums(n: int, weights, spent: np.ndarray | None = None):
     """(influence, Parseval mass, entropy) of a 2^n spectrum, block by block.
 
     weights(lo, hi) returns the squared weights of masks [lo, hi) in a
@@ -277,7 +277,7 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.fl
     in mask order, to the front of it, and -np.sum of them is the
     entropy: `spent` may be the transformed table itself, since the
     terms never run past the blocks already handed out.  Without it the
-    entropy is None.  `dtype` is the weights' dtype, and the sums'.
+    entropy is None.  Sums are in `spent`'s dtype, float64 without it.
     """
     size = 1 << n
     block = min(size, _BLOCK)
@@ -285,7 +285,7 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None, dtype=np.fl
     # popcount of its high bits (an exact uint8 add)
     pc_low = popcounts(block.bit_length() - 1)
     pc = np.empty(block, dtype=np.uint8)
-    scratch = np.empty(block, dtype=dtype)
+    scratch = np.empty(block, dtype=np.float64 if spent is None else spent.dtype)
     live = np.empty(block, dtype=bool)
     count = 0
 

@@ -252,7 +252,7 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
             coeff_peaks.append(np.max(c))
             return sq
 
-        infl, _, ent = _spectral_sums(n, weights, table, ld)
+        infl, _, ent = _spectral_sums(n, weights, table)
         lo, hi = target_l2, SQRT2 * target_l2
         errs = (
             abs(l2 - target_l2) / target_l2,
@@ -304,8 +304,9 @@ def _entropy_bound(n: int) -> float:
 #: enumeration noise does not, and measured discrepancies cross 1e-12
 #: between n = 14 and n = 17 even in extended precision.  Above this the
 #: certificate gate drops that one field; aggregate quantities (norms,
-#: constancy, influence, entropy) stay gated at every n.
-COEFF_GATE_MAX_N = 14
+#: constancy, influence, entropy) stay gated at every n.  A float64
+#: longdouble needs 12 (1.5e-9 at n = 14, simulated; never run there).
+COEFF_GATE_MAX_N = 14 if np.finfo(np.longdouble).nmant >= 63 else 12
 
 
 def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
@@ -496,13 +497,15 @@ def modulus_spotcheck(params: ParamSeq, samples: int = 10_000, seed: int = 2024)
     samples * n steps of the doubling recursion (0.15 s for the default
     10 000 samples at n = 1000 on a 2-CPU x86-64 host).  This is the
     only modulus check available past the table cap.  The same integer
-    seed gives the same points and result.
+    seed gives the same points and result.  It is nan, with no point
+    evaluated, where |P + iQ| = sqrt(2L) > 2^1023 (1 + log2 L > 2046).
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    rng = random.Random(seed)
     factor = _unit_modulus_factor(params)
-    p, q = evaluate_many(params, map(rng.getrandbits, repeat(params.n, samples)))
+    if factor < 2.0**-1023:
+        return math.nan
+    p, q = evaluate_many(params, map(random.Random(seed).getrandbits, repeat(params.n, samples)))
     devs = (abs(math.hypot(pv, qv) * factor - 1.0) for pv, qv in zip(p.tolist(), q.tolist()))
     # a left fold from 0.0 in sample order: a NaN deviation never
     # replaces the running maximum, as in the one-sample-at-a-time loop

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cubespec import cli, construct, read_function, stats, verify
+from cubespec import cli, construct, read_function, stats, verify, write_function
 from cubespec.verify import NEEMAN_INFLUENCE_BAND
 
 STATS_HEADER = "n,kind,l2,linf,influence,entropy,bound,ratio"
@@ -78,6 +78,36 @@ class TestGen:
             capsys, ["gen", "--n", "2", "--kind", "real", "--a", f"file:{weights}", "--out", str(out)]
         )
         assert code == 0
+
+    def test_a_file_spec_skips_blank_lines(self, capsys, tmp_path):
+        weights = tmp_path / "w.txt"
+        weights.write_text("1.0\n\n0.5\n")
+        argv = ["gen", "--n", "2", "--kind", "real", "--a"]
+        assert run(capsys, argv + [f"file:{weights}"]) == run(capsys, argv + ["list:1,0.5"])
+
+    def test_a_remark3_spec(self, capsys, tmp_path):
+        out, want = tmp_path / "r.txt", tmp_path / "w.txt"
+        argv = ["gen", "--n", "8", "--kind", "real", "--a", "remark3:4", "--out", str(out)]
+        assert run(capsys, argv)[0] == 0
+        write_function(want, construct.normalized_real(construct.remark3_params(8, 4.0)), "real")
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_sum_kind_summary(self, capsys):
+        code, stdout, stderr = run(capsys, ["gen", "--n", "4", "--kind", "sum"])
+        assert code == 0 and stdout.startswith("n=4 kind=real\n")
+        assert stderr == "summary n=4 kind=sum l2=1.0 influence=1.0 entropy=2.0\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("list:1,0.5", "list has 2 weights but n=3"),
+        ("file:{w}", "weight file has 2 entries but n=3"),
+        ("bogus:1", "bad --a specifier 'bogus:1': expected constant:<c>, one-over-sqrt-n, "
+                    "remark3:<a>, list:<v1,v2,...> or file:<path>"),
+    ])
+    def test_weight_spec_errors(self, capsys, tmp_path, spec, message):
+        weights = tmp_path / "w.txt"
+        weights.write_text("1.0\n0.5\n")
+        argv = ["gen", "--n", "3", "--kind", "real", "--a", spec.format(w=weights)]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
     def test_weights_rejected_for_fixed_weight_kinds(self, capsys):
         code, _, stderr = run(capsys, ["gen", "--n", "4", "--kind", "sum", "--a", "constant:0.5"])
@@ -257,6 +287,11 @@ class TestSweep:
         code, stdout, _ = run(capsys, ["sweep", "--n", "16,64", "--a", "2,4"])
         heads = [tuple(line.split(",")[:2]) for line in stdout.splitlines()[1:]]
         assert heads == [("16", "2.0"), ("16", "4.0"), ("64", "2.0"), ("64", "4.0")]
+
+    def test_remark3_prefix_reads_as_plain_scales(self, capsys):
+        plain = run(capsys, ["sweep", "--n", "16,64", "--a", "2,4"])
+        assert plain[0] == 0
+        assert run(capsys, ["sweep", "--n", "16,64", "--a", "remark3:2,4"]) == plain
 
     @pytest.mark.parametrize("argv", [["--a", "4"], ["--n", "16"]])
     def test_missing_grid_axis(self, capsys, argv):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,18 @@ def test_spotcheck_deterministic_for_seed_past_64_bits():
 def test_spotcheck_past_64_bits(n, samples):
     # point indices no longer fit a uint64 from n = 65 on
     assert cs.modulus_spotcheck(cs.remark3_params(n, 4.0), samples=samples, seed=5) < 1e-9
+
+
+@pytest.mark.parametrize("samples", [5, 100])  # the float loop, then the ufunc loop
+def test_spotcheck_is_nan_past_the_float_range(samples):
+    # weights 0.5: 1 + T passes 2046 between n = 6352 and 6353; far past
+    # it the values used to overflow to nan, which the fold passed over
+    # (5 samples read 0.0) or which raised RuntimeWarning (100 samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cs.modulus_spotcheck(cs.ParamSeq(np.full(6352, 0.5)), samples) < 1e-9
+        for n in (6353, 10**5):
+            assert math.isnan(cs.modulus_spotcheck(cs.ParamSeq(np.full(n, 0.5)), samples))
 
 
 def test_spotcheck_points_are_uniform_bits(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,16 @@ class TestOracle:
         assert rep.err_coefficients > 1e-12
         assert cs.certify_theorem1(n).overall
 
+    @pytest.mark.parametrize("low", [1.5, -0.5, -1e-300, math.nan, math.inf, -math.inf])
+    def test_campaign_refuses_a_floor_outside_the_unit_interval(self, low):
+        with pytest.raises(cs.ParameterError, match=r"low must lie in \[0, 1\]"):
+            cs.oracle_campaign(3, trials=2, seed=7, low=low)
+
+    @pytest.mark.parametrize("low", [0.0, 1.0])
+    def test_campaign_runs_at_both_ends_of_the_floor(self, low):
+        rep = cs.oracle_campaign(3, trials=2, seed=7, low=low)
+        assert rep.trials == 2 and rep.max_error() < 1e-9
+
 
 def _uniform_draw(seed, n):
     return 1.0 - np.random.default_rng(seed).uniform(0.0, 0.95, n)
@@ -173,6 +184,47 @@ class TestBlockwiseOracle:
         assert peak <= 3 * (1 << n) * np.dtype(np.longdouble).itemsize + (2 << 20)
 
 
+class TestGateOracle:
+    """Above COEFF_GATE_MAX_N the certificate gate takes the oracle's
+    figures without the per-mask one, and so without its product table."""
+
+    @pytest.mark.parametrize("name", [k for k, f in ORACLE_WEIGHTS.items()
+                                      if f().size > COEFF_GATE_MAX_N])
+    def test_gate_figures_are_the_full_figures_bit_for_bit(self, name):
+        a_bytes = ORACLE_WEIGHTS[name]().tobytes()
+        full = list(cs.verify._oracle_errors.__wrapped__(a_bytes, None, True))
+        gate = cs.verify._oracle_errors.__wrapped__(a_bytes, None, False)
+        assert gate[3] == 0.0 and math.copysign(1.0, gate[3]) == 1.0
+        full[3] = 0.0
+        assert np.array(gate).tobytes() == np.array(full).tobytes()
+
+    def test_no_product_table_above_the_gate(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("subset_products called")
+
+        cs.verify._oracle_errors.cache_clear()
+        monkeypatch.setattr(cs.verify, "subset_products", refuse)
+        assert cs.certify_theorem1(COEFF_GATE_MAX_N + 1).overall
+        with pytest.raises(AssertionError, match="subset_products called"):
+            cs.certify_theorem1(COEFF_GATE_MAX_N)
+
+    @pytest.mark.parametrize("n", [COEFF_GATE_MAX_N + k for k in (1, 2, 3)])
+    def test_gate_lhs_is_the_maximum_without_the_per_mask_figure(self, n):
+        params = cs.theorem_params(n)
+        want = replace(cs.oracle_compare(params), err_coefficients=0.0).max_error()
+        gate = cs.certify_theorem1(n).checks[0]
+        assert gate.name == "closed_form_oracle_agreement"
+        assert gate.lhs.hex() == want.hex()
+
+    def test_gate_below_the_cutoff_shares_the_compare_cache_entry(self):
+        params = cs.theorem_params(12)
+        cs.oracle_compare(params)
+        before = cs.verify._oracle_errors.cache_info()
+        cs.certify_theorem1(12)
+        after = cs.verify._oracle_errors.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 class TestCertificates:
     def test_bounded_real_family_passes_with_margins(self):
         for n in (1, 8, 18):
@@ -192,6 +244,13 @@ class TestCertificates:
         names = {c.name for c in cert.checks}
         assert "coefficient_magnitude_deviation" in names
         assert "normalized_influence_half_n" in names
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 15, 16])
+    def test_classical_pair_raw_norms_are_those_of_stats(self, n):
+        raw = cs.stats(cs.build_pq(cs.ParamSeq(np.ones(n))).p)
+        by_name = {c.name: c for c in cs.certify_classical_rs(n).checks}
+        assert by_name["l2_norm_target"].lhs.hex() == raw.l2_norm.hex()
+        assert by_name["linf_over_l2"].lhs.hex() == (raw.linf_norm / raw.l2_norm).hex()
 
     def test_lift_certificate(self):
         for n in (1, 4, 10):

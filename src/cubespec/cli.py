@@ -114,7 +114,8 @@ def _emit(args: argparse.Namespace, rows: list[dict], doc=None, text: str | None
     """Render a report in --format and write it to stdout or --out.
 
     csv is a header plus one line per row dict, json is `doc` (default
-    {"rows": rows}) and text is `text` (default one k=v line per row).
+    {"rows": rows}, non-finite floats as null) and text is `text`
+    (default one k=v line per row).
     """
     if args.format == "csv":
         buf = io.StringIO()
@@ -123,7 +124,10 @@ def _emit(args: argparse.Namespace, rows: list[dict], doc=None, text: str | None
         writer.writerows([_cell(v) for v in row.values()] for row in rows)
         text = buf.getvalue()
     elif args.format == "json":
-        text = json.dumps({"rows": rows} if doc is None else doc, indent=2) + "\n"
+        # strict JSON (RFC 8259 has no NaN or Infinity): non-finite floats become null
+        doc = {"rows": rows} if doc is None else doc
+        doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     elif text is None:
         text = _kv_lines(rows)
     if args.out is None:
@@ -309,8 +313,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {value}")
     return value
 
 

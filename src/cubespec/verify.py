@@ -11,10 +11,10 @@ that per-mask coefficient comparisons stay meaningful: the smallest
 squared coefficient of a pair with weights a_i is prod a_i^2, which for
 small weights sits many orders below the double-precision noise floor
 of a 2^n transform.  Extended precision is an oracle-side measure only;
-the library under test stays in complex128.  `oracle_compare` is the one
-entry point to the enumeration; it caches the six error figures per
-weight vector and table cap (least recently used, at most 256 entries),
-so certificates that share weights enumerate them once.
+the library under test stays in double precision.  `oracle_compare`
+is the one entry point to the enumeration; it caches the six error
+figures per weight vector and table cap (least recently used, at most
+256 entries), so certificates that share weights enumerate them once.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
@@ -35,7 +35,6 @@ import numpy as np
 
 from .construct import (
     ParamSeq,
-    build_pq,
     clamped_sum_l2_norm,
     evaluate_many,
     neeman_function,
@@ -58,7 +57,6 @@ from .spectrum import (
     fwht_inplace,
     lift_zero_mean,
     stats,
-    walsh_transform,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -204,7 +202,7 @@ def _max_deviation(p: np.ndarray, q: np.ndarray, target) -> np.floating:
 
 
 @functools.lru_cache(maxsize=256)
-def _oracle_errors(a_bytes: bytes, max_table_n: int | None, per_mask: bool = True) -> tuple[float, ...]:
+def _oracle_errors(a_bytes: bytes, max_table_n: int | None, per_mask: bool) -> tuple[float, ...]:
     # Whole-table figures taken block by block (spectrum._norm_sums and
     # _spectral_sums) keep the bits of the whole-array expressions; p and q
     # are transformed in place once their norms are taken, so the tables held
@@ -284,6 +282,8 @@ def oracle_campaign(
     coefficients sink below any enumeration's precision, so the draw
     floor keeps the comparison informative.
     """
+    if n < 0:
+        raise ParameterError(f"dimension must be >= 0, got {n}")
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     if not 0.0 <= low <= 1.0:
@@ -411,10 +411,12 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     one, and the unit-norm rescaling has influence n/2 and entropy n."""
     params = ParamSeq(np.ones(n))
     gate = _gate(params, tol, max_table_n)
-    pair = build_pq(params, max_table_n)
-    coeff_dev = float(np.max(np.abs(np.abs(walsh_transform(pair.p, max_table_n).coeffs) - 1.0)))
-    l2_sq, linf = _norm_sums(pair.p.values.real)
+    p = _pq_tables(params.a)[0]  # raw P alone; the gate has refused n above the cap
+    l2_sq, linf = _norm_sums(p)
     l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
+    np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's real plane
+    coeff_dev = float(np.max(np.abs(np.subtract(np.abs(p, out=p), 1.0, out=p), out=p)))
+    del p  # freed before the normalized table is built
     norm = stats(normalized_real(params, max_table_n), max_table_n)
     checks = [
         gate,

@@ -142,6 +142,15 @@ class TestStats:
         assert rec["entropy"] > 3.7647
         assert rec["bound"] == pytest.approx((16 / 17) * 4.0, rel=1e-12)
 
+    def test_json_is_strict_with_a_nan_ratio(self, capsys):
+        def refuse(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        code, stdout, _ = run(capsys, ["stats", "--n", "0", "--kind", "real", "--format", "json"])
+        assert code == 0
+        rec = json.loads(stdout, parse_constant=refuse)
+        assert rec["ratio"] is None and rec["l2"] == 1.0
+
     def test_file_input_round_trip(self, capsys, tmp_path):
         out = tmp_path / "f.txt"
         run(capsys, ["gen", "--n", "3", "--kind", "classical", "--out", str(out)])
@@ -626,6 +635,8 @@ def test_stats_builds_with_default_kind_and_clamp(capsys):
     (["verify", "--kind", "real", "--n", "6", "--tol", "0"], "tolerance must be positive"),
     (["verify", "--kind", "real", "--n", "6", "--tol=-1e-9"], "tolerance must be positive"),
     (["verify", "--kind", "real", "--n", "6", "--tol", "nan"], "tolerance must be positive"),
+    (["verify", "--kind", "real", "--n", "6", "--tol", "inf"], "tolerance must be positive and finite"),
+    (["verify", "--kind", "real", "--n", "6", "--tol", "1e400"], "tolerance must be positive and finite"),
     (["neeman", "--n", "6,-8"], "dimension must be >= 0"),
     (["sweep", "--n", "-16", "--a", "4"], "dimension must be >= 0"),
     (["stats", "--n", "-1", "--kind", "sum"], "dimension must be >= 0"),

@@ -143,6 +143,15 @@ class TestOracle:
         rep = cs.oracle_campaign(3, trials=2, seed=7, low=low)
         assert rep.trials == 2 and rep.max_error() < 1e-9
 
+    @pytest.mark.parametrize("n", [-1, -20])
+    def test_campaign_refuses_a_negative_dimension(self, n):
+        with pytest.raises(cs.ParameterError, match=f"dimension must be >= 0, got {n}"):
+            cs.oracle_campaign(n, trials=2, seed=7)
+
+    def test_campaign_runs_at_dimension_zero(self):
+        rep = cs.oracle_campaign(0, trials=2, seed=7)
+        assert rep.trials == 2 and rep.max_error() < 1e-9
+
 
 def _uniform_draw(seed, n):
     return 1.0 - np.random.default_rng(seed).uniform(0.0, 0.95, n)
@@ -167,17 +176,17 @@ class TestBlockwiseOracle:
     @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
     def test_figures_bits_equal_the_whole_array_code(self, name):
         a = ORACLE_WEIGHTS[name]()
-        got = cs.verify._oracle_errors.__wrapped__(a.tobytes(), None)
+        got = cs.verify._oracle_errors.__wrapped__(a.tobytes(), None, True)
         assert np.array(got).tobytes() == np.array(orc.whole_array_oracle_errors(a)).tobytes()
 
     def test_peak_is_three_longdouble_tables_plus_two_mib(self):
         n = 16
         a_bytes = cs.theorem_params(n).a.tobytes()
-        cs.verify._oracle_errors.__wrapped__(a_bytes, None)  # warms the popcount table
+        cs.verify._oracle_errors.__wrapped__(a_bytes, None, True)  # warms the popcount table
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cs.verify._oracle_errors.__wrapped__(a_bytes, None)
+            cs.verify._oracle_errors.__wrapped__(a_bytes, None, True)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -251,6 +260,30 @@ class TestCertificates:
         by_name = {c.name: c for c in cs.certify_classical_rs(n).checks}
         assert by_name["l2_norm_target"].lhs.hex() == raw.l2_norm.hex()
         assert by_name["linf_over_l2"].lhs.hex() == (raw.linf_norm / raw.l2_norm).hex()
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_classical_pair_raw_figures_are_those_of_the_complex_route(self, n):
+        # the certificate's route before it transformed P alone in float64
+        pair = cs.build_pq(cs.ParamSeq(np.ones(n)))
+        coeff_dev = float(np.max(np.abs(np.abs(cs.walsh_transform(pair.p).coeffs) - 1.0)))
+        l2_sq, linf = cs.spectrum._norm_sums(pair.p.values.real)
+        l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
+        by_name = {c.name: c for c in cs.certify_classical_rs(n).checks}
+        assert by_name["coefficient_magnitude_deviation"].lhs.hex() == coeff_dev.hex()
+        assert by_name["l2_norm_target"].lhs.hex() == l2.hex()
+        assert by_name["linf_over_l2"].lhs.hex() == (float(linf) / l2).hex()
+
+    def test_classical_pair_peak_is_under_four_float64_tables(self):
+        n = 18
+        cs.certify_classical_rs(n)  # warms the oracle cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cs.certify_classical_rs(n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (1 << n) * 8
 
     def test_lift_certificate(self):
         for n in (1, 4, 10):

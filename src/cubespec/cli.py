@@ -240,12 +240,9 @@ def _select_certificates(args: argparse.Namespace, n: int) -> list:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     certs = _select_certificates(args, _single_n(args))
-    rows = [
-        {"kind": c.kind, "n": c.n, "check": ch.name, "lhs": ch.lhs, "relation": ch.relation,
-         "rhs": ch.rhs, "margin": ch.margin, "pass": ch.passed}
-        for c in certs
-        for ch in c.checks
-    ]
+    # one row per check: its to_dict fields, "name" written as "check"
+    rows = [{"kind": c.kind, "n": c.n, "check": d.pop("name"), **d}
+            for c in certs for d in c.to_dict()["checks"]]
     doc = {"certificates": [c.to_dict() for c in certs], "all_pass": all(c.overall for c in certs)}
     _emit(args, rows, doc, "\n\n".join(c.to_text() for c in certs) + "\n")
     failed = [row for row in rows if not row["pass"]]

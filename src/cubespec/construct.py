@@ -127,7 +127,7 @@ def _log2_one_plus(a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(lg, _LN2, out=lg)
 
 
-def _pq_tables(a: Sequence[float], dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def _pq_tables(a: Sequence[float], dtype=np.float64, start=(1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     """Raw value tables of the pair, via the doubling step, in `dtype`.
 
     The first half of each table is the eps = +1 branch (new index bit
@@ -135,13 +135,14 @@ def _pq_tables(a: Sequence[float], dtype=np.float64) -> tuple[np.ndarray, np.nda
     `spectrum`.  Each step doubles in place inside the final arrays,
     with the same per-element operations as concatenating
     [p + aq, p - aq] and [ap - q, -ap - q], signed zeros included.
+    `start` is (P, Q) of the empty sequence; the step is linear in it.
     """
     size = 1 << len(a)
     p = np.empty(size, dtype=dtype)
     q = np.empty(size, dtype=dtype)
     aq_buf = np.empty(size // 2, dtype=dtype)
     ap_buf = np.empty(size // 2, dtype=dtype)
-    p[0] = q[0] = 1.0
+    p[0], q[0] = start
     m = 1
     for ai in a:
         ai = dtype(ai)

@@ -6,15 +6,15 @@ certified.  Before a certificate is issued, the closed forms themselves
 are gated against the enumeration oracle and the maximum relative
 discrepancy is recorded as the certificate's first check.
 
-The oracle builds its tables in extended precision (np.longdouble) so
-that per-mask coefficient comparisons stay meaningful: the smallest
-squared coefficient of a pair with weights a_i is prod a_i^2, which for
-small weights sits many orders below the double-precision noise floor
-of a 2^n transform.  Extended precision is an oracle-side measure only;
-the library under test stays in double precision.  `oracle_compare`
-is the one entry point to the enumeration; it caches the six error
-figures per weight vector and table cap (least recently used, at most
-256 entries), so certificates that share weights enumerate them once.
+The oracle enumerates in extended precision (np.longdouble) through a
+rank-2 split of the pair: every value and coefficient is a sum of two
+products of 2^(n/2)-entry half tables or their transforms, taken one
+block at a time.  It holds no 2^n-entry table (under 3 MiB at n = 20),
+and resolves each squared coefficient against prod a_i^2 up to
+COEFF_GATE_MAX_N; the library under test stays in double precision.
+`oracle_compare` is the one entry point; it caches the six error figures
+per weight vector and table cap (least recently used, at most 256
+entries), so certificates that share weights enumerate them once.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
 from typing import Iterable, Sequence
 
@@ -50,12 +50,14 @@ from .construct import (
 from .errors import ParameterError
 from .spectrum import (
     DEFAULT_TABLE_CAP,
+    ZERO_WEIGHT_CUTOFF,
     _BLOCK,
     _norm_sums,
-    _spectral_sums,
+    _pairwise_sum,
     check_table_dim,
     fwht_inplace,
     lift_zero_mean,
+    popcounts,
     stats,
 )
 
@@ -110,6 +112,9 @@ def check_rel(name: str, lhs: float, target: float, tol: float) -> Check:
     return Check(name, float(lhs), "~rel", float(target), float(tol - err), err <= tol)
 
 
+_CHECK_KEYS = ("name", "lhs", "relation", "rhs", "margin", "pass")
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -125,29 +130,16 @@ class Certificate:
             "n": self.n,
             "log_base": self.log_base,
             "inputs": dict(self.inputs),
-            "checks": [
-                {
-                    "name": c.name,
-                    "lhs": c.lhs,
-                    "relation": c.relation,
-                    "rhs": c.rhs,
-                    "margin": c.margin,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
+            # Check's fields in order, `passed` written as "pass"
+            "checks": [dict(zip(_CHECK_KEYS, astuple(c))) for c in self.checks],
             "overall": self.overall,
         }
 
     def to_text(self) -> str:
         lines = [f"certificate kind={self.kind} n={self.n} log_base={self.log_base}"]
-        for k, v in self.inputs.items():
-            lines.append(f"input {k}={v}")
-        for c in self.checks:
-            lines.append(
-                f"check name={c.name} lhs={c.lhs!r} relation={c.relation} "
-                f"rhs={c.rhs!r} margin={c.margin!r} pass={str(c.passed).lower()}"
-            )
+        lines += [f"input {k}={v}" for k, v in self.inputs.items()]
+        lines += [f"check name={c.name} lhs={c.lhs!r} relation={c.relation} rhs={c.rhs!r} "
+                  f"margin={c.margin!r} pass={str(c.passed).lower()}" for c in self.checks]
         lines.append(f"overall={str(self.overall).lower()}")
         return "\n".join(lines)
 
@@ -188,104 +180,113 @@ class OracleReport:
         return self.max_error() < tol
 
 
-def _max_deviation(p: np.ndarray, q: np.ndarray, target) -> np.floating:
-    """max |p*p + q*q - target| (pointwise constancy), one block at a time."""
-    block = min(p.size, _BLOCK)
-    scratch = np.empty((2, block), dtype=p.dtype)
-    peaks = []
-    for lo in range(0, p.size, block):
-        s = np.multiply(p[lo : lo + block], p[lo : lo + block], out=scratch[0])
-        np.add(s, np.multiply(q[lo : lo + block], q[lo : lo + block], out=scratch[1]), out=s)
-        np.subtract(s, target, out=s)
-        peaks.append(np.max(np.abs(s, out=s)))
-    return np.max(peaks)
-
-
 @functools.lru_cache(maxsize=256)
-def _oracle_errors(a_bytes: bytes, max_table_n: int | None, per_mask: bool) -> tuple[float, ...]:
-    # Whole-table figures taken block by block (spectrum._norm_sums and
-    # _spectral_sums) keep the bits of the whole-array expressions; p and q
-    # are transformed in place once their norms are taken, so the tables held
-    # are p, q and, for the per-mask figure (0.0 without per_mask), the products.
+def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]:
+    # The doubling step is linear in (P, Q): with m ~ n / 2, (p, q) the pair
+    # of a[:m] and (u1, v1), (u2, v2) that of a[m:] from (1, 0) and (0, 1),
+    # P(xl + 2^m xh) = u1(xh) p(xl) + u2(xh) q(xl) and Q = v1 p + v2 q.  The
+    # transform of a product over disjoint variables is the product of the
+    # transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A).  Both are
+    # multiplied out one block of rows (xh or B) at a time, and block sums
+    # recombine along np.sum's split.
     ld = np.longdouble
     a64 = np.frombuffer(a_bytes)
     n = a64.size
     check_table_dim(n, max_table_n)
-    a = a64.astype(ld)
-    a2 = a * a
+    a2 = np.square(a64.astype(ld))
     one_plus = 1.0 + a2
     big_l = ld(np.prod(one_plus))
 
-    p, q = _pq_tables(a64, dtype=ld)
-    target_const = 2.0 * big_l
-    err_const = float(_max_deviation(p, q, target_const) / target_const)
-
     # independent closed-form targets, linear domain (no log/exp route)
     others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
+    target_const = 2.0 * big_l
     target_l2 = np.sqrt(big_l)
     target_infl = ld(np.sum(a2 * others))
-    log2_a2 = np.log2(a2)
-    target_ent = ld(-np.sum(others * a2 * log2_a2))
+    target_ent = ld(-np.sum(others * a2 * np.log2(a2)))
 
-    prod_table = subset_products(a2, dtype=ld) if per_mask else None
-    size_ld = ld(1 << n)
-    w = np.empty(min(1 << n, _BLOCK), dtype=ld)
+    m = min(n // 2, _BLOCK.bit_length() - 1)  # a block holds whole rows
+    low = _pq_tables(a64[:m], ld)
+    (u1, v1), (u2, v2) = (_pq_tables(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
+    # normalized transforms of the half tables; then the (high-half pair,
+    # low-half pair) of P, Q, P^ and Q^, and the per-mask targets
+    low_hat, *high_hats = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
+                           for pair in (low, (u1, u2), (v1, v2))]
+    factors = [((u1, u2), low), ((v1, v2), low), *((h, low_hat) for h in high_hats)]
+    products = subset_products(a2[m:], dtype=ld), subset_products(a2[:m], dtype=ld)
 
-    worst = (0.0,) * 5
-    for table in (p, q):
-        l2_sq, linf = _norm_sums(table)
-        l2 = np.sqrt(l2_sq / size_ld)
-        fwht_inplace(table)
-        coeff_peaks = []
+    size = 1 << n
+    block = min(size, _BLOCK)
+    buf = np.empty((4, block), dtype=ld)
+    grid = buf.reshape(4, block >> m, 1 << m)
+    pc_low = popcounts(block.bit_length() - 1)
+    peaks = []
 
-        def weights(lo, hi):
-            # coefficients on the expectation scale, squared; then the
-            # per-mask error |w - prod| / prod in the spent block
-            c = table[lo:hi]
-            c /= size_ld
-            sq = np.multiply(c, c, out=w[: c.size])
-            if per_mask:
-                np.subtract(sq, prod_table[lo:hi], out=c)
-                np.abs(c, out=c)
-                np.divide(c, prod_table[lo:hi], out=c)
-                coeff_peaks.append(np.max(c))
-            return sq
+    def leaf(lo, hi):
+        rows = slice(lo >> m, hi >> m)
 
-        infl, _, ent = _spectral_sums(n, weights, table)
-        lo, hi = target_l2, SQRT2 * target_l2
-        errs = (
-            abs(l2 - target_l2) / target_l2,
-            max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
-            np.max(coeff_peaks) if per_mask else 0.0,
-            abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
-            abs(ent - target_ent) / max(abs(target_ent), big_l),
-        )
-        worst = tuple(map(max, worst, map(float, errs)))
-    return (err_const, *worst)
+        def outer(k, x, y):  # x[rows] (x) y, into buf[k]
+            return np.multiply(x[rows, None], y, out=grid[k]).reshape(-1)
+
+        def mix(k, highs, lows):  # the sum of two outer products, into buf[k]
+            return np.add(outer(k, highs[0], lows[0]), outer(2, highs[1], lows[1]), out=buf[k])
+
+        pq = [mix(k, *f) for k, f in enumerate(factors[:2])]
+        linf = [np.max(np.abs(x, out=buf[2])) for x in pq]
+        l2_sq = [np.sum(np.multiply(x, x, out=x)) for x in pq]
+        s = np.add(*pq, out=pq[0])
+        dev = np.max(np.abs(np.subtract(s, target_const, out=s), out=s))
+
+        target = outer(3, *products)
+        pc = pc_low + np.uint8(lo.bit_count())
+        per_mask, infl, ent = [], [], []
+        for f in factors[2:]:
+            w = mix(0, *f)
+            np.multiply(w, w, out=w)
+            e = np.abs(np.subtract(w, target, out=buf[1]), out=buf[1])
+            per_mask.append(np.max(np.divide(e, target, out=e)))
+            infl.append(np.sum(np.multiply(w, pc, out=buf[1])))
+            keep = w >= ZERO_WEIGHT_CUTOFF
+            terms = np.log2(w, out=buf[1], where=keep)
+            ent.append(-np.sum(np.multiply(w, terms, out=terms, where=keep), where=keep))
+        peaks.append((dev, *linf, *per_mask))
+        return np.array((l2_sq, infl, ent))
+
+    sums = _pairwise_sum(leaf, 0, size)
+    dev, *peaks = np.max(peaks, axis=0)
+    lo, hi = target_l2, SQRT2 * target_l2
+    planes = [(  # the five figures of P, then of Q
+        abs(np.sqrt(l2_sq / ld(size)) - target_l2) / target_l2,
+        max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
+        per_mask,
+        abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
+        abs(ent - target_ent) / max(abs(target_ent), big_l),
+    ) for l2_sq, infl, ent, linf, per_mask in zip(*sums, peaks[:2], peaks[2:])]
+    return (float(dev / target_const), *(max(0.0, *map(float, fig)) for fig in zip(*planes)))
 
 
 def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> OracleReport:
     """Re-derive every closed-form quantity by enumeration; report max errors."""
-    return OracleReport(1, None, *_oracle_errors(params.a.tobytes(), max_table_n, True))
+    return OracleReport(1, None, *_oracle_errors(params.a.tobytes(), max_table_n))
 
 
-def oracle_campaign(
-    n: int,
-    trials: int = 100,
-    seed: int = 12345,
-    max_table_n: int | None = None,
-    low: float = 0.05,
-) -> OracleReport:
+def _count(what: str, value, least: int) -> int:
+    # an integer (numpy's too) of at least `least`, else ParameterError
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{what} must be >= {least}, got {value}")
+    return int(value)
+
+
+def oracle_campaign(n: int, trials: int = 100, seed: int = 12345,
+                    max_table_n: int | None = None, low: float = 0.05) -> OracleReport:
     """Aggregate oracle_compare over seeded random weight draws.
 
     Weights are uniform on (low, 1]; very small a_i are legal but their
     coefficients sink below any enumeration's precision, so the draw
     floor keeps the comparison informative.
     """
-    if n < 0:
-        raise ParameterError(f"dimension must be >= 0, got {n}")
-    if trials < 1:
-        raise ParameterError(f"need at least one trial, got {trials}")
+    n, trials = _count("dimension", n, 0), _count("trials", trials, 1)
     if not 0.0 <= low <= 1.0:
         raise ParameterError(f"low must lie in [0, 1], got {low}")
     rng = np.random.default_rng(seed)
@@ -302,22 +303,22 @@ def _entropy_bound(n: int) -> float:
     return (n / (n + 1.0)) * math.log2(n) if n >= 1 else 0.0
 
 
-#: Largest n at which the per-mask coefficient comparison still resolves:
-#: the smallest squared coefficient shrinks like prod a_i^2 while the
-#: enumeration noise does not, and measured discrepancies cross 1e-12
-#: between n = 14 and n = 17 even in extended precision.  Above this the
-#: certificate gate drops that one field; aggregate quantities (norms,
-#: constancy, influence, entropy) stay gated at every n.  A float64
-#: longdouble needs 12 (1.5e-9 at n = 14, simulated; never run there).
-COEFF_GATE_MAX_N = 14 if np.finfo(np.longdouble).nmant >= 63 else 12
+#: Largest n at which the certificate gate holds the per-mask figure: for
+#: the theorem weights it reads 1.4e-13 at n = 20 and 4.6e-11 at n = 26 in
+#: x87 extended precision, and 1.7e-10 at n = 20 and 7.2e-9 at n = 24 in a
+#: float64 simulation (never run there).  Above it that one figure is left
+#: out; the aggregate figures are gated at every n.
+COEFF_GATE_MAX_N = 26 if np.finfo(np.longdouble).nmant >= 63 else 20
 
 
 def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
-    # above the cutoff the per-mask figure is 0.0, out of the maximum (the rest
-    # are >= 0, or nan, which max() passes over unless it comes first); passed
-    # positionally as oracle_compare does, so the two share one cache entry
-    errors = _oracle_errors(params.a.tobytes(), max_table_n, params.n <= COEFF_GATE_MAX_N)
-    return check_lt("closed_form_oracle_agreement", OracleReport(1, None, *errors).max_error(), tol)
+    # oracle_compare's cache entry; above the cutoff the per-mask figure reads
+    # 0.0, out of the maximum (the rest are >= 0, or nan, which max() passes
+    # over unless it comes first)
+    report = oracle_compare(params, max_table_n=max_table_n)
+    if params.n > COEFF_GATE_MAX_N:
+        report = replace(report, err_coefficients=0.0)
+    return check_lt("closed_form_oracle_agreement", report.max_error(), tol)
 
 
 def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
@@ -409,6 +410,7 @@ def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None
 def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Weight-one case: every coefficient of the raw pair has magnitude
     one, and the unit-norm rescaling has influence n/2 and entropy n."""
+    n = _count("dimension", n, 0)
     params = ParamSeq(np.ones(n))
     gate = _gate(params, tol, max_table_n)
     p = _pq_tables(params.a)[0]  # raw P alone; the gate has refused n above the cap

@@ -33,16 +33,17 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _count
 from .spectrum import (
     _BLOCK,
     HypercubeFunction,
     _adopt,
+    _doubled,
     _pairwise_sum,
     check_table_dim,
 )
@@ -168,11 +169,7 @@ def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
     """
     t = np.empty(1 << len(factors), dtype=dtype)
     t[0] = 1.0
-    m = 1
-    for f in factors:
-        np.multiply(t[:m], dtype(f), out=t[m : 2 * m])
-        m *= 2
-    return t
+    return _doubled(t, np.multiply, map(dtype, factors))
 
 
 def build_pq(params: ParamSeq, max_table_n: int | None = None) -> RSPair:
@@ -530,8 +527,7 @@ def four_variants(params: ParamSeq, max_table_n: int | None = None):
 
 def theorem_params(n: int) -> ParamSeq:
     """The constant sequence a_i = 1/sqrt(n) of length n (n >= 1)."""
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    n = _count("dimension", n, 1)
     return ParamSeq(np.full(n, 1.0 / math.sqrt(n)))
 
 
@@ -541,7 +537,7 @@ def remark3_params(n: int, a: float) -> ParamSeq:
     Downstream, the unit-norm variants then have influence strictly
     between a/2 and a, and entropy above (a/2)(log2 n - log2 a).
     """
-    a = float(a)
+    n, a = _count("dimension", n, 0), float(a)
     if not 1.0 < a < n:
         raise ParameterError(f"scale must satisfy 1 < a < n, got a={a}, n={n}")
     return ParamSeq(np.full(n, math.sqrt(a / n)))
@@ -560,8 +556,7 @@ def clamped_sum_l2_norm(n: int, clamp: float) -> float:
     rounded quotient of exact integers: finite at any n, no 2^n table;
     3 ms at n = 1024, 55 ms at 10^4, 3 s at 10^5 on a 2-CPU x86-64 host.
     """
-    if n < 1:
-        raise ParameterError("dimension must be at least 1")
+    n = _count("dimension", n, 1)
     if not clamp > 0.0:
         raise ParameterError(f"clamp must be positive, got {clamp!r}")
     inv_s = 1.0 / math.sqrt(n)
@@ -589,20 +584,15 @@ def neeman_function(
     exact binomial-weight L2 norm from clamped_sum_l2_norm, keeping the
     values bounded by clamp / that norm.
     """
-    if n < 1:
-        raise ParameterError(f"need n >= 1, got {n}")
+    n = _count("dimension", n, 1)
     clamp = float(clamp)
     if not clamp > 0.0:
         raise ParameterError(f"clamp threshold must be positive, got {clamp}")
     check_table_dim(n, max_table_n)
     out = np.zeros(1 << n, dtype=np.complex128)
     values = out.real  # a view: (n - 2 popcount) / sqrt(n), clamped, in place
-    # values[m:2m] = values[:m] - 2, doubling in place: exact integers n - 2k
     values[0] = n
-    m = 1
-    for _ in range(n):
-        np.subtract(values[:m], 2.0, out=values[m : 2 * m])
-        m *= 2
+    _doubled(values, np.subtract, repeat(2.0, n))  # values[m:2m] = values[:m] - 2: exact
     values /= math.sqrt(n)
     np.clip(values, -clamp, clamp, out=values)
     if normalize:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import numpy as np
 
 
 class CubespecError(Exception):
@@ -7,6 +9,15 @@ class CubespecError(Exception):
 
 class ParameterError(CubespecError, ValueError):
     """An argument is outside its allowed range or malformed."""
+
+
+def _count(what: str, value, least: int) -> int:
+    # an integer (numpy's too) of at least `least`, else ParameterError
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{what} must be >= {least}, got {value}")
+    return int(value)
 
 
 class ResourceLimitError(CubespecError):

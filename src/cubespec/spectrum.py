@@ -47,10 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, _count
 
 #: Largest dimension for which 2^n tables are built by default.
 DEFAULT_TABLE_CAP = 26
@@ -68,16 +69,18 @@ def check_table_dim(n: int, max_table_n: int | None = None) -> None:
                                  f"a 2^{n}-entry table was refused")
 
 
-def _frozen_table(values, n: int, copy: bool = True) -> np.ndarray:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ParameterError(f"dimension must be a non-negative integer, got {n!r}")
+def _freeze(obj, n, values, copy: bool = True):
+    # checks n and the table, then stores n as a Python int and the table frozen
+    n = _count("dimension", n, 0)
     arr = (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C").reshape(-1)
     if arr.size != (1 << n):
         raise ParameterError(f"table length {arr.size} does not match 2^{n} = {1 << n}")
     if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
         raise ParameterError("table contains non-finite values")
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(obj, "n", n)
+    object.__setattr__(obj, fields(obj)[1].name, arr)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -88,7 +91,7 @@ class HypercubeFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_table(self.values, self.n))
+        _freeze(self, self.n, self.values)
 
     @property
     def is_real(self) -> bool:
@@ -105,16 +108,13 @@ class FourierSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _frozen_table(self.coeffs, self.n))
+        _freeze(self, self.n, self.coeffs)
 
 
 def _adopt(cls, n: int, table: np.ndarray):
     # cls(n, table) for a fresh complex128 table held nowhere else: checked
     # and frozen in place like the constructor does, but not copied again
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "n", n)
-    object.__setattr__(obj, fields(cls)[1].name, _frozen_table(table, n, copy=False))
-    return obj
+    return _freeze(object.__new__(cls), n, table, copy=False)
 
 
 @dataclass(frozen=True)
@@ -128,15 +128,18 @@ class SpectralStats:
     total_weight: float  # sum of squared coefficient weights (Parseval mass)
 
 
+def _doubled(t: np.ndarray, op, steps) -> np.ndarray:
+    # t[m:2m] = op(t[:m], step) for m = 1, 2, 4, ... in turn: fills t in place from t[0]
+    for k, step in enumerate(steps):
+        op(t[: 1 << k], step, out=t[1 << k : 2 << k])
+    return t
+
+
 def popcounts(n: int) -> np.ndarray:
     """popcount of every mask in [0, 2^n), in ascending mask order; a fresh table."""
-    # pc[m:2m] = pc[:m] + 1, doubling in place inside the final array
-    pc = np.empty(1 << n, dtype=np.uint8)
-    pc[0] = 0
-    m = 1
-    for _ in range(n):
-        np.add(pc[:m], np.uint8(1), out=pc[m : 2 * m])
-        m *= 2
+    n = _count("dimension", n, 0)
+    pc = np.zeros(1 << n, dtype=np.uint8)
+    _doubled(pc, np.add, repeat(np.uint8(1), n))  # pc[m:2m] = pc[:m] + 1
     pc.setflags(write=False)
     return pc
 

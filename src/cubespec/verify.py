@@ -1,10 +1,12 @@
 """Brute-force oracle and certification of the counterexample claims.
 
 Certificates re-derive every claimed inequality from raw value tables
-(2^n enumeration plus the transform), never from the closed forms being
-certified.  Before a certificate is issued, the closed forms themselves
-are gated against the enumeration oracle and the maximum relative
-discrepancy is recorded as the certificate's first check.
+(2^n enumeration plus the transform), not from the closed forms being
+certified, with one exception: certify_remark3's `cf_` checks read the
+closed forms alone, and above the table cap they are its only checks.
+Before a certificate is issued, the closed forms themselves are gated
+against the enumeration oracle and the maximum relative discrepancy is
+recorded as the certificate's first check.
 
 The oracle enumerates in extended precision (np.longdouble) through a
 rank-2 split of the pair: every value and coefficient is a sum of two
@@ -47,7 +49,7 @@ from .construct import (
     _pq_tables,
     _unit_modulus_factor,
 )
-from .errors import ParameterError
+from .errors import ParameterError, _count
 from .spectrum import (
     DEFAULT_TABLE_CAP,
     ZERO_WEIGHT_CUTOFF,
@@ -85,31 +87,31 @@ class Check:
 
 
 def check_lt(name: str, lhs: float, rhs: float) -> Check:
-    return Check(name, float(lhs), "<", float(rhs), float(rhs - lhs), lhs < rhs)
+    return Check(name, float(lhs), "<", float(rhs), float(rhs - lhs), bool(lhs < rhs))
 
 
 def check_gt(name: str, lhs: float, rhs: float) -> Check:
-    return Check(name, float(lhs), ">", float(rhs), float(lhs - rhs), lhs > rhs)
+    return Check(name, float(lhs), ">", float(rhs), float(lhs - rhs), bool(lhs > rhs))
 
 
 def check_le(name: str, lhs: float, rhs: float) -> Check:
-    return Check(name, float(lhs), "<=", float(rhs), float(rhs - lhs), lhs <= rhs)
+    return Check(name, float(lhs), "<=", float(rhs), float(rhs - lhs), bool(lhs <= rhs))
 
 
 def check_ge(name: str, lhs: float, rhs: float) -> Check:
-    return Check(name, float(lhs), ">=", float(rhs), float(lhs - rhs), lhs >= rhs)
+    return Check(name, float(lhs), ">=", float(rhs), float(lhs - rhs), bool(lhs >= rhs))
 
 
 def check_abs(name: str, lhs: float, target: float, tol: float) -> Check:
     """|lhs - target| <= tol; margin is tol minus the observed error."""
     err = abs(lhs - target)
-    return Check(name, float(lhs), "~abs", float(target), float(tol - err), err <= tol)
+    return Check(name, float(lhs), "~abs", float(target), float(tol - err), bool(err <= tol))
 
 
 def check_rel(name: str, lhs: float, target: float, tol: float) -> Check:
     """|lhs - target| <= tol * |target|; margin is tol minus the relative error."""
     err = abs(lhs - target) / max(abs(target), 1e-300)
-    return Check(name, float(lhs), "~rel", float(target), float(tol - err), err <= tol)
+    return Check(name, float(lhs), "~rel", float(target), float(tol - err), bool(err <= tol))
 
 
 _CHECK_KEYS = ("name", "lhs", "relation", "rhs", "margin", "pass")
@@ -148,6 +150,7 @@ def make_certificate(kind: str, n: int, inputs: dict, checks: Iterable[Check]) -
     if kind not in CERTIFICATE_KINDS:
         raise ParameterError(f"unknown certificate kind {kind!r}")
     checks = tuple(checks)
+    n = _count("dimension", n, 0)  # a Python int, so to_dict is JSON
     return Certificate(kind, n, dict(inputs), checks, all(c.passed for c in checks))
 
 
@@ -174,7 +177,8 @@ class OracleReport:
         return tuple(getattr(self, f.name) for f in fields(self) if f.name.startswith("err_"))
 
     def max_error(self) -> float:
-        return max(self.errors())
+        """The largest figure; nan if any figure is nan."""
+        return float(np.max(self.errors()))
 
     def passed(self, tol: float) -> bool:
         return self.max_error() < tol
@@ -261,21 +265,13 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
         abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
         abs(ent - target_ent) / max(abs(target_ent), big_l),
     ) for l2_sq, infl, ent, linf, per_mask in zip(*sums, peaks[:2], peaks[2:])]
-    return (float(dev / target_const), *(max(0.0, *map(float, fig)) for fig in zip(*planes)))
+    # np.max keeps a nan figure, where a fold with Python max passes over it
+    return (float(dev / target_const), *map(float, np.max(planes, axis=0)))
 
 
 def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> OracleReport:
     """Re-derive every closed-form quantity by enumeration; report max errors."""
     return OracleReport(1, None, *_oracle_errors(params.a.tobytes(), max_table_n))
-
-
-def _count(what: str, value, least: int) -> int:
-    # an integer (numpy's too) of at least `least`, else ParameterError
-    if not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise ParameterError(f"{what} must be >= {least}, got {value}")
-    return int(value)
 
 
 def oracle_campaign(n: int, trials: int = 100, seed: int = 12345,
@@ -290,12 +286,12 @@ def oracle_campaign(n: int, trials: int = 100, seed: int = 12345,
     if not 0.0 <= low <= 1.0:
         raise ParameterError(f"low must lie in [0, 1], got {low}")
     rng = np.random.default_rng(seed)
-    worst = (0.0,) * 6
+    worst = np.zeros(6)
     for _ in range(trials):
         a = 1.0 - rng.uniform(0.0, 1.0 - low, size=n)
         rep = oracle_compare(ParamSeq(a), max_table_n=max_table_n)
-        worst = tuple(map(max, worst, rep.errors()))
-    return OracleReport(trials, seed, *worst)
+        np.maximum(worst, rep.errors(), out=worst)  # a nan figure stays nan
+    return OracleReport(trials, seed, *map(float, worst))
 
 
 def _entropy_bound(n: int) -> float:
@@ -313,8 +309,8 @@ COEFF_GATE_MAX_N = 26 if np.finfo(np.longdouble).nmant >= 63 else 20
 
 def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
     # oracle_compare's cache entry; above the cutoff the per-mask figure reads
-    # 0.0, out of the maximum (the rest are >= 0, or nan, which max() passes
-    # over unless it comes first)
+    # 0.0, out of the maximum (the rest are >= 0, or nan, which max_error
+    # keeps, so the gate fails)
     report = oracle_compare(params, max_table_n=max_table_n)
     if params.n > COEFF_GATE_MAX_N:
         report = replace(report, err_coefficients=0.0)
@@ -506,8 +502,7 @@ def modulus_spotcheck(params: ParamSeq, samples: int = 10_000, seed: int = 2024)
     seed gives the same points and result.  It is nan, with no point
     evaluated, where |P + iQ| = sqrt(2L) > 2^1023 (1 + log2 L > 2046).
     """
-    if samples < 1:
-        raise ParameterError(f"need at least one sample, got {samples}")
+    samples = _count("samples", samples, 1)
     factor = _unit_modulus_factor(params)
     if factor < 2.0**-1023:
         return math.nan

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import cubespec as cs
 import oracles as orc
+from cubespec import verify
 from cubespec.verify import (
     NEEMAN_INFLUENCE_BAND,
     check_abs,
@@ -34,6 +36,38 @@ CLAMPED_SUM_PINS = {
 
 def rel_close(got, want, tol=1e-12):
     return abs(got - want) <= tol * max(1.0, abs(want))
+
+
+#: Public entry points that take an integer dimension or count, as (call
+#: with that integer, least accepted value); each call is valid at 4.
+COUNT_TAKERS = {
+    "HypercubeFunction": (lambda n: cs.HypercubeFunction(n, np.ones(16)), 0),
+    "FourierSpectrum": (lambda n: cs.FourierSpectrum(n, np.ones(16)), 0),
+    "popcounts": (cs.popcounts, 0),
+    "theorem_params": (cs.theorem_params, 1),
+    "remark3_params": (lambda n: cs.remark3_params(n, 2.0), 0),
+    "neeman_function": (cs.neeman_function, 1),
+    "normalized_sum": (cs.normalized_sum, 1),
+    "clamped_sum_l2_norm": (lambda n: cs.clamped_sum_l2_norm(n, 2.0), 1),
+    "spotcheck samples": (lambda k: cs.modulus_spotcheck(cs.theorem_params(3), samples=k), 1),
+    "certify_theorem1": (cs.certify_theorem1, 1),
+    "certify_theorem2": (cs.certify_theorem2, 1),
+    "certify_remark2": (cs.certify_remark2, 1),
+    "certify_remark3": (lambda n: cs.certify_remark3(n, 2.0), 0),
+    "certify_neeman": (cs.certify_neeman, 1),
+    "neeman_regression": (lambda n: cs.neeman_regression([n]), 1),
+    "certify_classical_rs": (cs.certify_classical_rs, 0),
+    "oracle_campaign": (lambda n: cs.oracle_campaign(n, trials=2, seed=7), 0),
+    "campaign trials": (lambda k: cs.oracle_campaign(3, trials=k, seed=7), 1),
+}
+BAD_COUNTS = [2.5, np.float64(4.0), "4", None]
+
+
+def _numpy_integers_are_counts():
+    for call, _ in COUNT_TAKERS.values():
+        result = call(np.int64(4))
+        if isinstance(result, verify.Certificate):
+            json.dumps(result.to_dict())  # n and the pass flags are Python types
 
 
 class TestCheckHelpers:
@@ -150,15 +184,35 @@ class TestOracle:
         rep = cs.oracle_campaign(0, trials=2, seed=7)
         assert rep.trials == 2 and rep.max_error() < 1e-9
 
-    @pytest.mark.parametrize("call", [
-        lambda: cs.certify_classical_rs(-1),
-        lambda: cs.certify_classical_rs(2.5),
-        lambda: cs.oracle_campaign(2.5),
-        lambda: cs.oracle_campaign(3, trials=2.5),
-    ], ids=["classical n=-1", "classical n=2.5", "campaign n=2.5", "campaign trials=2.5"])
-    def test_bad_counts_raise_parameter_error(self, call):
-        with pytest.raises(cs.ParameterError):
+    @pytest.mark.parametrize("call, expect", [
+        (lambda: cs.certify_classical_rs(-1), pytest.raises(cs.ParameterError)),
+        (lambda: cs.certify_classical_rs(2.5), pytest.raises(cs.ParameterError)),
+        (lambda: cs.oracle_campaign(2.5), pytest.raises(cs.ParameterError)),
+        (lambda: cs.oracle_campaign(3, trials=2.5), pytest.raises(cs.ParameterError)),
+        *((lambda f=f, v=v: f(v), pytest.raises(cs.ParameterError))
+          for f, least in COUNT_TAKERS.values() for v in (*BAD_COUNTS, least - 1)),
+        # numpy integers are integers: the one check accepts them
+        (_numpy_integers_are_counts, nullcontext()),
+    ], ids=["classical n=-1", "classical n=2.5", "campaign n=2.5", "campaign trials=2.5",
+            *(f"{name} {v!r}" for name, (_, least) in COUNT_TAKERS.items()
+              for v in (*BAD_COUNTS, least - 1)),
+            "numpy int64 accepted"])
+    def test_bad_counts_raise_parameter_error(self, call, expect):
+        with expect:
             call()
+
+    def test_a_nan_figure_is_the_maximum(self):
+        # a fold with Python max from 0.0 passes over a nan that is not first
+        report = cs.OracleReport(1, None, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0)
+        assert math.isnan(report.max_error())
+        assert not report.passed(1e-9)
+
+    def test_campaign_keeps_a_nan_figure(self, monkeypatch):
+        report = cs.OracleReport(1, None, 1e-17, math.nan, 0.0, 2e-16, 0.0, 0.0)
+        monkeypatch.setattr(verify, "oracle_compare", lambda params, max_table_n=None: report)
+        rep = cs.oracle_campaign(3, trials=2, seed=7)
+        assert rep.err_constancy == 1e-17 and rep.err_coefficients == 2e-16
+        assert math.isnan(rep.err_l2) and not rep.passed(1e-9)
 
 
 def _uniform_draw(seed, n):
@@ -181,6 +235,15 @@ ORACLE_WEIGHTS = {
 
 
 class TestBlockwiseOracle:
+    def test_a_plain_float64_oracle_reports_nan_not_zero(self, monkeypatch):
+        # where longdouble is float64, a_1^2 = 1e-340 underflows to 0: the
+        # per-mask comparison divides 0 by 0 and the entropy target is nan
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        a = np.array([1e-170] + [0.5] * 9)
+        with np.errstate(all="ignore"):
+            errors = verify._oracle_errors.__wrapped__(a.tobytes(), None)
+        assert math.isnan(errors[3]) and math.isnan(errors[5])
+
     @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
     def test_figures_match_the_whole_array_code(self, name):
         # the split takes other roundings than the whole 2^n tables: the

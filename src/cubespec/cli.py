@@ -26,7 +26,7 @@ import numpy as np
 from . import construct, fileio, verify
 from .construct import ParamSeq
 from .errors import CubespecError, FormatError, ParameterError
-from .spectrum import HypercubeFunction, stats
+from .spectrum import DEFAULT_TABLE_CAP, HypercubeFunction, stats
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -305,16 +305,6 @@ def _dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {value}")
-    return value
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     if text.startswith("list:"):
         text = text[len("list:"):]
@@ -348,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--C", type=float, default=None if kind else 2.0, dest="clamp",
                             help="clamp threshold for kind=neeman (default 2)")
             sp.add_argument("--max-table-n", type=int, default=None,
-                            help="override the 2^n table cap (default 26); "
+                            help=f"override the 2^n table cap (default {DEFAULT_TABLE_CAP}); "
                             "larger values acknowledge the memory cost")
         if fmt:
             sp.add_argument("--format", choices=FORMAT_CHOICES, default=fmt)
@@ -365,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(kind=None)  # resolved in cmd_stats, so --file can refuse it
 
     v = command("verify", cmd_verify, "run certificates; exit 0 iff all pass")
-    v.add_argument("--tol", type=_positive_float, default=1e-9)
+    # the certificates refuse a tolerance that is not positive and finite
+    v.add_argument("--tol", type=float, default=1e-9)
     v.add_argument("--remark3", type=float, default=None, dest="remark3_scale",
                    metavar="A", help="certify the sqrt(a/n) family at this scale")
     v.add_argument("--remark2", action="store_true", dest="run_remark2",

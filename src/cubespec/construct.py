@@ -20,12 +20,11 @@ Closed forms: with L = prod(1 + a_i^2),
     H(Phat^2)     = -sum_i prod_{j != i}(1 + a_j^2) * a_i^2 log2 a_i^2,
 
 and identically for Q.  Since prod_{j != i}(1 + a_j^2) = L / (1 + a_i^2),
-I and H are L times sums of per-weight terms.  Both closed-form
-reports take their sums in one pass, block by block with the reducer
-behind `stats` (bit-identical to whole-array sums), reducing each
-constant block once per call, and keep L in log2 domain, so they stay
-finite and O(n) far beyond table scale (n up to 10^6 and more); tables
-are only built on request and under the cap from `spectrum`.
+I and H are L times sums of per-weight terms.  Every sum over the
+weights goes through one blockwise reducer, with the bits of whole-array
+sums, and L stays in log2 domain, so the closed forms stay finite and
+O(n) far beyond table scale (n up to 10^6 and more); tables are only
+built on request and under the cap from `spectrum`.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, _count
+from .errors import ParameterError, _clamp, _count
 from .spectrum import (
     _BLOCK,
     HypercubeFunction,
@@ -75,8 +74,9 @@ class ParamSeq:
 
     @property
     def total_mass(self) -> float:
-        """K = sum a_i^2."""
-        return float(np.sum(self.a * self.a))
+        """K = sum a_i^2, with the bits of np.sum(a * a)."""
+        return float(_weight_sums(self.a, lambda x, piece, scratch: np.sum(
+            np.multiply(x, x, out=scratch[0])))[0])
 
 
 @dataclass(frozen=True)
@@ -306,87 +306,77 @@ def _or_inf(fn, *args) -> float:
         return math.inf
 
 
-def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
-    """Five sums over the weights, plus the smallest and largest weight.
+def _weight_sums(a: np.ndarray, terms, out: np.ndarray | None = None):
+    """The one walk over the weights: sums, and the smallest and largest weight.
 
-    The sums, in order: p_i, p_i log2 a_i^2, log2(1 + a_i^2),
-    a_i^2 log2 a_i^2 and a_i^2, where p_i = a_i^2 / (1 + a_i^2).  They
-    run piece by piece along np.sum's pairwise split
-    (spectrum._pairwise_sum), each piece of at most 2^15 weights in one
-    L2-sized scratch, so each has the bits of the whole-array np.sum of
-    the same elementwise terms.  A piece whose weights are all equal is
-    reduced once per (value, length) within the call, and a later piece
-    with the same key reuses its sums: the same bits in the same order
-    sum to the same bits.  With `log2_out`, 2 log2 a_i is written to
-    log2_out[i] (a reused piece fills its slice from the stored value).
+    terms(x, piece, scratch) returns the np.sum, or an array of np.sums, of
+    per-weight terms of x = a[piece], using scratch[:, :x.size].  Pieces of
+    at most 2^15 follow np.sum's pairwise split (spectrum._pairwise_sum), so
+    every sum has the whole-array bits.  A piece of equal weights is reduced
+    once per (value, length) and its sums reused, filling out[piece] from
+    the stored value where terms writes per-weight values there.
     """
-    if a.size == 0:
-        return np.zeros(5), math.inf, -math.inf
     scratch = np.empty((3, min(a.size, _BLOCK)))
     constant_pieces = {}
     lows, highs = [], []
 
     def leaf(lo, hi):
         x = a[lo:hi]
-        low, high = x.min(), x.max()
+        low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
         lows.append(low)
         highs.append(high)
         key = (float(low), x.size) if low == high else None
         if key in constant_pieces:
             sums, fill = constant_pieces[key]
-            if log2_out is not None:
-                log2_out[lo:hi] = fill
+            if out is not None:
+                out[lo:hi] = fill
             return sums
-        m = x.size
-        a2 = np.multiply(x, x, out=scratch[0, :m])
-        frac = np.add(a2, 1.0, out=scratch[1, :m])
+        sums = terms(x, slice(lo, hi), scratch[:, : x.size])
+        if key is not None:
+            constant_pieces[key] = sums, None if out is None else out[lo]
+        return sums
+
+    return _pairwise_sum(leaf, 0, a.size), float(min(lows)), float(max(highs))
+
+
+def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
+    """_weight_sums of p_i, p_i log2 a_i^2, log2(1 + a_i^2), a_i^2 log2 a_i^2
+    and a_i^2, where p_i = a_i^2 / (1 + a_i^2); 2 log2 a_i goes to log2_out."""
+
+    def terms(x, piece, scratch):
+        a2 = np.multiply(x, x, out=scratch[0])
+        frac = np.add(a2, 1.0, out=scratch[1])
         np.divide(a2, frac, out=frac)    # a_i^2 / (1 + a_i^2)
-        log2_a2 = np.log2(x, out=scratch[2, :m] if log2_out is None else log2_out[lo:hi])
+        log2_a2 = np.log2(x, out=scratch[2] if log2_out is None else log2_out[piece])
         log2_a2 *= 2.0
-        fill = log2_a2[0]
-        sums = np.array((
+        return np.array((
             np.sum(frac),
             np.sum(np.multiply(frac, log2_a2, out=frac)),
             np.sum(_log2_one_plus(a2, out=frac)),
-            np.sum(np.multiply(a2, log2_a2, out=scratch[2, :m])),
+            np.sum(np.multiply(a2, log2_a2, out=scratch[2])),
             np.sum(a2),
         ))
-        if key is not None:
-            constant_pieces[key] = sums, fill
-        return sums
 
-    sums = _pairwise_sum(leaf, 0, a.size)
-    return sums, float(min(lows)), float(max(highs))
+    return _weight_sums(a, terms, log2_out)
 
 
 def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> float:
     # entropy term by term, term i being -2^t_i a_i^2 log2 a_i^2 with
     # t_i = total - log2(1 + a_i^2): as 2^(t_i + log2 a_i^2) it keeps the
     # share of an a_i^2 that underflows, and stays finite where the
-    # product passes the float range; a constant piece is reduced once
-    # per (value, length), as in _closed_form_sums
-    scratch = np.empty(min(a.size, _BLOCK))
-    constant_pieces = {}
-
-    def leaf(lo, hi):
-        m = hi - lo
-        x, lg2 = a[lo:hi], log2_a2[lo:hi]
-        key = (float(x[0]), m) if x.min() == x.max() else None
-        if key in constant_pieces:
-            return constant_pieces[key]
-        t = _log2_one_plus(np.multiply(x, x, out=scratch[:m]), out=scratch[:m])
+    # product passes the float range
+    def terms(x, piece, scratch):
+        lg2 = log2_a2[piece]
+        t = _log2_one_plus(np.multiply(x, x, out=scratch[0]), out=scratch[0])
         np.subtract(total, t, out=t)
-        terms = np.exp2(np.add(t, lg2, out=t), out=t)
-        terms *= lg2
-        terms[lg2 == 0.0] = 0.0          # a_i = 1 adds exactly 0 (not inf * 0)
-        piece_sum = np.sum(terms)
-        if key is not None:
-            constant_pieces[key] = piece_sum
-        return piece_sum
+        t = np.exp2(np.add(t, lg2, out=t), out=t)
+        t *= lg2
+        t[lg2 == 0.0] = 0.0          # a_i = 1 adds exactly 0 (not inf * 0)
+        return np.sum(t)
 
     # terms past the range read inf; inf * 0 reads nan until masked
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(-_pairwise_sum(leaf, 0, a.size))
+        return float(-_weight_sums(a, terms)[0])
 
 
 def closed_form(params: ParamSeq) -> ClosedFormReport:
@@ -467,8 +457,8 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
 
 def _log2_l2_sq(params: ParamSeq) -> float:
     # log2 ||P||_2^2 = sum log2(1 + a_i^2), the same sum as closed_form's
-    a2 = params.a * params.a
-    return float(np.sum(_log2_one_plus(a2, out=a2)))
+    return float(_weight_sums(params.a, lambda x, piece, scratch: np.sum(
+        _log2_one_plus(np.multiply(x, x, out=scratch[0]), out=scratch[0])))[0])
 
 
 def _l2_scale_factor(params: ParamSeq) -> float:
@@ -557,8 +547,7 @@ def clamped_sum_l2_norm(n: int, clamp: float) -> float:
     3 ms at n = 1024, 55 ms at 10^4, 3 s at 10^5 on a 2-CPU x86-64 host.
     """
     n = _count("dimension", n, 1)
-    if not clamp > 0.0:
-        raise ParameterError(f"clamp must be positive, got {clamp!r}")
+    clamp = _clamp(clamp)
     inv_s = 1.0 / math.sqrt(n)
     size = 1 << n
     c = 1  # C(n, k)
@@ -585,9 +574,7 @@ def neeman_function(
     values bounded by clamp / that norm.
     """
     n = _count("dimension", n, 1)
-    clamp = float(clamp)
-    if not clamp > 0.0:
-        raise ParameterError(f"clamp threshold must be positive, got {clamp}")
+    clamp = _clamp(clamp)
     check_table_dim(n, max_table_n)
     out = np.zeros(1 << n, dtype=np.complex128)
     values = out.real  # a view: (n - 2 popcount) / sqrt(n), clamped, in place

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, and the one count and number checks."""
+
+import functools
 
 import numpy as np
 
@@ -18,6 +20,22 @@ def _count(what: str, value, least: int) -> int:
     if value < least:
         raise ParameterError(f"{what} must be >= {least}, got {value}")
     return int(value)
+
+
+def _positive(what: str, value, finite: bool) -> float:
+    # a number (numpy's too, not a string) above 0, below inf if `finite`, as a float
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{what} must be a number, got {value!r}")
+    value = float(value)
+    if not (0.0 < value < np.inf if finite else 0.0 < value):
+        raise ParameterError(f"{what} must be positive{' and finite' if finite else ''}, got {value}")
+    return value
+
+
+#: Every certificate's tolerance: an infinite one would pass every approximate check.
+_tolerance = functools.partial(_positive, "tolerance", finite=True)
+#: The Neeman family's clamp; inf clamps nothing (normalized_sum).
+_clamp = functools.partial(_positive, "clamp threshold", finite=False)
 
 
 class ResourceLimitError(CubespecError):

@@ -61,10 +61,13 @@ DEFAULT_TABLE_CAP = 26
 ZERO_WEIGHT_CUTOFF = 1e-300
 
 
+def _table_cap(max_table_n: int | None = None) -> int:
+    return DEFAULT_TABLE_CAP if max_table_n is None else max_table_n
+
+
 def check_table_dim(n: int, max_table_n: int | None = None) -> None:
     """Raise ResourceLimitError when a 2^n table would exceed the cap."""
-    cap = DEFAULT_TABLE_CAP if max_table_n is None else max_table_n
-    if n > cap:
+    if n > (cap := _table_cap(max_table_n)):
         raise ResourceLimitError(f"dimension n={n} exceeds the table cap {cap}; "
                                  f"a 2^{n}-entry table was refused")
 

@@ -49,13 +49,13 @@ from .construct import (
     _pq_tables,
     _unit_modulus_factor,
 )
-from .errors import ParameterError, _count
+from .errors import ParameterError, _clamp, _count, _tolerance
 from .spectrum import (
-    DEFAULT_TABLE_CAP,
     ZERO_WEIGHT_CUTOFF,
     _BLOCK,
     _norm_sums,
     _pairwise_sum,
+    _table_cap,
     check_table_dim,
     fwht_inplace,
     lift_zero_mean,
@@ -320,7 +320,7 @@ def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
 def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Unit-norm real family: bounded by sqrt(2), influence below one,
     entropy above (n/(n+1)) log2 n."""
-    params = theorem_params(n)
+    params, tol = theorem_params(n), _tolerance(tol)
     gate = _gate(params, tol, max_table_n)
     f = normalized_real(params, max_table_n)
     st = stats(f, max_table_n)
@@ -338,7 +338,7 @@ def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) 
 
 def certify_theorem2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Modulus-one complex family: same influence/entropy split."""
-    params = theorem_params(n)
+    params, tol = theorem_params(n), _tolerance(tol)
     gate = _gate(params, tol, max_table_n)
     f = unimodular_complex(params, max_table_n)
     dev = float(np.max(np.abs(np.abs(f.values) - 1.0)))
@@ -355,7 +355,7 @@ def certify_theorem2(n: int, tol: float = 1e-9, max_table_n: int | None = None) 
 
 def certify_remark2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Lifting by a fresh sign keeps norms and entropy, adds one to influence."""
-    params = theorem_params(n)
+    params, tol = theorem_params(n), _tolerance(tol)
     gate = _gate(params, tol, max_table_n)
     f = normalized_real(params, max_table_n)
     g = lift_zero_mean(f, max_table_n)
@@ -378,7 +378,7 @@ def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None
     """Scaled family sqrt(a/n): influence inside (a/2, a), entropy above
     (a/2)(log2 n - log2 a); closed forms for any n, enumeration when the
     table fits."""
-    params = remark3_params(n, a)
+    params, a, tol = remark3_params(n, a), float(a), _tolerance(tol)
     ncf = normalized_closed_form(params)
     bound = (a / 2.0) * (math.log2(n) - math.log2(a))
     checks = [
@@ -386,8 +386,7 @@ def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None
         check_lt("cf_influence_below_scale", ncf.influence, a),
         check_gt("cf_entropy_above_bound", ncf.entropy, bound),
     ]
-    cap = DEFAULT_TABLE_CAP if max_table_n is None else max_table_n
-    if n <= cap:
+    if n <= _table_cap(max_table_n):
         checks.insert(0, _gate(params, tol, max_table_n))
         for label, fn in (("real", normalized_real), ("complex", unimodular_complex)):
             st = stats(fn(params, max_table_n), max_table_n)
@@ -406,7 +405,7 @@ def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None
 def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Weight-one case: every coefficient of the raw pair has magnitude
     one, and the unit-norm rescaling has influence n/2 and entropy n."""
-    n = _count("dimension", n, 0)
+    n, tol = _count("dimension", n, 0), _tolerance(tol)
     params = ParamSeq(np.ones(n))
     gate = _gate(params, tol, max_table_n)
     p = _pq_tables(params.a)[0]  # raw P alone; the gate has refused n above the cap
@@ -433,6 +432,7 @@ def certify_neeman(
     """Clamped-sum family: unit norm, bounded values; degenerates to the
     plain normalized sum when the clamp never binds, otherwise held to
     the pinned influence band (clamp == 2 only)."""
+    clamp, tol = _clamp(clamp), _tolerance(tol)
     f = neeman_function(n, clamp, normalize=True, max_table_n=max_table_n)
     st = stats(f, max_table_n)
     raw_norm = clamped_sum_l2_norm(n, clamp)
@@ -473,10 +473,10 @@ def neeman_regression(
     Asserts entropy strictly increases along `ns` and, for clamp == 2,
     that influence stays inside the pinned band.
     """
-    ns = list(ns)
+    ns = [_count("dimension", n, 1) for n in ns]  # Python ints, so the rows are JSON
     if not ns:
         raise ParameterError("need at least one dimension")
-    rows = []
+    clamp, rows = _clamp(clamp), []
     for n in ns:
         st = stats(neeman_function(n, clamp, normalize=True, max_table_n=max_table_n), max_table_n)
         rows.append((n, st.influence, st.entropy))

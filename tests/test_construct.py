@@ -455,6 +455,50 @@ class TestNormalizedClosedFormBlocks:
             assert peak <= 2 << 20, peak
 
 
+class TestOneWeightReducer:
+    """The scale factors and total_mass walk the weights like the closed forms."""
+
+    @pytest.mark.parametrize("name", NORMALIZED_WEIGHTS)
+    def test_one_sums_keep_whole_array_bits(self, name):
+        params = ParamSeq(NORMALIZED_WEIGHTS[name]())
+        a = params.a
+        total = float(np.sum(np.log1p(a * a) / math.log(2.0)))
+        assert construct._log2_l2_sq(params) == total
+        assert construct._l2_scale_factor(params) == 2.0 ** (-0.5 * total)
+        assert construct._unit_modulus_factor(params) == 2.0 ** (-0.5 * (1.0 + total))
+        assert params.total_mass == float(np.sum(a * a))
+
+    def test_scale_factor_reduces_each_constant_piece_once(self, monkeypatch):
+        calls = []
+        real = construct._log2_one_plus
+        monkeypatch.setattr(
+            construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
+        )
+        a = theorem_params(10**6).a
+        keys = {(a[lo], hi - lo) for lo, hi in _pieces(a.size)}
+        construct._unit_modulus_factor(ParamSeq(a))
+        assert sorted(calls) == sorted(length for _, length in keys)
+
+    def test_no_weight_sized_temporary(self):
+        # the whole-array sums peaked at 7.63 MiB here: one n-sized a * a
+        for params in (theorem_params(10**6),
+                       ParamSeq(np.random.default_rng(9).uniform(0.1, 1.0, 10**6))):
+            for fn in (construct._unit_modulus_factor, lambda p: p.total_mass):
+                tracemalloc.start()
+                try:
+                    fn(params)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1 << 20, peak
+
+    def test_empty_sequence(self):
+        params = ParamSeq([])
+        assert construct._log2_l2_sq(params) == 0.0 and params.total_mass == 0.0
+        assert normalized_real(params).values.tolist() == [1.0]
+        assert unimodular_complex(params).values.tolist() == [2.0**-0.5 * (1 + 1j)]
+
+
 class TestClosedFormSaturation:
     """Linear-scale fields past the float range read inf instead of raising."""
 
@@ -884,6 +928,18 @@ class TestSumFamilies:
         got = clamped_sum_l2_norm(n, c)
         assert math.isfinite(got) and abs(got - limit) <= 5e-4
         assert clamped_sum_l2_norm(n, 10.0) == 1.0
+
+    @pytest.mark.parametrize("fn", [neeman_function, clamped_sum_l2_norm])
+    @pytest.mark.parametrize("bad", [0.0, 0, -1.0, math.nan, -math.inf, "2", None, 1j])
+    def test_one_clamp_check(self, fn, bad):
+        with pytest.raises(ParameterError, match="clamp threshold must be"):
+            fn(4, bad)
+
+    @pytest.mark.parametrize("clamp", [2, np.float64(2.0), np.int64(2), math.inf])
+    def test_clamp_takes_any_positive_number(self, clamp):
+        ref = 2.0 if clamp == 2 else math.inf
+        assert clamped_sum_l2_norm(4, clamp) == clamped_sum_l2_norm(4, ref)
+        assert neeman_function(4, clamp).values.tobytes() == neeman_function(4, ref).values.tobytes()
 
     def test_clamp_must_be_positive(self):
         for bad in (0.0, -1.0):

@@ -62,6 +62,20 @@ COUNT_TAKERS = {
 }
 BAD_COUNTS = [2.5, np.float64(4.0), "4", None]
 
+#: Every certificate kind, called with a tolerance at n = 30: above the
+#: table cap, so oracle or table work before the tolerance check raises
+#: ResourceLimitError, not ParameterError.
+TOL_TAKERS = {
+    "theorem1": lambda tol: cs.certify_theorem1(30, tol),
+    "theorem2": lambda tol: cs.certify_theorem2(30, tol),
+    "remark2": lambda tol: cs.certify_remark2(30, tol),
+    "remark3": lambda tol: cs.certify_remark3(30, 2.0, tol),
+    "classical_rs": lambda tol: cs.certify_classical_rs(30, tol),
+    "neeman": lambda tol: cs.certify_neeman(30, 2.0, tol),
+}
+#: 1e400 reads as inf, as `verify --tol 1e400` does
+BAD_TOLS = {"0": 0.0, "-1e-9": -1e-9, "nan": math.nan, "inf": math.inf, "1e400": 1e400}
+
 
 def _numpy_integers_are_counts():
     for call, _ in COUNT_TAKERS.values():
@@ -193,10 +207,15 @@ class TestOracle:
           for f, least in COUNT_TAKERS.values() for v in (*BAD_COUNTS, least - 1)),
         # numpy integers are integers: the one check accepts them
         (_numpy_integers_are_counts, nullcontext()),
+        # a tolerance that passes anything, or fails silently, is refused
+        *((lambda f=f, tol=tol: f(tol),
+           pytest.raises(cs.ParameterError, match="tolerance must be positive and finite"))
+          for f in TOL_TAKERS.values() for tol in BAD_TOLS.values()),
     ], ids=["classical n=-1", "classical n=2.5", "campaign n=2.5", "campaign trials=2.5",
             *(f"{name} {v!r}" for name, (_, least) in COUNT_TAKERS.items()
               for v in (*BAD_COUNTS, least - 1)),
-            "numpy int64 accepted"])
+            "numpy int64 accepted",
+            *(f"{kind} tol={tol}" for kind in TOL_TAKERS for tol in BAD_TOLS)])
     def test_bad_counts_raise_parameter_error(self, call, expect):
         with expect:
             call()
@@ -395,6 +414,23 @@ class TestCertificates:
         for n in (5, 12, 22):
             assert cs.certify_neeman(n).overall
 
+    def test_inputs_are_recorded_as_floats(self):
+        # an int and its float give the same certificate bytes
+        for by_int, by_float in (
+            (cs.certify_neeman(6, clamp=3, tol=1), cs.certify_neeman(6, clamp=3.0, tol=1.0)),
+            (cs.certify_remark3(6, 2, tol=1), cs.certify_remark3(6, 2.0, tol=1.0)),
+        ):
+            assert by_int.to_text() == by_float.to_text()
+            assert all(type(v) is float for k, v in by_int.inputs.items() if k != "weights")
+        assert "input clamp=3.0" in cs.certify_neeman(6, clamp=np.int64(3)).to_text()
+        assert type(cs.neeman_regression([6], clamp=3).clamp) is float
+
+    def test_remark3_reads_the_table_cap_rule_from_spectrum(self, monkeypatch):
+        monkeypatch.setattr(cs.spectrum, "DEFAULT_TABLE_CAP", 9)
+        assert all(c.name.startswith("cf_") for c in cs.certify_remark3(10, 4.0).checks)
+        with pytest.raises(cs.ResourceLimitError, match="table cap 9"):
+            cs.certify_theorem1(10)
+
     def test_clamped_sum_degenerate_clamp(self):
         cert = cs.certify_neeman(16, clamp=10.0)
         assert cert.overall
@@ -424,6 +460,11 @@ class TestClampedSumRegression:
         for n, infl, ent in rep.rows:
             assert rel_close(infl, 1.0)
             assert rel_close(ent, math.log2(n))
+
+    def test_rows_hold_python_ints(self):
+        rep = cs.neeman_regression([np.int64(4), np.int64(6)])
+        assert [type(n) for n, _, _ in rep.rows] == [int, int]
+        json.dumps(rep.rows)
 
     def test_single_record_case(self):
         rep = cs.neeman_regression([16])

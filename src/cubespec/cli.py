@@ -27,6 +27,7 @@ from . import construct, fileio, verify
 from .construct import ParamSeq
 from .errors import CubespecError, FormatError, ParameterError
 from .spectrum import DEFAULT_TABLE_CAP, HypercubeFunction, stats
+from .verify import _cell, _kv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -93,13 +94,6 @@ def _read_weight_file(path: str) -> list[float]:
     return vals
 
 
-def _cell(v):
-    """One csv cell or k=v value: floats round-trip, booleans lower-case."""
-    if isinstance(v, bool):
-        return str(v).lower()
-    return repr(float(v)) if isinstance(v, float) else v
-
-
 def _ratio(entropy: float, influence: float) -> float:
     if influence > 0.0:
         return entropy / influence
@@ -107,7 +101,7 @@ def _ratio(entropy: float, influence: float) -> float:
 
 
 def _kv_lines(rows: list[dict]) -> str:
-    return "".join(" ".join(f"{k}={_cell(v)}" for k, v in r.items()) + "\n" for r in rows)
+    return "".join(_kv(r) + "\n" for r in rows)
 
 
 def _emit(args: argparse.Namespace, rows: list[dict], doc=None, text: str | None = None) -> None:
@@ -174,8 +168,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         st = stats(f, args.max_table_n)
         summary = {"l2": st.l2_norm, "influence": st.influence, "entropy": st.entropy}
     file_kind = "complex" if args.kind == "complex" else "real"
-    parts = " ".join(f"{k}={_cell(v)}" for k, v in summary.items())
-    summary_line = f"summary n={n} kind={args.kind} {parts}"
+    summary_line = f"summary {_kv({'n': n, 'kind': args.kind, **summary})}"
     if args.out is None:
         fileio.write_function(sys.stdout, f, file_kind)
         print(summary_line, file=sys.stderr)
@@ -209,7 +202,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "bound": verify._entropy_bound(n),
         "ratio": _ratio(st.entropy, st.influence),
     }
-    _emit(args, [record], record, "".join(f"{k}: {v}\n" for k, v in record.items()))
+    _emit(args, [record], record, "".join(f"{k}: {_cell(v)}\n" for k, v in record.items()))
     return EXIT_OK
 
 
@@ -279,11 +272,10 @@ def cmd_neeman(args: argparse.Namespace) -> int:
         "influence_in_band": report.influence_in_band,
         "overall": report.overall,
     }
-    verdict = f"entropy_strictly_increasing={_cell(report.entropy_increasing)}\n"
+    verdict = [{"entropy_strictly_increasing": report.entropy_increasing}]
     if report.band:
-        verdict += (f"influence_in_band={_cell(report.influence_in_band)} "
-                    f"band=[{_cell(report.band[0])}, {_cell(report.band[1])}]\n")
-    _emit(args, rows, doc, _kv_lines(rows) + verdict)
+        verdict.append({"influence_in_band": report.influence_in_band, "band": list(report.band)})
+    _emit(args, rows, doc, _kv_lines(rows + verdict))
     if not report.overall:
         print(
             f"FAILED neeman regression: entropy_increasing={report.entropy_increasing} "

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, _clamp, _count
+from .errors import ParameterError, _clamp, _count, _float
 from .spectrum import (
     _BLOCK,
     HypercubeFunction,
@@ -527,7 +527,7 @@ def remark3_params(n: int, a: float) -> ParamSeq:
     Downstream, the unit-norm variants then have influence strictly
     between a/2 and a, and entropy above (a/2)(log2 n - log2 a).
     """
-    n, a = _count("dimension", n, 0), float(a)
+    n, a = _count("dimension", n, 0), _float("scale", a)
     if not 1.0 < a < n:
         raise ParameterError(f"scale must satisfy 1 < a < n, got a={a}, n={n}")
     return ParamSeq(np.full(n, math.sqrt(a / n)))

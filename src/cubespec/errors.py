@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one count and number checks."""
 
 import functools
+import math
 
 import numpy as np
 
@@ -22,11 +23,20 @@ def _count(what: str, value, least: int) -> int:
     return int(value)
 
 
-def _positive(what: str, value, finite: bool) -> float:
-    # a number (numpy's too, not a string) above 0, below inf if `finite`, as a float
+def _float(what: str, value) -> float:
+    # a number (numpy's too, not a string or None) as a float; an int past
+    # the float range reads as +-inf
     if not isinstance(value, (int, float, np.integer, np.floating)):
         raise ParameterError(f"{what} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _positive(what: str, value, finite: bool) -> float:
+    # a number above 0, below inf if `finite`, as a float
+    value = _float(what, value)
     if not (0.0 < value < np.inf if finite else 0.0 < value):
         raise ParameterError(f"{what} must be positive{' and finite' if finite else ''}, got {value}")
     return value

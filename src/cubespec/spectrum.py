@@ -62,7 +62,7 @@ ZERO_WEIGHT_CUTOFF = 1e-300
 
 
 def _table_cap(max_table_n: int | None = None) -> int:
-    return DEFAULT_TABLE_CAP if max_table_n is None else max_table_n
+    return DEFAULT_TABLE_CAP if max_table_n is None else _count("table cap", max_table_n, 0)
 
 
 def check_table_dim(n: int, max_table_n: int | None = None) -> None:

@@ -49,7 +49,7 @@ from .construct import (
     _pq_tables,
     _unit_modulus_factor,
 )
-from .errors import ParameterError, _clamp, _count, _tolerance
+from .errors import ParameterError, _clamp, _count, _float, _tolerance
 from .spectrum import (
     ZERO_WEIGHT_CUTOFF,
     _BLOCK,
@@ -68,12 +68,11 @@ SQRT2 = math.sqrt(2.0)
 CERTIFICATE_KINDS = ("theorem1", "theorem2", "remark2", "remark3", "classical_rs", "neeman")
 
 #: Influence band of the clamp=2 family, pinned from this repo's first
-#: oracle run over n in [5, 22]: brute-force values ranged over
-#: [1.00557, 1.02882] there, and the inactive-clamp limit is exactly 1.
-#: The band includes 1.0 so degenerate rows pass too.  Checked only for
-#: clamp == 2.
+#: oracle run over n in [5, 22] and measured again up to the table cap:
+#: brute-force values range over [1.00557, 1.02981] for n in [5, 26], and
+#: the inactive-clamp limit is exactly 1.  The band includes 1.0 so
+#: degenerate rows pass too.  Checked only for clamp == 2, at every n.
 NEEMAN_INFLUENCE_BAND = (0.99, 1.04)
-NEEMAN_BAND_RANGE = (5, 22)
 
 
 @dataclass(frozen=True)
@@ -117,6 +116,17 @@ def check_rel(name: str, lhs: float, target: float, tol: float) -> Check:
 _CHECK_KEYS = ("name", "lhs", "relation", "rhs", "margin", "pass")
 
 
+def _cell(v):
+    """One report value for text and csv: floats round-trip, booleans lower-case."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    return repr(float(v)) if isinstance(v, float) else v
+
+
+def _kv(record: dict) -> str:
+    return " ".join(f"{k}={_cell(v)}" for k, v in record.items())
+
+
 @dataclass(frozen=True)
 class Certificate:
     kind: str
@@ -138,11 +148,11 @@ class Certificate:
         }
 
     def to_text(self) -> str:
-        lines = [f"certificate kind={self.kind} n={self.n} log_base={self.log_base}"]
-        lines += [f"input {k}={v}" for k, v in self.inputs.items()]
-        lines += [f"check name={c.name} lhs={c.lhs!r} relation={c.relation} rhs={c.rhs!r} "
-                  f"margin={c.margin!r} pass={str(c.passed).lower()}" for c in self.checks]
-        lines.append(f"overall={str(self.overall).lower()}")
+        d = self.to_dict()
+        lines = [f"certificate {_kv({k: d[k] for k in ('kind', 'n', 'log_base')})}"]
+        lines += [f"input {_kv({k: v})}" for k, v in d["inputs"].items()]
+        lines += [f"check {_kv(c)}" for c in d["checks"]]
+        lines.append(_kv({"overall": d["overall"]}))
         return "\n".join(lines)
 
 
@@ -282,7 +292,7 @@ def oracle_campaign(n: int, trials: int = 100, seed: int = 12345,
     coefficients sink below any enumeration's precision, so the draw
     floor keeps the comparison informative.
     """
-    n, trials = _count("dimension", n, 0), _count("trials", trials, 1)
+    n, trials, low = _count("dimension", n, 0), _count("trials", trials, 1), _float("low", low)
     if not 0.0 <= low <= 1.0:
         raise ParameterError(f"low must lie in [0, 1], got {low}")
     rng = np.random.default_rng(seed)
@@ -378,7 +388,7 @@ def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None
     """Scaled family sqrt(a/n): influence inside (a/2, a), entropy above
     (a/2)(log2 n - log2 a); closed forms for any n, enumeration when the
     table fits."""
-    params, a, tol = remark3_params(n, a), float(a), _tolerance(tol)
+    params, a, tol = remark3_params(n, a), _float("scale", a), _tolerance(tol)
     ncf = normalized_closed_form(params)
     bound = (a / 2.0) * (math.log2(n) - math.log2(a))
     checks = [
@@ -445,7 +455,7 @@ def certify_neeman(
             check_rel("influence_degenerates_to_one", st.influence, 1.0, tol),
             check_rel("entropy_degenerates_to_log_n", st.entropy, math.log2(n), tol),
         ]
-    elif clamp == 2.0 and NEEMAN_BAND_RANGE[0] <= n <= NEEMAN_BAND_RANGE[1]:
+    elif clamp == 2.0:
         lo, hi = NEEMAN_INFLUENCE_BAND
         checks += [
             check_ge("influence_above_band_low", st.influence, lo),

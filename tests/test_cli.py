@@ -384,6 +384,15 @@ class TestArgumentErrors:
     def test_bad_list_entry(self, capsys):
         assert run(capsys, ["gen", "--n", "2", "--kind", "real", "--a", "list:1,zebra"])[0] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["stats", "--n", "1,x"], "bad dimension list '1,x'"),
+        (["sweep", "--n", "4", "--a", "2,x"], "bad scale list '2,x'"),
+    ])
+    def test_bad_list_option(self, capsys, argv, message):
+        code, stdout, stderr = run(capsys, argv)
+        assert code == 2 and stdout == ""
+        assert message in stderr
+
 
 def test_console_script_help():
     proc = subprocess.run(
@@ -640,6 +649,7 @@ def test_stats_builds_with_default_kind_and_clamp(capsys):
     (["neeman", "--n", "6,-8"], "dimension must be >= 0"),
     (["sweep", "--n", "-16", "--a", "4"], "dimension must be >= 0"),
     (["stats", "--n", "-1", "--kind", "sum"], "dimension must be >= 0"),
+    (["stats", "--n", "4", "--max-table-n", "-1"], "table cap must be >= 0, got -1"),
 ])
 def test_values_argparse_cannot_check_exit_two(capsys, argv, message):
     code, stdout, stderr = run(capsys, argv)

@@ -59,6 +59,12 @@ class TestRecursionTables:
         assert pair.p.values.tolist() == [2.0, 0.0]
         assert pair.q.values.tolist() == [0.0, -2.0]
 
+    def test_pair_holds_one_dimension(self):
+        assert build_pq(ParamSeq([1.0, 0.5])).n == 2
+        with pytest.raises(ParameterError, match="pair dimensions differ: 1 != 2"):
+            construct.RSPair(spectrum.HypercubeFunction(1, [1, 1]),
+                             spectrum.HypercubeFunction(2, [1] * 4))
+
     def test_two_step_hand_values(self):
         pair = build_pq(ParamSeq([1.0, 0.5]))
         assert pair.p.values.tolist() == [2.0, -1.0, 2.0, 1.0]
@@ -935,7 +941,8 @@ class TestSumFamilies:
         with pytest.raises(ParameterError, match="clamp threshold must be"):
             fn(4, bad)
 
-    @pytest.mark.parametrize("clamp", [2, np.float64(2.0), np.int64(2), math.inf])
+    @pytest.mark.parametrize("clamp", [2, np.float64(2.0), np.int64(2), math.inf,
+                                       pytest.param(10**400, id="10**400")])
     def test_clamp_takes_any_positive_number(self, clamp):
         ref = 2.0 if clamp == 2 else math.inf
         assert clamped_sum_l2_norm(4, clamp) == clamped_sum_l2_norm(4, ref)

@@ -73,8 +73,27 @@ TOL_TAKERS = {
     "classical_rs": lambda tol: cs.certify_classical_rs(30, tol),
     "neeman": lambda tol: cs.certify_neeman(30, 2.0, tol),
 }
-#: 1e400 reads as inf, as `verify --tol 1e400` does
-BAD_TOLS = {"0": 0.0, "-1e-9": -1e-9, "nan": math.nan, "inf": math.inf, "1e400": 1e400}
+#: 1e400 reads as inf, as `verify --tol 1e400` does, and so does an int past the float range
+BAD_TOLS = {"0": 0.0, "-1e-9": -1e-9, "nan": math.nan, "inf": math.inf, "1e400": 1e400,
+            "10**400": 10**400}
+
+#: A scalar number that is a string, None or an int past the float range,
+#: and a table cap that is not an integer >= 0, as (call, message)
+_F3 = cs.normalized_real(cs.theorem_params(3))
+BAD_NUMBERS = {
+    "remark3_params a='2'": (lambda: cs.remark3_params(4, "2"), "scale must be a number, got '2'"),
+    "remark3_params a=None": (lambda: cs.remark3_params(4, None),
+                              "scale must be a number, got None"),
+    "remark3_params a=10**400": (lambda: cs.remark3_params(4, 10**400), "got a=inf, n=4"),
+    "certify_remark3 a='2'": (lambda: cs.certify_remark3(30, "2"), "scale must be a number"),
+    "campaign low='0.5'": (lambda: cs.oracle_campaign(3, trials=1, low="0.5"),
+                           "low must be a number"),
+    "theorem1 cap='30'": (lambda: cs.certify_theorem1(3, max_table_n="30"),
+                          "table cap must be an integer, got '30'"),
+    "stats cap='30'": (lambda: cs.stats(_F3, "30"), "table cap must be an integer, got '30'"),
+    "stats cap=2.5": (lambda: cs.stats(_F3, 2.5), "table cap must be an integer, got 2.5"),
+    "stats cap=-1": (lambda: cs.stats(_F3, -1), "table cap must be >= 0, got -1"),
+}
 
 
 def _numpy_integers_are_counts():
@@ -211,11 +230,14 @@ class TestOracle:
         *((lambda f=f, tol=tol: f(tol),
            pytest.raises(cs.ParameterError, match="tolerance must be positive and finite"))
           for f in TOL_TAKERS.values() for tol in BAD_TOLS.values()),
+        *((call, pytest.raises(cs.ParameterError, match=message))
+          for call, message in BAD_NUMBERS.values()),
     ], ids=["classical n=-1", "classical n=2.5", "campaign n=2.5", "campaign trials=2.5",
             *(f"{name} {v!r}" for name, (_, least) in COUNT_TAKERS.items()
               for v in (*BAD_COUNTS, least - 1)),
             "numpy int64 accepted",
-            *(f"{kind} tol={tol}" for kind in TOL_TAKERS for tol in BAD_TOLS)])
+            *(f"{kind} tol={tol}" for kind in TOL_TAKERS for tol in BAD_TOLS),
+            *BAD_NUMBERS])
     def test_bad_counts_raise_parameter_error(self, call, expect):
         with expect:
             call()
@@ -414,6 +436,13 @@ class TestCertificates:
         for n in (5, 12, 22):
             assert cs.certify_neeman(n).overall
 
+    def test_clamped_sum_band_holds_above_n_22(self):
+        cert = cs.certify_neeman(23)
+        names = [c.name for c in cert.checks]
+        assert names[2:] == ["influence_above_band_low", "influence_below_band_high",
+                             "entropy_positive"]
+        assert cert.overall
+
     def test_inputs_are_recorded_as_floats(self):
         # an int and its float give the same certificate bytes
         for by_int, by_float in (
@@ -465,6 +494,10 @@ class TestClampedSumRegression:
         rep = cs.neeman_regression([np.int64(4), np.int64(6)])
         assert [type(n) for n, _, _ in rep.rows] == [int, int]
         json.dumps(rep.rows)
+
+    def test_no_dimension_is_refused(self):
+        with pytest.raises(cs.ParameterError, match="need at least one dimension"):
+            cs.neeman_regression([])
 
     def test_single_record_case(self):
         rep = cs.neeman_regression([16])

@@ -277,11 +277,8 @@ def cmd_neeman(args: argparse.Namespace) -> int:
         verdict.append({"influence_in_band": report.influence_in_band, "band": list(report.band)})
     _emit(args, rows, doc, _kv_lines(rows + verdict))
     if not report.overall:
-        print(
-            f"FAILED neeman regression: entropy_increasing={report.entropy_increasing} "
-            f"influence_in_band={report.influence_in_band}",
-            file=sys.stderr,
-        )
+        flags = _kv({k: doc[k] for k in ("entropy_increasing", "influence_in_band")})
+        print(f"FAILED neeman regression: {flags}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 

@@ -9,14 +9,18 @@ against the enumeration oracle and the maximum relative discrepancy is
 recorded as the certificate's first check.
 
 The oracle enumerates in extended precision (np.longdouble) through a
-rank-2 split of the pair: every value and coefficient is a sum of two
-products of 2^(n/2)-entry half tables or their transforms, taken one
-block at a time.  It holds no 2^n-entry table (under 3 MiB at n = 20),
-and resolves each squared coefficient against prod a_i^2 up to
-COEFF_GATE_MAX_N; the library under test stays in double precision.
-`oracle_compare` is the one entry point; it caches the six error figures
-per weight vector and table cap (least recently used, at most 256
-entries), so certificates that share weights enumerate them once.
+rank-2 split of the pair: every value is a sum of two products of
+2^(n/2)-entry half tables, walked one block at a time for the value
+figures.  Every coefficient is one product of a high and a low half
+transform entry, since no high mask carries two nonzeros, so the
+per-mask, influence and entropy figures come from sums over the half
+transforms alone; a mask with two nonzeros makes them nan.  It holds no
+2^n-entry table (1.5 MiB at n = 20), and resolves each squared
+coefficient against prod a_i^2 up to COEFF_GATE_MAX_N; the library
+under test stays in double precision.  `oracle_compare` is the one entry
+point; it checks n against the table cap, then caches the six error
+figures per weight vector (least recently used, at most 256 entries),
+so certificates that share weights enumerate them once.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
@@ -195,18 +199,19 @@ class OracleReport:
 
 
 @functools.lru_cache(maxsize=256)
-def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]:
+def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
     # The doubling step is linear in (P, Q): with m ~ n / 2, (p, q) the pair
     # of a[:m] and (u1, v1), (u2, v2) that of a[m:] from (1, 0) and (0, 1),
     # P(xl + 2^m xh) = u1(xh) p(xl) + u2(xh) q(xl) and Q = v1 p + v2 q.  The
     # transform of a product over disjoint variables is the product of the
-    # transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A).  Both are
-    # multiplied out one block of rows (xh or B) at a time, and block sums
-    # recombine along np.sum's split.
+    # transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A).  The values
+    # are multiplied out one block of rows (xh) at a time, and block sums
+    # recombine along np.sum's split.  The coefficients need no such walk:
+    # each high mask B has at most one nonzero of (u1^(B), u2^(B)), and of
+    # (v1^(B), v2^(B)), so row B of P^ or Q^ is one scalar h times p^ or q^.
     ld = np.longdouble
     a64 = np.frombuffer(a_bytes)
     n = a64.size
-    check_table_dim(n, max_table_n)
     a2 = np.square(a64.astype(ld))
     one_plus = 1.0 + a2
     big_l = ld(np.prod(one_plus))
@@ -221,52 +226,39 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
     m = min(n // 2, _BLOCK.bit_length() - 1)  # a block holds whole rows
     low = _pq_tables(a64[:m], ld)
     (u1, v1), (u2, v2) = (_pq_tables(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
-    # normalized transforms of the half tables; then the (high-half pair,
-    # low-half pair) of P, Q, P^ and Q^, and the per-mask targets
+    high_pairs = (u1, u2), (v1, v2)  # those of P, then of Q
+    # normalized transforms of the half tables
     low_hat, *high_hats = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
-                           for pair in (low, (u1, u2), (v1, v2))]
-    factors = [((u1, u2), low), ((v1, v2), low), *((h, low_hat) for h in high_hats)]
-    products = subset_products(a2[m:], dtype=ld), subset_products(a2[:m], dtype=ld)
+                           for pair in (low, *high_pairs)]
 
     size = 1 << n
     block = min(size, _BLOCK)
-    buf = np.empty((4, block), dtype=ld)
-    grid = buf.reshape(4, block >> m, 1 << m)
-    pc_low = popcounts(block.bit_length() - 1)
+    # P = [u1 u2] [p; q] row by row, and Q = [v1 v2] [p; q]
+    highs = [np.stack(pair, axis=1) for pair in high_pairs]
+    lows = np.stack(low)
+    buf = np.empty((2, block), dtype=ld)
+    grid = buf.reshape(2, block >> m, 1 << m)
     peaks = []
 
     def leaf(lo, hi):
         rows = slice(lo >> m, hi >> m)
-
-        def outer(k, x, y):  # x[rows] (x) y, into buf[k]
-            return np.multiply(x[rows, None], y, out=grid[k]).reshape(-1)
-
-        def mix(k, highs, lows):  # the sum of two outer products, into buf[k]
-            return np.add(outer(k, highs[0], lows[0]), outer(2, highs[1], lows[1]), out=buf[k])
-
-        pq = [mix(k, *f) for k, f in enumerate(factors[:2])]
-        linf = [np.max(np.abs(x, out=buf[2])) for x in pq]
+        # P, then Q: u1 p + u2 q of each row, a sum of two products in
+        # either order, so einsum's bits are those of the two outer products
+        pq = [np.einsum("rk,kc->rc", h[rows], lows, out=grid[k]).reshape(-1)
+              for k, h in enumerate(highs)]
+        linf = [np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pq]
         l2_sq = [np.sum(np.multiply(x, x, out=x)) for x in pq]
         s = np.add(*pq, out=pq[0])
-        dev = np.max(np.abs(np.subtract(s, target_const, out=s), out=s))
+        # s - target is monotone in s, so its largest magnitude is at an end
+        dev = np.maximum(s[np.argmax(s)] - target_const, target_const - s[np.argmin(s)])
+        peaks.append((dev, *linf))
+        return np.array(l2_sq)
 
-        target = outer(3, *products)
-        pc = pc_low + np.uint8(lo.bit_count())
-        per_mask, infl, ent = [], [], []
-        for f in factors[2:]:
-            w = mix(0, *f)
-            np.multiply(w, w, out=w)
-            e = np.abs(np.subtract(w, target, out=buf[1]), out=buf[1])
-            per_mask.append(np.max(np.divide(e, target, out=e)))
-            infl.append(np.sum(np.multiply(w, pc, out=buf[1])))
-            keep = w >= ZERO_WEIGHT_CUTOFF
-            terms = np.log2(w, out=buf[1], where=keep)
-            ent.append(-np.sum(np.multiply(w, terms, out=terms, where=keep), where=keep))
-        peaks.append((dev, *linf, *per_mask))
-        return np.array((l2_sq, infl, ent))
-
-    sums = _pairwise_sum(leaf, 0, size)
-    dev, *peaks = np.max(peaks, axis=0)
+    l2_sums = _pairwise_sum(leaf, 0, size)
+    dev, *linfs = np.max(peaks, axis=0)
+    low_products, high_products = (subset_products(x, dtype=ld) for x in (a2[:m], a2[m:]))
+    low_sums = [_low_sums(t, low_products, popcounts(m)) for t in low_hat]
+    coeffs = [_row_figures(h, low_sums, high_products, popcounts(n - m)) for h in high_hats]
     lo, hi = target_l2, SQRT2 * target_l2
     planes = [(  # the five figures of P, then of Q
         abs(np.sqrt(l2_sq / ld(size)) - target_l2) / target_l2,
@@ -274,14 +266,50 @@ def _oracle_errors(a_bytes: bytes, max_table_n: int | None) -> tuple[float, ...]
         per_mask,
         abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
         abs(ent - target_ent) / max(abs(target_ent), big_l),
-    ) for l2_sq, infl, ent, linf, per_mask in zip(*sums, peaks[:2], peaks[2:])]
+    ) for l2_sq, linf, (per_mask, infl, ent) in zip(l2_sums, linfs, coeffs)]
     # np.max keeps a nan figure, where a fold with Python max passes over it
     return (float(dev / target_const), *map(float, np.max(planes, axis=0)))
 
 
+def _low_sums(t: np.ndarray, products: np.ndarray, pc: np.ndarray) -> tuple:
+    """(M, D, E, min rho, max rho) of one normalized low transform t.
+
+    M = sum t^2, D = sum |A| t^2, E = sum t^2 log2 t^2 over the live
+    terms (t^2 >= ZERO_WEIGHT_CUTOFF), and rho = t^2 / prod_{i in A} a_i^2.
+    """
+    sq = t * t
+    logs = np.log2(sq, out=np.zeros_like(sq), where=sq >= ZERO_WEIGHT_CUTOFF)
+    rho = sq / products
+    return np.sum(sq), np.sum(sq * pc), np.sum(sq * logs), np.min(rho), np.max(rho)
+
+
+def _row_figures(highs, lows, products: np.ndarray, pc: np.ndarray) -> tuple:
+    """(per-mask error, influence, entropy) of the plane h1^(B) l1 + h2^(B) l2.
+
+    Row B is h^2 times the squares of one low transform, h the nonzero
+    of (h1^(B), h2^(B)) (0 if both are), so the influence is
+    sum_B h^2 (D + |B| M) and the entropy -sum_B h^2 (E + log2(h^2) M).
+    The per-mask error |c rho - 1|, c = h^2 / prod_{i in B} a_i^2, is
+    largest at the row's least or greatest rho: the rounded c rho - 1 is
+    monotone in rho for c > 0, and constant for c = 0.  A row with two
+    nonzeros is not of this form: all three figures are nan.
+    """
+    h1, h2 = highs
+    if np.any((h1 != 0) & (h2 != 0)):
+        return (np.longdouble(np.nan),) * 3
+    second = h2 != 0  # the rows that scale the second low transform
+    sq = np.square(np.where(second, h2, h1))
+    mass, dsum, esum, rho_min, rho_max = (np.where(second, b, a) for a, b in zip(*lows))
+    c = sq / products
+    per_mask = np.max(np.maximum(np.abs(c * rho_max - 1), np.abs(c * rho_min - 1)))
+    logs = np.log2(sq, out=np.zeros_like(sq), where=sq >= ZERO_WEIGHT_CUTOFF)
+    return per_mask, np.sum(sq * (dsum + pc * mass)), -np.sum(sq * (esum + logs * mass))
+
+
 def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> OracleReport:
     """Re-derive every closed-form quantity by enumeration; report max errors."""
-    return OracleReport(1, None, *_oracle_errors(params.a.tobytes(), max_table_n))
+    check_table_dim(params.n, max_table_n)
+    return OracleReport(1, None, *_oracle_errors(params.a.tobytes()))
 
 
 def oracle_campaign(n: int, trials: int = 100, seed: int = 12345,
@@ -310,10 +338,10 @@ def _entropy_bound(n: int) -> float:
 
 
 #: Largest n at which the certificate gate holds the per-mask figure: for
-#: the theorem weights it reads 1.4e-13 at n = 20 and 4.6e-11 at n = 26 in
-#: x87 extended precision, and 1.7e-10 at n = 20 and 7.2e-9 at n = 24 in a
-#: float64 simulation (never run there).  Above it that one figure is left
-#: out; the aggregate figures are gated at every n.
+#: the theorem weights it reads 1.35e-13 at n = 20 and 4.60e-11 at n = 26
+#: in x87 extended precision, and 1.7e-10 at n = 20 and 7.2e-9 at n = 24
+#: in a float64 simulation (never run there).  Above it that one figure is
+#: left out; the aggregate figures are gated at every n.
 COEFF_GATE_MAX_N = 26 if np.finfo(np.longdouble).nmant >= 63 else 20
 
 

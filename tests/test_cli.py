@@ -514,7 +514,7 @@ GOLDEN = {
     "neeman-default": lambda: (["neeman", "--n", "6,8"], 0, _golden_neeman("text", [6, 8]), ""),
     "neeman-failing": lambda: (
         ["neeman", "--n", "8,4"], 1, _golden_neeman("text", [8, 4]),
-        "FAILED neeman regression: entropy_increasing=False influence_in_band=True\n"),
+        "FAILED neeman regression: entropy_increasing=false influence_in_band=true\n"),
     "gen-error": lambda: (
         ["gen", "--n", "1,2"], 2, "", "error: gen needs exactly one --n value, got [1, 2]\n"),
     "gen-fixed-weights": lambda: (

@@ -187,6 +187,17 @@ class TestOracle:
         assert cs.oracle_compare(params) == first
         assert cs.verify._oracle_errors.cache_info().hits == hits + 1
 
+    def test_the_cache_is_keyed_on_the_weights_alone(self):
+        # the table cap decides only whether n is refused, before the cache
+        cs.verify._oracle_errors.cache_clear()
+        cs.certify_theorem1(12)
+        cs.certify_theorem1(12, max_table_n=26)
+        info = cs.verify._oracle_errors.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        with pytest.raises(cs.ResourceLimitError, match="n=12 exceeds the table cap 11"):
+            cs.oracle_compare(cs.theorem_params(12), max_table_n=11)
+        assert cs.verify._oracle_errors.cache_info() == info
+
     def test_cache_stays_bounded(self):
         cs.oracle_campaign(3, trials=300, seed=4)
         info = cs.verify._oracle_errors.cache_info()
@@ -264,25 +275,83 @@ def _uniform_draw(seed, n):
 #: theorem weights across the block boundary (n = 0 is the empty
 #: sequence), the classical all-ones pair, uniform(0.05, 1] draws, a
 #: weight whose squares sink below the entropy cutoff in every other
-#: mask, and weights small enough that most masks are dead.
+#: mask, the same weight last (16 high rows whose coefficients read
+#: zero), and weights small enough that most masks are dead.
 ORACLE_WEIGHTS = {
     **{f"theorem n={n}": (lambda n=n: cs.theorem_params(n).a if n else np.zeros(0))
        for n in (0, 1, 2, 12, 14, 16, 18, 20)},
     **{f"ones n={n}": (lambda n=n: np.ones(n)) for n in (16, 18)},
     **{f"uniform n={n}": (lambda n=n: _uniform_draw(n, n)) for n in (3, 14, 17)},
     "tiny first weight": lambda: np.array([1e-170] + [0.5] * 9),
+    "tiny last weight": lambda: np.array([0.5] * 9 + [1e-170]),
     "all 0.001": lambda: np.full(14, 0.001),
 }
 
 
+def _high_transforms(a):
+    """The oracle's normalized high-half transforms, ((u1^, u2^), (v1^, v2^))."""
+    m = min(a.size // 2, verify._BLOCK.bit_length() - 1)
+    (u1, v1), (u2, v2) = (verify._pq_tables(a[m:], np.longdouble, start)
+                          for start in ((1.0, 0.0), (0.0, 1.0)))
+    return [[verify.fwht_inplace(t) / np.longdouble(t.size) for t in pair]
+            for pair in ((u1, u2), (v1, v2))]
+
+
+def _two_nonzero_masks(a):
+    return sum(int(np.count_nonzero((h1 != 0) & (h2 != 0))) for h1, h2 in _high_transforms(a))
+
+
 class TestBlockwiseOracle:
+    @pytest.mark.parametrize("n", range(1, 27))
+    @pytest.mark.parametrize("family", ["theorem", "ones"])
+    def test_no_high_mask_has_two_nonzero_coefficients(self, family, n):
+        # the coefficient figures read each row of P^ and Q^ as one scalar
+        # times p^ or q^; the half tables alone show it, up to the cap
+        a = cs.theorem_params(n).a if family == "theorem" else np.ones(n)
+        assert _two_nonzero_masks(a) == 0
+
+    def test_no_high_mask_of_the_default_campaign_has_two_nonzeros(self, monkeypatch):
+        draws = []
+        zero = cs.OracleReport(1, None, *(0.0,) * 6)
+        monkeypatch.setattr(verify, "oracle_compare",
+                            lambda params, max_table_n=None: draws.append(params.a) or zero)
+        cs.oracle_campaign(14)
+        assert len(draws) == 100 and all(a.size == 14 for a in draws)
+        assert sum(map(_two_nonzero_masks, draws)) == 0
+
+    def test_zero_high_rows_are_no_two_nonzero_rows(self):
+        # a^2 = 1e-340 sinks every coefficient with the last bit below the
+        # values' resolution: both entries of those rows read zero
+        a = ORACLE_WEIGHTS["tiny last weight"]()
+        zero_rows = sum(int(np.count_nonzero((h1 == 0) & (h2 == 0)))
+                        for h1, h2 in _high_transforms(a))
+        assert zero_rows == 32 and _two_nonzero_masks(a) == 0
+
+    def test_a_high_mask_with_two_nonzeros_reads_nan_and_fails_the_gate(self, monkeypatch):
+        # u2 + 2^-40 moves u2^(0) off zero, next to u1^(0) = 1: row 0 of P^
+        # is no longer one scalar times p^ or q^
+        real = verify._pq_tables
+
+        def shifted(a, dtype=np.float64, start=(1.0, 1.0)):
+            p, q = real(a, dtype, start)
+            return (p + 2.0**-40, q) if start == (0.0, 1.0) else (p, q)
+
+        monkeypatch.setattr(verify, "_pq_tables", shifted)
+        monkeypatch.setattr(verify, "_oracle_errors", verify._oracle_errors.__wrapped__)
+        params = cs.theorem_params(6)
+        assert _two_nonzero_masks(params.a) == 1
+        rep = cs.oracle_compare(params)
+        assert rep.err_constancy < 1e-9
+        assert all(map(math.isnan, (rep.err_coefficients, rep.err_influence, rep.err_entropy)))
+        assert not verify._gate(params, 1e-9, None).passed
+
     def test_a_plain_float64_oracle_reports_nan_not_zero(self, monkeypatch):
         # where longdouble is float64, a_1^2 = 1e-340 underflows to 0: the
         # per-mask comparison divides 0 by 0 and the entropy target is nan
         monkeypatch.setattr(np, "longdouble", np.float64)
         a = np.array([1e-170] + [0.5] * 9)
         with np.errstate(all="ignore"):
-            errors = verify._oracle_errors.__wrapped__(a.tobytes(), None)
+            errors = verify._oracle_errors.__wrapped__(a.tobytes())
         assert math.isnan(errors[3]) and math.isnan(errors[5])
 
     @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
@@ -291,7 +360,7 @@ class TestBlockwiseOracle:
         # aggregate figures agree to 1e-16, and the per-mask figure is no
         # worse than the reference's (or within 1e-15 of exact)
         a = ORACLE_WEIGHTS[name]()
-        got = cs.verify._oracle_errors.__wrapped__(a.tobytes(), None)
+        got = cs.verify._oracle_errors.__wrapped__(a.tobytes())
         want = orc.whole_array_oracle_errors(a)
         for k, (g, w) in enumerate(zip(got, want)):
             if k == 3:
@@ -305,7 +374,7 @@ class TestBlockwiseOracle:
         for module in (cs.spectrum, cs.verify):
             monkeypatch.setattr(module, "_BLOCK", 1 << 7)
         a = cs.theorem_params(18).a
-        got = cs.verify._oracle_errors.__wrapped__(a.tobytes(), None)
+        got = cs.verify._oracle_errors.__wrapped__(a.tobytes())
         want = orc.whole_array_oracle_errors(a)
         assert max(abs(g - w) for k, (g, w) in enumerate(zip(got, want)) if k != 3) <= 1e-16
         assert got[3] <= 1e-12 < want[3]
@@ -316,7 +385,7 @@ class TestBlockwiseOracle:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cs.verify._oracle_errors.__wrapped__(a_bytes, None)
+            cs.verify._oracle_errors.__wrapped__(a_bytes)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

@@ -14,8 +14,8 @@ import cubespec as cs
 f = cs.HypercubeFunction(2, np.array([1.0, 2.0, 3.0, 4.0]))
 sp = cs.walsh_transform(f)
 
-print("value table:       ", f.values.real.tolist())
-print("coefficients:      ", sp.coeffs.real.tolist())
+print("value table:       ", f.values.tolist())
+print("coefficients:      ", sp.coeffs.tolist())
 
 # Parseval: mean squared value equals the total squared coefficient mass.
 st = cs.stats(f)

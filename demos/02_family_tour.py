@@ -13,9 +13,9 @@ import cubespec as cs
 
 # One recursion step at weight 1 gives the classical tables.
 pair = cs.build_pq(cs.ParamSeq([1.0, 1.0]))
-print("P table:", pair.p.values.real.tolist())
-print("Q table:", pair.q.values.real.tolist())
-print("|P|^2 + |Q|^2 is flat:", (pair.p.values**2 + pair.q.values**2).real.tolist())
+print("P table:", pair.p.values.tolist())
+print("Q table:", pair.q.values.tolist())
+print("|P|^2 + |Q|^2 is flat:", (pair.p.values**2 + pair.q.values**2).tolist())
 
 # All coefficients of the classical table have magnitude one.
 mags = np.abs(cs.walsh_transform(pair.p).coeffs)

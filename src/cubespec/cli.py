@@ -349,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--remark3", type=float, default=None, dest="remark3_scale",
                    metavar="A", help="certify the sqrt(a/n) family at this scale")
     v.add_argument("--remark2", action="store_true", dest="run_remark2",
-                   help="certify the zero-mean lift instead of the base family")
+                   help="certify the zero-mean lift instead of the base family; the lift "
+                        "has n + 1 variables, so it runs to one below the table cap")
 
     w = command("sweep", cmd_sweep, "closed-form influence/entropy grid as CSV",
                 n_help="comma list of dimensions", kind=False, table=False, fmt="csv")

@@ -128,7 +128,8 @@ def _log2_one_plus(a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(lg, _LN2, out=lg)
 
 
-def _pq_tables(a: Sequence[float], dtype=np.float64, start=(1.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
+def _pq_tables(a: Sequence[float], dtype=np.float64, start=(1.0, 1.0),
+               out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Raw value tables of the pair, via the doubling step, in `dtype`.
 
     The first half of each table is the eps = +1 branch (new index bit
@@ -137,10 +138,10 @@ def _pq_tables(a: Sequence[float], dtype=np.float64, start=(1.0, 1.0)) -> tuple[
     with the same per-element operations as concatenating
     [p + aq, p - aq] and [ap - q, -ap - q], signed zeros included.
     `start` is (P, Q) of the empty sequence; the step is linear in it.
+    `out`, two 2^n-entry arrays of `dtype` (strided views do), replaces p, q.
     """
     size = 1 << len(a)
-    p = np.empty(size, dtype=dtype)
-    q = np.empty(size, dtype=dtype)
+    p, q = out or (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
     aq_buf = np.empty(size // 2, dtype=dtype)
     ap_buf = np.empty(size // 2, dtype=dtype)
     p[0], q[0] = start
@@ -173,10 +174,9 @@ def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
 
 
 def build_pq(params: ParamSeq, max_table_n: int | None = None) -> RSPair:
-    """Value tables of the pair for these weights."""
+    """Value tables of the pair for these weights, float64 like every real table."""
     check_table_dim(params.n, max_table_n)
-    p, q = _pq_tables(params.a)
-    return RSPair(HypercubeFunction(params.n, p), HypercubeFunction(params.n, q))
+    return RSPair(*(_adopt(HypercubeFunction, params.n, t) for t in _pq_tables(params.a)))
 
 
 #: Packed point bits held per chunk: bounds the working memory of
@@ -475,25 +475,23 @@ def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> Hypercu
     """P scaled to unit L2 norm; bounded by sqrt(2) pointwise."""
     check_table_dim(params.n, max_table_n)
     p = _pq_tables(params.a)[0]
-    out = np.zeros(p.size, dtype=np.complex128)
-    np.multiply(p, _l2_scale_factor(params), out=out.real)
-    return _adopt(HypercubeFunction, params.n, out)
+    p *= _l2_scale_factor(params)
+    return _adopt(HypercubeFunction, params.n, p)
 
 
 def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
     """(P + iQ) / (sqrt(2) ||P||_2): every value on the unit circle.
 
-    P and Q are scaled straight into the result's real and imaginary
-    planes.  That has the bits of (p + 1j*q) * c, signed zeros included:
-    the tables never hold -0.0 and are never both zero at a point, so
-    the complex product's p*c - q*0 and p*0 + q*c are p*c and q*c.
+    P and Q are built and scaled in the result's real and imaginary planes.
+    That has the bits of (p + 1j*q) * c, signed zeros included: the tables
+    never hold -0.0 and are never both zero at a point, so the complex
+    product's p*c - q*0 and p*0 + q*c are p*c and q*c.
     """
     check_table_dim(params.n, max_table_n)
-    p, q = _pq_tables(params.a)
+    out = np.empty(1 << params.n, dtype=np.complex128)
     c = _unit_modulus_factor(params)
-    out = np.empty(p.size, dtype=np.complex128)
-    np.multiply(p, c, out=out.real)
-    np.multiply(q, c, out=out.imag)
+    for plane in _pq_tables(params.a, out=(out.real, out.imag)):
+        plane *= c
     return _adopt(HypercubeFunction, params.n, out)
 
 
@@ -576,12 +574,11 @@ def neeman_function(
     n = _count("dimension", n, 1)
     clamp = _clamp(clamp)
     check_table_dim(n, max_table_n)
-    out = np.zeros(1 << n, dtype=np.complex128)
-    values = out.real  # a view: (n - 2 popcount) / sqrt(n), clamped, in place
+    values = np.empty(1 << n)  # (n - 2 popcount) / sqrt(n), clamped, in place
     values[0] = n
     _doubled(values, np.subtract, repeat(2.0, n))  # values[m:2m] = values[:m] - 2: exact
     values /= math.sqrt(n)
     np.clip(values, -clamp, clamp, out=values)
     if normalize:
         values /= clamped_sum_l2_norm(n, clamp)
-    return _adopt(HypercubeFunction, n, out)
+    return _adopt(HypercubeFunction, n, values)

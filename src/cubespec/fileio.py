@@ -86,14 +86,13 @@ def _write_table(fh, table: np.ndarray, n: int, kind: str) -> None:
 
 
 def write_function(path_or_file, f: HypercubeFunction, kind: str | None = None) -> None:
-    """Write a value table; kind defaults to real iff f has no imaginary part."""
+    """Write a value table; kind defaults to real iff f is real (float64).
+    A complex f is refused kind=real, even with all imaginary parts zero."""
     if kind not in (None, "real", "complex"):
         raise ParameterError(f"function kind must be real or complex, got {kind!r}")
-    if kind != "complex":  # one scan of the imaginary plane settles both cases
-        real = f.is_real
-        if kind == "real" and not real:
-            raise ParameterError("kind=real requested for a table with imaginary parts")
-        kind = "real" if real else "complex"
+    if kind == "real" and not f.is_real:
+        raise ParameterError("kind=real requested for a complex table")
+    kind = kind or ("real" if f.is_real else "complex")
     with _open_maybe(path_or_file, "w") as fh:
         _write_table(fh, f.values, f.n, kind)
 
@@ -119,7 +118,7 @@ def _parse_header(line: str) -> tuple[int, str]:
     return n, kind
 
 
-def _parse_value(fields: list[str], kind: str, lineno: int) -> complex:
+def _parse_value(fields: list[str], kind: str, lineno: int) -> float | complex:
     want = 1 if kind == "real" else 2
     if len(fields) != want:
         raise FormatError(
@@ -133,7 +132,7 @@ def _parse_value(fields: list[str], kind: str, lineno: int) -> complex:
         raise FormatError(f"unparseable value on line {lineno}", line=lineno) from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise FormatError(f"non-finite value on line {lineno}", line=lineno)
-    return complex(re, im)
+    return re if want == 1 else complex(re, im)
 
 
 def _parse_chunk(lines: list[str], kind: str, lineno: int, out: np.ndarray) -> None:
@@ -153,7 +152,7 @@ def _parse_chunk(lines: list[str], kind: str, lineno: int, out: np.ndarray) -> N
         values.append(value)
     else:
         index = np.fromiter(map(slots.__getitem__, lines), dtype=np.intp, count=len(lines))
-        np.take(np.array(values, dtype=np.complex128), index, out=out)
+        np.take(np.array(values, dtype=out.dtype), index, out=out)
         return
     # raise the bad line's error again, now with its own line number
     _parse_value(line.split(), kind, lineno + lines.index(line))
@@ -167,7 +166,7 @@ def _read_table(path_or_file, max_table_n: int | None) -> tuple[int, str, np.nda
         n, kind = _parse_header(header)
         check_table_dim(n, max_table_n)
         size = 1 << n
-        table = np.empty(size, dtype=np.complex128)
+        table = np.empty(size, dtype=np.float64 if kind == "real" else np.complex128)
         for lo in range(0, size, _CHUNK):
             want = min(_CHUNK, size - lo)
             lines = list(islice(fh, want))

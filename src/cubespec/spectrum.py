@@ -21,11 +21,10 @@ and the base-2 spectral entropy
 which is the Shannon entropy of {w_m} when the function has unit L2
 norm, and is used unchanged for non-normalized functions as well.
 
-Values are stored as complex128 (a pair of float64 per point); real
-functions are the subcase with zero imaginary part.  `stats` transforms
-only the float64 real plane of such a table, which gives bit-identical
-results at half the memory traffic; every other operation treats real
-and complex tables alike.  Every transform runs through one in-place
+Values are stored as float64 for real input and complex128 for complex
+input.  The dtype is the one record of realness (`is_real` reads it), and
+transforms, `conjugate`, `lift_zero_mean` and `scale` by a real factor
+keep a real table real.  Every transform runs through one in-place
 kernel, `fwht_inplace`: cache-blocked constant-geometry passes with one
 block of scratch.  Tables of size 2^n are refused above a configurable
 cap (default n = 26, about 1 GiB of values).  All operations are pure
@@ -73,12 +72,14 @@ def check_table_dim(n: int, max_table_n: int | None = None) -> None:
 
 
 def _freeze(obj, n, values, copy: bool = True):
-    # checks n and the table, then stores n as a Python int and the table frozen
+    # checks n and the table, then stores n as a Python int and the table
+    # frozen: complex128 for complex input, float64 for any other
     n = _count("dimension", n, 0)
-    arr = (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C").reshape(-1)
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    arr = (np.array if copy else np.asarray)(values, dtype=dtype, order="C").reshape(-1)
     if arr.size != (1 << n):
         raise ParameterError(f"table length {arr.size} does not match 2^{n} = {1 << n}")
-    if not (np.isfinite(arr.real).all() and np.isfinite(arr.imag).all()):
+    if not np.isfinite(arr).all():
         raise ParameterError("table contains non-finite values")
     arr.setflags(write=False)
     object.__setattr__(obj, "n", n)
@@ -98,9 +99,9 @@ class HypercubeFunction:
 
     @property
     def is_real(self) -> bool:
-        """True iff every imaginary part is zero (-0.0 counts as zero)."""
-        imag = self.values.imag
-        return not any(imag[lo : lo + _BLOCK].any() for lo in range(0, imag.size, _BLOCK))
+        """True iff the table is float64; complex128 is not real even when
+        every imaginary part is zero."""
+        return self.values.dtype.kind != "c"
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class FourierSpectrum:
 
 
 def _adopt(cls, n: int, table: np.ndarray):
-    # cls(n, table) for a fresh complex128 table held nowhere else: checked
+    # cls(n, table) for a fresh float64 or complex128 table held nowhere else: checked
     # and frozen in place like the constructor does, but not copied again
     return _freeze(object.__new__(cls), n, table, copy=False)
 
@@ -345,20 +346,16 @@ def stats(f: HypercubeFunction, max_table_n: int | None = None) -> SpectralStats
     """L2/Linf norms plus influence, entropy and Parseval mass of f.
 
     Equal, field for field and bit for bit, to the norms of f and the
-    functionals of walsh_transform(f).  A table whose imaginary parts
-    are all zero is transformed in its float64 real plane alone: the
-    complex butterfly adds and subtracts the two planes independently
-    and the imaginary plane would only contribute +0.0 to every squared
-    weight.  The one table-sized allocation is the transform copy: the
+    functionals of walsh_transform(f).  The transform copy has f's
+    dtype, float64 for a real f.  It is the one table-sized allocation: the
     norms are taken block by block as the table is copied in, and after
     the transform each block is scaled and squared and its influence,
     mass and entropy terms taken while it is in cache (see the module
     docstring for the summation order).
     """
     check_table_dim(f.n, max_table_n)
-    source = f.values.real if f.is_real else f.values
-    table = np.empty(source.size, dtype=source.dtype)
-    l2_sq, linf = _norm_sums(table, source)
+    table = np.empty_like(f.values)
+    l2_sq, linf = _norm_sums(table, f.values)
     fwht_inplace(table)
     factor = math.ldexp(1.0, -f.n)  # exact power-of-two scaling
     scratch = np.empty((2, min(table.size, _BLOCK)))
@@ -383,11 +380,13 @@ def scale(f: HypercubeFunction, a: complex) -> HypercubeFunction:
 
     Downstream statistics obey I(a f) = |a|^2 I(f) and
     H(|a f|-spectrum) = |a|^2 H - (|a|^2 log2 |a|^2) ||f||_2^2.
+    A real f scaled by a real a (zero imaginary part) stays real.
     """
     a = complex(a)
     if not (math.isfinite(a.real) and math.isfinite(a.imag)):
         raise ParameterError(f"scale factor must be finite, got {a!r}")
-    return _adopt(HypercubeFunction, f.n, f.values * a)
+    factor = a.real if f.is_real and not a.imag else a
+    return _adopt(HypercubeFunction, f.n, f.values * factor)
 
 
 def conjugate(f: HypercubeFunction) -> HypercubeFunction:

@@ -392,14 +392,16 @@ def certify_theorem2(n: int, tol: float = 1e-9, max_table_n: int | None = None) 
 
 
 def certify_remark2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
-    """Lifting by a fresh sign keeps norms and entropy, adds one to influence."""
+    """Lifting by a fresh sign keeps norms and entropy, adds one to influence;
+    the lift's n + 1 meets the table cap before any oracle or table work."""
     params, tol = theorem_params(n), _tolerance(tol)
+    check_table_dim(n + 1, max_table_n)
     gate = _gate(params, tol, max_table_n)
     f = normalized_real(params, max_table_n)
     g = lift_zero_mean(f, max_table_n)
     sf = stats(f, max_table_n)
     sg = stats(g, max_table_n)
-    mean_g = float(np.mean(g.values.real))
+    mean_g = float(np.mean(g.values))
     checks = [
         gate,
         check_abs("l2_preserved", sg.l2_norm, sf.l2_norm, 1e-12),
@@ -449,7 +451,7 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     p = _pq_tables(params.a)[0]  # raw P alone; the gate has refused n above the cap
     l2_sq, linf = _norm_sums(p)
     l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
-    np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's real plane
+    np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's table
     coeff_dev = float(np.max(np.abs(np.subtract(np.abs(p, out=p), 1.0, out=p), out=p)))
     del p  # freed before the normalized table is built
     norm = stats(normalized_real(params, max_table_n), max_table_n)

@@ -284,7 +284,7 @@ def line_by_line_read(path_or_file, max_table_n=None):
         n, kind = _parse_header(header)
         check_table_dim(n, max_table_n)
         size = 1 << n
-        table = np.empty(size, dtype=np.complex128)
+        table = np.empty(size, dtype=np.float64 if kind == "real" else np.complex128)
         for i in range(size):
             line = fh.readline()
             lineno = i + 2

@@ -235,6 +235,11 @@ class TestVerify:
         kinds = [c["kind"] for c in json.loads(stdout)["certificates"]]
         assert "remark2" in kinds
 
+    def test_lift_flag_refuses_the_cap_as_the_dimension(self, capsys):
+        argv = ["verify", "--kind", "real", "--n", "8", "--remark2", "--max-table-n", "8"]
+        assert run(capsys, argv) == (2, "", "error: dimension n=9 exceeds the table cap 8; "
+                                            "a 2^9-entry table was refused\n")
+
     def test_csv_format_rows(self, capsys):
         code, stdout, _ = run(capsys, ["verify", "--kind", "neeman", "--n", "12", "--format", "csv"])
         assert code == 0

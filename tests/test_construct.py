@@ -97,8 +97,9 @@ class TestRecursionTables:
             p, q = concatenated(np.ones(n))
             if n % 2:  # odd n: P and Q take the values 0 and +-2^((n+1)/2)
                 assert np.count_nonzero(p == 0.0) and np.count_nonzero(q == 0.0)
-            assert pair.p.values.tobytes() == p.astype(np.complex128).tobytes()
-            assert pair.q.values.tobytes() == q.astype(np.complex128).tobytes()
+            assert pair.p.values.dtype == pair.q.values.dtype == np.float64
+            assert pair.p.values.tobytes() == p.tobytes()
+            assert pair.q.values.tobytes() == q.tobytes()
 
     def test_squared_sum_constant_over_random_draws(self):
         # |P|^2 + |Q|^2 must be flat at 2 * prod(1 + a_i^2)
@@ -167,8 +168,8 @@ class TestBatchedEvaluator:
             pair = build_pq(params)
             p, q = evaluate_many(params, range(1 << n))
             assert p.dtype == q.dtype == np.float64
-            assert p.tobytes() == pair.p.values.real.tobytes()
-            assert q.tobytes() == pair.q.values.real.tobytes()
+            assert p.tobytes() == pair.p.values.tobytes()
+            assert q.tobytes() == pair.q.values.tobytes()
 
     @pytest.mark.parametrize("width", [1, 2, 23, 24, 25, 40, 300])
     def test_wide_and_narrow_loops_agree(self, monkeypatch, width):
@@ -796,15 +797,13 @@ class TestBuildersCopyOnce:
         # signed zeros of (p + 1j*q) * c as well
         for params in (ParamSeq(np.ones(n)), ParamSeq(np.random.default_rng(n).uniform(0.05, 1.0, n))):
             pair = build_pq(params)
-            p, q = pair.p.values.real.copy(), pair.q.values.real.copy()
-            want = (p + 1j * q) * construct._unit_modulus_factor(params)
+            want = (pair.p.values + 1j * pair.q.values) * construct._unit_modulus_factor(params)
             assert unimodular_complex(params).values.tobytes() == want.tobytes()
 
     def test_real_builders_match_whole_table_expression(self):
         for n in (1, 5, 11, 16):
             params = ParamSeq(np.random.default_rng(n).uniform(0.05, 1.0, n))
-            p = build_pq(params).p.values.real.copy()
-            want = (p * construct._l2_scale_factor(params)).astype(np.complex128)
+            want = build_pq(params).p.values * construct._l2_scale_factor(params)
             assert normalized_real(params).values.tobytes() == want.tobytes()
             for clamp, normalize in ((0.7, True), (2.0, False), (100.0, True)):
                 pc = popcounts(n).astype(np.float64)
@@ -812,14 +811,18 @@ class TestBuildersCopyOnce:
                 if normalize:
                     raw = raw / clamped_sum_l2_norm(n, clamp)
                 got = neeman_function(n, clamp, normalize)
-                assert got.values.tobytes() == raw.astype(np.complex128).tobytes()
+                assert got.values.tobytes() == raw.tobytes()
 
-    def test_built_tables_are_frozen(self):
+    def test_built_tables_are_frozen_in_their_dtype(self):
         params = theorem_params(6)
-        for f in (normalized_real(params), unimodular_complex(params), neeman_function(6),
-                  *four_variants(params)):
-            assert not f.values.flags.writeable
-            assert f.values.dtype == np.complex128 and f.values.flags.c_contiguous
+        pair = build_pq(params)
+        real = (normalized_real(params), pair.p, pair.q, neeman_function(6),
+                neeman_function(6, 0.5, normalize=False), normalized_sum(6))
+        complex_ = (unimodular_complex(params), *four_variants(params))
+        for dtype, tables in ((np.float64, real), (np.complex128, complex_)):
+            for f in tables:
+                assert f.values.dtype == dtype and f.is_real == (dtype == np.float64)
+                assert not f.values.flags.writeable and f.values.flags.c_contiguous
 
 
 class TestNormalizedBuilders:
@@ -904,9 +907,7 @@ class TestSumFamilies:
         for n in range(1, 13):
             pc = popcounts(n).astype(np.float64)
             want = (n - 2.0 * pc) / math.sqrt(n)
-            got = normalized_sum(n).values
-            assert got.real.tobytes() == want.tobytes()
-            assert not np.any(got.imag)
+            assert normalized_sum(n).values.tobytes() == want.tobytes()
 
     def test_l2_normalizer_matches_float_binomial_formula(self):
         # the formula the normalizer used before it kept C(n, k) exact;

@@ -39,13 +39,14 @@ class TestRoundTrip:
         write_function(path, f)
         back = read_function(path)
         assert back.n == 3
-        assert np.array_equal(back.values, f.values.astype(complex))
+        assert back.values.dtype == np.float64 and back.values.tobytes() == f.values.tobytes()
 
     def test_complex_function_exact(self, tmp_path):
         vals = RNG.uniform(-2, 2, 16) + 1j * RNG.uniform(-2, 2, 16)
         path = tmp_path / "g.txt"
         write_function(path, HypercubeFunction(4, vals))
-        assert np.array_equal(read_function(path).values, vals)
+        back = read_function(path)
+        assert back.values.dtype == np.complex128 and back.values.tobytes() == vals.tobytes()
 
     def test_spectrum_exact(self, tmp_path):
         s = walsh_transform(HypercubeFunction(3, RNG.uniform(-1, 1, 8)))
@@ -65,7 +66,15 @@ class TestRoundTrip:
     def test_file_like_objects_accepted(self):
         f = HypercubeFunction(1, np.array([1.0, -0.5]))
         text = dump(f)
-        assert np.array_equal(read_function(io.StringIO(text)).values, np.array([1 + 0j, -0.5]))
+        assert read_function(io.StringIO(text)).values.tobytes() == np.array([1.0, -0.5]).tobytes()
+
+    def test_spectrum_reads_as_complex(self):
+        s = walsh_transform(HypercubeFunction(1, np.array([1.0, -0.5])))
+        assert s.coeffs.dtype == np.float64
+        buf = io.StringIO()
+        write_spectrum(buf, s)
+        back = read_spectrum(io.StringIO(buf.getvalue()))
+        assert back.coeffs.dtype == np.complex128 and np.array_equal(back.coeffs, s.coeffs)
 
 
 class TestLayout:
@@ -83,6 +92,12 @@ class TestLayout:
     def test_real_kind_rejects_imaginary_parts(self):
         f = HypercubeFunction(1, np.array([1 + 2j, 0j]))
         with pytest.raises(ParameterError):
+            dump(f, kind="real")
+
+    def test_complex_table_with_zero_imaginary_parts_is_written_complex(self):
+        f = HypercubeFunction(1, np.array([1 + 0j, -0.5 - 0j]))
+        assert dump(f) == "n=1 kind=complex\n1.0 0.0\n-0.5 0.0\n"
+        with pytest.raises(ParameterError, match="complex table"):
             dump(f, kind="real")
 
     @pytest.mark.parametrize("kind, values, reads", [

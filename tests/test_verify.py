@@ -447,10 +447,10 @@ class TestCertificates:
 
     @pytest.mark.parametrize("n", range(17))
     def test_classical_pair_raw_figures_are_those_of_the_complex_route(self, n):
-        # the certificate's route before it transformed P alone in float64
+        # the route through build_pq and walsh_transform
         pair = cs.build_pq(cs.ParamSeq(np.ones(n)))
         coeff_dev = float(np.max(np.abs(np.abs(cs.walsh_transform(pair.p).coeffs) - 1.0)))
-        l2_sq, linf = cs.spectrum._norm_sums(pair.p.values.real)
+        l2_sq, linf = cs.spectrum._norm_sums(pair.p.values)
         l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
         by_name = {c.name: c for c in cs.certify_classical_rs(n).checks}
         assert by_name["coefficient_magnitude_deviation"].lhs.hex() == coeff_dev.hex()
@@ -469,9 +469,34 @@ class TestCertificates:
             tracemalloc.stop()
         assert peak <= 4 * (1 << n) * 8
 
+    @pytest.mark.parametrize("kind, tables", [
+        ("theorem1", 4), ("theorem2", 6), ("remark2", 7), ("classical_rs", 4), ("neeman", 5),
+    ])
+    def test_certificate_peak_in_float64_tables(self, kind, tables):
+        # from a cold oracle at n = 16 (tables of 512 KiB) these read 3.83,
+        # 5.82, 6.83, 3.82 and 4.19 tables
+        n = 16
+        certify = getattr(cs, f"certify_{kind}")
+        cs.verify._oracle_errors.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            certify(n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables * (1 << n) * 8
+
     def test_lift_certificate(self):
         for n in (1, 4, 10):
             assert cs.certify_remark2(n).overall
+
+    def test_lift_certificate_runs_to_one_below_the_cap(self):
+        assert cs.certify_remark2(5, max_table_n=6).overall
+        before = cs.verify._oracle_errors.cache_info()
+        with pytest.raises(cs.ResourceLimitError, match="n=21 exceeds the table cap 20"):
+            cs.certify_remark2(20, max_table_n=20)
+        assert cs.verify._oracle_errors.cache_info() == before  # refused before the oracle
 
     def test_scaled_family_certificate_with_brute_confirmation(self):
         cert = cs.certify_remark3(16, 4.0)

@@ -61,7 +61,7 @@ def parse_param_spec(spec: str, n: int) -> ParamSeq:
     if spec == "one-over-sqrt-n":
         return construct.theorem_params(n) if n else ParamSeq(np.zeros(0))
     if spec.startswith("constant:"):
-        return ParamSeq(np.full(n, _parse_float(spec[len("constant:"):], "--a constant")))
+        return ParamSeq(np.broadcast_to(_parse_float(spec[len("constant:"):], "--a constant"), n))
     if spec.startswith("remark3:"):
         return construct.remark3_params(n, _parse_float(spec[len("remark3:"):], "--a remark3"))
     if spec.startswith("list:"):
@@ -151,7 +151,7 @@ def _build_function(args: argparse.Namespace, n: int) -> tuple[HypercubeFunction
     if args.kind == "neeman":
         return construct.neeman_function(n, clamp, normalize=True, max_table_n=cap), None
     spec = args.param_spec or "one-over-sqrt-n"
-    params = ParamSeq(np.ones(n)) if args.kind == "classical" else parse_param_spec(spec, n)
+    params = ParamSeq(np.broadcast_to(1.0, n)) if args.kind == "classical" else parse_param_spec(spec, n)
     build = construct.unimodular_complex if args.kind == "complex" else construct.normalized_real
     return build(params, cap), params
 

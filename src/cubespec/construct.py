@@ -52,18 +52,31 @@ _LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class ParamSeq:
-    """Weight sequence a_1..a_n, each in (0,1]; index i drives step i."""
+    """Weight sequence a_1..a_n, each in (0,1]; index i drives step i.
+
+    `a` is stored read-only and float64, in one of two layouts decided by
+    the input alone.  A 1-D input whose float64 view has zero stride (a
+    constant sequence, as from np.broadcast_to(v, n)) is stored as
+    np.broadcast_to of a private 0-d copy of its value: 8 bytes at any n,
+    validated on that one value.  Any other input is copied.  Readers
+    see an ordinary length-n array either way.
+    """
 
     a: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.a, dtype=np.float64).reshape(-1).copy()
+        arr = np.asarray(self.a, dtype=np.float64)
+        if arr.ndim == 1 and arr.size and arr.strides == (0,):
+            arr = np.broadcast_to(np.array(arr[0]), arr.shape)
+            values = arr[:1]
+        else:
+            arr = values = arr.reshape(-1).copy()
         # min and max allocate nothing; a nan makes the test fail too, and
         # only then do the checks below run, in the order of their messages
-        if arr.size and not (0.0 < arr.min() and arr.max() <= 1.0):
-            if not np.isfinite(arr).all():
+        if values.size and not (0.0 < values.min() and values.max() <= 1.0):
+            if not np.isfinite(values).all():
                 raise ParameterError("weights must be finite")
-            bad = arr[(arr <= 0.0) | (arr > 1.0)][0]
+            bad = values[(values <= 0.0) | (values > 1.0)][0]
             raise ParameterError(f"weights must lie in (0, 1], got {bad!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
@@ -314,7 +327,10 @@ def _weight_sums(a: np.ndarray, terms, out: np.ndarray | None = None):
     at most 2^15 follow np.sum's pairwise split (spectrum._pairwise_sum), so
     every sum has the whole-array bits.  A piece of equal weights is reduced
     once per (value, length) and its sums reused, filling out[piece] from
-    the stored value where terms writes per-weight values there.
+    the stored value where terms writes per-weight values there.  A
+    zero-stride piece (ParamSeq's constant layout) takes its smallest and
+    largest weight from x[0], so a constant sequence is read once per
+    distinct piece length, not once per weight.
     """
     scratch = np.empty((3, min(a.size, _BLOCK)))
     constant_pieces = {}
@@ -322,7 +338,10 @@ def _weight_sums(a: np.ndarray, terms, out: np.ndarray | None = None):
 
     def leaf(lo, hi):
         x = a[lo:hi]
-        low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
+        if x.size and x.strides == (0,):  # a piece of a constant sequence
+            low = high = x[0]
+        else:
+            low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
         lows.append(low)
         highs.append(high)
         key = (float(low), x.size) if low == high else None
@@ -444,7 +463,9 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     The sums come from _closed_form_sums, so every result has the bits
     of the whole-array sums and the working memory is under 1 MiB at
     any n.  The paper's constant sequences at n = 10^6 make 31 pieces of
-    2 or 3 lengths, each length reduced once.
+    2 or 3 lengths, each length reduced once; stored as one value
+    (theorem_params, remark3_params) they cost about 0.8 ms there, and
+    1.3 ms as a dense array (2-CPU x86-64 host).
     """
     a = params.a
     if a.size == 0:
@@ -488,11 +509,16 @@ def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> Hype
     product's p*c - q*0 and p*0 + q*c are p*c and q*c.
     """
     check_table_dim(params.n, max_table_n)
+    return _adopt(HypercubeFunction, params.n, _unimodular_table(params))
+
+
+def _unimodular_table(params: ParamSeq) -> np.ndarray:
+    # unimodular_complex's values as a writable table, with no cap check
     out = np.empty(1 << params.n, dtype=np.complex128)
     c = _unit_modulus_factor(params)
     for plane in _pq_tables(params.a, out=(out.real, out.imag)):
         plane *= c
-    return _adopt(HypercubeFunction, params.n, out)
+    return out
 
 
 def four_variants(params: ParamSeq, max_table_n: int | None = None):
@@ -516,7 +542,7 @@ def four_variants(params: ParamSeq, max_table_n: int | None = None):
 def theorem_params(n: int) -> ParamSeq:
     """The constant sequence a_i = 1/sqrt(n) of length n (n >= 1)."""
     n = _count("dimension", n, 1)
-    return ParamSeq(np.full(n, 1.0 / math.sqrt(n)))
+    return ParamSeq(np.broadcast_to(1.0 / math.sqrt(n), n))
 
 
 def remark3_params(n: int, a: float) -> ParamSeq:
@@ -528,7 +554,7 @@ def remark3_params(n: int, a: float) -> ParamSeq:
     n, a = _count("dimension", n, 0), _float("scale", a)
     if not 1.0 < a < n:
         raise ParameterError(f"scale must satisfy 1 < a < n, got a={a}, n={n}")
-    return ParamSeq(np.full(n, math.sqrt(a / n)))
+    return ParamSeq(np.broadcast_to(math.sqrt(a / n), n))
 
 
 def normalized_sum(n: int, max_table_n: int | None = None) -> HypercubeFunction:

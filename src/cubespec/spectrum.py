@@ -354,10 +354,16 @@ def stats(f: HypercubeFunction, max_table_n: int | None = None) -> SpectralStats
     docstring for the summation order).
     """
     check_table_dim(f.n, max_table_n)
-    table = np.empty_like(f.values)
-    l2_sq, linf = _norm_sums(table, f.values)
+    return _table_stats(f.n, np.empty_like(f.values), f.values)
+
+
+def _table_stats(n: int, table: np.ndarray, source: np.ndarray | None = None) -> SpectralStats:
+    """stats of `source` copied into `table`, or of `table` itself, which
+    is transformed in place: a caller that owns a table it needs no more
+    gets its stats with no copy."""
+    l2_sq, linf = _norm_sums(table, source)
     fwht_inplace(table)
-    factor = math.ldexp(1.0, -f.n)  # exact power-of-two scaling
+    factor = math.ldexp(1.0, -n)  # exact power-of-two scaling
     scratch = np.empty((2, min(table.size, _BLOCK)))
 
     def weights(lo, hi):
@@ -365,9 +371,9 @@ def stats(f: HypercubeFunction, max_table_n: int | None = None) -> SpectralStats
         c *= factor
         return _abs_squared(c, scratch)
 
-    infl, mass, ent = _spectral_sums(f.n, weights, table.view(np.float64))
+    infl, mass, ent = _spectral_sums(n, weights, table.view(np.float64))
     return SpectralStats(
-        l2_norm=math.sqrt(float(l2_sq) * math.ldexp(1.0, -f.n)),
+        l2_norm=math.sqrt(float(l2_sq) * factor),
         linf_norm=float(linf),
         influence=float(infl),
         entropy=float(ent),

@@ -51,6 +51,7 @@ from .construct import (
     theorem_params,
     unimodular_complex,
     _pq_tables,
+    _unimodular_table,
     _unit_modulus_factor,
 )
 from .errors import ParameterError, _clamp, _count, _float, _tolerance
@@ -60,6 +61,7 @@ from .spectrum import (
     _norm_sums,
     _pairwise_sum,
     _table_cap,
+    _table_stats,
     check_table_dim,
     fwht_inplace,
     lift_zero_mean,
@@ -374,13 +376,31 @@ def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) 
     return make_certificate("theorem1", n, {"weights": "1/sqrt(n)", "tol": tol}, checks)
 
 
+def _modulus_deviation(values: np.ndarray) -> float:
+    """max | |v| - 1 | over a table, one _BLOCK of float64 scratch at a time.
+
+    The max is exact, so this is the float of
+    np.max(np.abs(np.abs(values) - 1.0)), nan included, without its two
+    table-sized temporaries.
+    """
+    scratch = np.empty(min(values.size, _BLOCK))
+    peaks = []
+    for lo in range(0, values.size, _BLOCK):
+        seg = values[lo : lo + _BLOCK]
+        x = np.abs(seg, out=scratch[: seg.size])
+        peaks.append(np.max(np.abs(np.subtract(x, 1.0, out=x), out=x)))
+    return float(np.max(peaks))
+
+
 def certify_theorem2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Modulus-one complex family: same influence/entropy split."""
     params, tol = theorem_params(n), _tolerance(tol)
     gate = _gate(params, tol, max_table_n)
-    f = unimodular_complex(params, max_table_n)
-    dev = float(np.max(np.abs(np.abs(f.values) - 1.0)))
-    st = stats(f, max_table_n)
+    # unimodular_complex's values, which stats then transforms in place;
+    # the gate has refused n above the cap
+    table = _unimodular_table(params)
+    dev = _modulus_deviation(table)
+    st = _table_stats(params.n, table)
     checks = [
         gate,
         check_lt("modulus_deviation", dev, 1e-12),
@@ -446,7 +466,7 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     """Weight-one case: every coefficient of the raw pair has magnitude
     one, and the unit-norm rescaling has influence n/2 and entropy n."""
     n, tol = _count("dimension", n, 0), _tolerance(tol)
-    params = ParamSeq(np.ones(n))
+    params = ParamSeq(np.broadcast_to(1.0, n))
     gate = _gate(params, tol, max_table_n)
     p = _pq_tables(params.a)[0]  # raw P alone; the gate has refused n above the cap
     l2_sq, linf = _norm_sums(p)

@@ -323,6 +323,24 @@ class TestSweep:
         assert stdout.splitlines()[1].startswith("1048576,32.0,")
 
 
+class TestWeightStorage:
+    """Constant weight specs are stored as one value broadcast to n."""
+
+    @pytest.mark.parametrize("spec", ["constant:0.5", "one-over-sqrt-n", "remark3:4"])
+    def test_constant_specs_have_zero_stride(self, spec):
+        a = cli.parse_param_spec(spec, 10**6).a
+        assert a.strides == (0,) and not a.flags.writeable
+
+    def test_list_spec_is_copied(self):
+        a = cli.parse_param_spec("list:0.5,0.25,0.5", 3).a
+        assert a.flags.owndata and a.tolist() == [0.5, 0.25, 0.5]
+
+    def test_classical_kind_has_zero_stride(self):
+        args = cli.build_parser().parse_args(["gen", "--kind", "classical", "--n", "3"])
+        _, params = cli._build_function(args, 3)
+        assert params.a.strides == (0,) and params.a.tolist() == [1.0, 1.0, 1.0]
+
+
 class TestNeemanCmd:
     def test_default_set_monotone(self, capsys):
         code, stdout, _ = run(capsys, ["neeman", "--format", "csv"])

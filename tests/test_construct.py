@@ -1,5 +1,6 @@
 """Family builders against hand values, the slow reference, and the closed forms."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as orc
 from cubespec import construct, spectrum
+from cubespec import verify as cs_verify
 from cubespec import (
     ParamSeq,
     ParameterError,
@@ -506,6 +508,75 @@ class TestOneWeightReducer:
         assert unimodular_complex(params).values.tolist() == [2.0**-0.5 * (1 + 1j)]
 
 
+def _constant_figures(params):
+    """Every closed-form and evaluator output of the weights, as exact text."""
+    cf, ncf = closed_form(params), normalized_closed_form(params)
+    floats = [getattr(cf, f.name) for f in dataclasses.fields(cf) if f.name not in
+              ("n", "coeff_log_magnitude")]
+    floats += dataclasses.astuple(ncf)
+    floats += [params.total_mass, construct._l2_scale_factor(params),
+               construct._unit_modulus_factor(params)]
+    point = random.Random(params.n).getrandbits(params.n)
+    return ([float(x).hex() for x in floats], cf.coeff_log_magnitude.tobytes(),
+            [x.tobytes() for x in evaluate_many(params, [point])])
+
+
+class TestConstantStorage:
+    """Constant sequences are one value broadcast to n, with the bits of np.full."""
+
+    @pytest.mark.parametrize("params", [
+        theorem_params(1), theorem_params(10**6), remark3_params(10**6, 4.0),
+        ParamSeq(np.broadcast_to(0.5, 3)),
+    ], ids=["theorem-1", "theorem-10^6", "remark3-10^6", "broadcast-3"])
+    def test_constant_sequences_have_zero_stride(self, params):
+        assert params.a.strides == (0,) and params.a.dtype == np.float64
+        assert not params.a.flags.writeable
+        owner = params.a
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == 8
+
+    @pytest.mark.parametrize("weights", [
+        np.full(5, 0.5), [0.5] * 5, np.arange(1, 6) / 5, np.full((2, 3), 0.5),
+        np.broadcast_to(np.float32(0.5), 5),
+    ], ids=["full", "list", "distinct", "2-d", "float32"])
+    def test_other_inputs_are_copied(self, weights):
+        a = ParamSeq(weights).a
+        assert a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2, 32767, 32768, 32769, 65537, 10**6])
+    @pytest.mark.parametrize("weight", ["1.0", "1/sqrt(n)", "0.5", "1e-170"])
+    def test_same_bits_as_dense_weights(self, n, weight):
+        v = 1.0 / math.sqrt(n) if weight == "1/sqrt(n)" else float(weight)
+        constant = theorem_params(n) if weight == "1/sqrt(n)" else ParamSeq(np.broadcast_to(v, n))
+        assert constant.a.strides == (0,)
+        assert _constant_figures(constant) == _constant_figures(ParamSeq(np.full(n, v)))
+
+    @pytest.mark.parametrize("n", [2, 32767, 32768, 32769, 65537, 10**6])
+    def test_remark3_certificate_text_as_with_dense_weights(self, monkeypatch, n):
+        a = 1.5 if n == 2 else 4.0
+        text = cs_verify.certify_remark3(n, a).to_text()
+        monkeypatch.setattr(cs_verify, "remark3_params",
+                            lambda n, a: ParamSeq(np.full(n, remark3_params(n, a).a[0])))
+        assert cs_verify.remark3_params(n, a).a.strides == (8,)
+        assert cs_verify.certify_remark3(n, a).to_text() == text
+
+    def test_constant_weights_allocate_nothing_n_sized(self):
+        # np.full weights read 15.3 MiB for this pair: the array, its copy
+        # and the dense min/max
+        tracemalloc.start()
+        try:
+            params = remark3_params(10**6, 4.0)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            normalized_closed_form(params)
+            closed_form_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak < 4 << 10, build_peak
+        assert closed_form_peak < 1 << 20, closed_form_peak
+
+
 class TestClosedFormSaturation:
     """Linear-scale fields past the float range read inf instead of raising."""
 
@@ -738,6 +809,22 @@ class TestParamFamilies:
             ParamSeq([0.5, bad, 0.25, 2.0])
         assert str(exc.value) == f"weights must lie in (0, 1], got {np.float64(bad)!r}"
 
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "weights must be finite"),
+        (math.inf, "weights must be finite"),
+        (-math.inf, "weights must be finite"),
+        *((v, f"weights must lie in (0, 1], got {np.float64(v)!r}")
+          for v in (0.0, -0.5, 1.0000000000000002)),
+    ])
+    @pytest.mark.parametrize("n", [1, 3, 10**6])
+    def test_constant_weight_messages(self, bad, message, n):
+        # the constant layout is checked on its one value, with the messages
+        # of the copied layout
+        for weights in (np.broadcast_to(bad, n), np.full(n, bad)):
+            with pytest.raises(ParameterError) as exc:
+                ParamSeq(weights)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("weights", [[math.nan, 2.0], [2.0, math.nan], [0.0, math.inf]])
     def test_non_finite_reported_before_range(self, weights):
         with pytest.raises(ParameterError) as exc:
@@ -751,6 +838,13 @@ class TestParamFamilies:
         assert not np.shares_memory(params.a, source)
         assert not params.a.flags.writeable
         assert ParamSeq([]).n == 0
+        # a constant input keeps its layout but not the caller's memory
+        value = np.array(0.5)
+        params = ParamSeq(np.broadcast_to(value, 7))
+        assert params.a.strides == (0,) and not params.a.flags.writeable
+        assert not np.shares_memory(params.a, value)
+        value[...] = 0.25
+        assert params.a.tolist() == [0.5] * 7
 
     def test_subset_products_hand_case(self):
         got = subset_products([2.0, 3.0, 5.0])

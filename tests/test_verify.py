@@ -418,6 +418,38 @@ class TestGateOracle:
         assert cs.verify._gate(params, 1e-9, None).lhs == rep.max_error()
 
 
+def _whole_array_modulus_deviation(values):
+    return float(np.max(np.abs(np.abs(values) - 1.0)))
+
+
+class TestModulusDeviation:
+    """certify_theorem2's blockwise | |v| - 1 | against the whole-array expression."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_same_float_as_whole_array_expression(self, n):
+        values = cs.unimodular_complex(cs.theorem_params(n)).values
+        assert verify._modulus_deviation(values) == _whole_array_modulus_deviation(values)
+
+    @pytest.mark.parametrize("off", [1.5, 0.25j, -1.0 - 1e-5j, math.nan])
+    def test_one_value_off_the_circle_in_the_last_block(self, off):
+        values = cs.unimodular_complex(cs.theorem_params(17)).values.copy()
+        values[-1] = off
+        got, want = verify._modulus_deviation(values), _whole_array_modulus_deviation(values)
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert not got <= 1e-12
+
+    def test_scratch_is_one_block(self):
+        # the whole-array expression peaks at two float64 tables (1 MiB here)
+        values = cs.unimodular_complex(cs.theorem_params(16)).values
+        tracemalloc.start()
+        try:
+            verify._modulus_deviation(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= verify._BLOCK * 8 + (16 << 10), peak
+
+
 class TestCertificates:
     def test_bounded_real_family_passes_with_margins(self):
         for n in (1, 8, 18):
@@ -430,6 +462,17 @@ class TestCertificates:
             cert = cs.certify_theorem2(n)
             assert cert.overall
             assert all(c.passed for c in cert.checks)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 15, 16])
+    def test_unit_modulus_figures_are_those_of_stats(self, n):
+        # the certificate transforms its own table in place; the figures are
+        # those of stats over the public builder's table, bit for bit
+        f = cs.unimodular_complex(cs.theorem_params(n))
+        st = cs.stats(f)
+        by_name = {c.name: c.lhs for c in cs.certify_theorem2(n).checks}
+        assert by_name["modulus_deviation"] == _whole_array_modulus_deviation(f.values)
+        assert by_name["influence_equals_target"] == st.influence
+        assert by_name["entropy_above_bound"] == st.entropy
 
     def test_classical_pair_certificate(self):
         cert = cs.certify_classical_rs(8)
@@ -470,11 +513,12 @@ class TestCertificates:
         assert peak <= 4 * (1 << n) * 8
 
     @pytest.mark.parametrize("kind, tables", [
-        ("theorem1", 4), ("theorem2", 6), ("remark2", 7), ("classical_rs", 4), ("neeman", 5),
+        ("theorem1", 4), ("theorem2", 4), ("remark2", 7), ("classical_rs", 4), ("neeman", 5),
     ])
     def test_certificate_peak_in_float64_tables(self, kind, tables):
         # from a cold oracle at n = 16 (tables of 512 KiB) these read 3.83,
-        # 5.82, 6.83, 3.82 and 4.19 tables
+        # 3.82, 6.83, 3.82 and 4.19 tables; theorem2 read 5.82 while stats
+        # copied the complex table
         n = 16
         certify = getattr(cs, f"certify_{kind}")
         cs.verify._oracle_errors.cache_clear()

@@ -141,37 +141,87 @@ def _log2_one_plus(a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(lg, _LN2, out=lg)
 
 
+def _step(ai, p_lo, q_lo, p_hi, q_hi, aq, ap) -> None:
+    # one doubling step: (p_lo, q_lo) becomes the eps = +1 child in place
+    # and (p_hi, q_hi) the eps = -1 child, with the per-element operations
+    # of [p + aq, p - aq] and [ap - q, -ap - q]; q_hi None: P alone, no Q
+    np.multiply(ai, q_lo, out=aq)
+    if q_hi is not None:
+        np.multiply(ai, p_lo, out=ap)
+    # the eps = -1 child first: it reads the parent before that changes
+    np.subtract(p_lo, aq, out=p_hi)
+    np.add(p_lo, aq, out=p_lo)
+    if q_hi is not None:
+        np.negative(ap, out=q_hi)
+        np.subtract(q_hi, q_lo, out=q_hi)
+        np.subtract(ap, q_lo, out=q_lo)
+
+
+def _doubling(a: Sequence[float], dtype, start, p: np.ndarray, q: np.ndarray | None) -> None:
+    """Fill the 2^n table p with P, and q with Q, by the doubling step.
+
+    The first 15 steps double in place inside one block (the first
+    2^15 entries).  Above it the tables form a tree of block-rows: step
+    k turns row j into its two children, rows j and j + 2^(k-15).  That
+    tree is expanded depth first, one block at a time, from an explicit
+    stack, so each step writes both children while the parent is still
+    in cache.  With q None only P is kept as a table: the Q of a node is
+    a block buffer, the eps = +1 child's in place and the eps = -1
+    child's in a pending block of its level, free again once that
+    child's subtree is done; the last step writes no Q.
+    """
+    n = len(a)
+    block = min(p.size, _BLOCK)
+    low = block.bit_length() - 1
+    a = [dtype(ai) for ai in a]
+    aq, ap = np.empty(block, dtype=dtype), np.empty(block, dtype=dtype)
+    q_row = np.empty(block, dtype=dtype) if q is None else q[:block]
+    pending = [np.empty(block, dtype=dtype) for _ in range(low, n - 1)] if q is None else []
+    p[0], q_row[0] = start
+    for k in range(low):
+        m = 1 << k
+        q_hi = None if q is None and k == n - 1 else q_row[m : 2 * m]
+        _step(a[k], p[:m], q_row[:m], p[m : 2 * m], q_hi, aq[:m], ap[:m])
+
+    stack = [(0, q_row, low)] if n > low else []
+    while stack:
+        row, q_row, k = stack.pop()
+        hi = row + (1 << (k - low))
+        if q is not None:
+            q_hi = q[hi * block : (hi + 1) * block]
+        else:
+            q_hi = pending[k - low] if k < n - 1 else None
+        _step(a[k], p[row * block : (row + 1) * block], q_row,
+              p[hi * block : (hi + 1) * block], q_hi, aq, ap)
+        if k + 1 < n:
+            stack += [(hi, q_hi, k + 1), (row, q_row, k + 1)]  # eps = +1 child first
+
+
 def _pq_tables(a: Sequence[float], dtype=np.float64, start=(1.0, 1.0),
                out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Raw value tables of the pair, via the doubling step, in `dtype`.
 
     The first half of each table is the eps = +1 branch (new index bit
     clear), the second half eps = -1, matching the point convention in
-    `spectrum`.  Each step doubles in place inside the final arrays,
-    with the same per-element operations as concatenating
-    [p + aq, p - aq] and [ap - q, -ap - q], signed zeros included.
+    `spectrum`.  Each step doubles in place inside the final arrays
+    (`_doubling`, depth first above one block), with the same
+    per-element operations as concatenating [p + aq, p - aq] and
+    [ap - q, -ap - q], signed zeros included.  Scratch is two blocks.
     `start` is (P, Q) of the empty sequence; the step is linear in it.
     `out`, two 2^n-entry arrays of `dtype` (strided views do), replaces p, q.
     """
     size = 1 << len(a)
     p, q = out or (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
-    aq_buf = np.empty(size // 2, dtype=dtype)
-    ap_buf = np.empty(size // 2, dtype=dtype)
-    p[0], q[0] = start
-    m = 1
-    for ai in a:
-        ai = dtype(ai)
-        p_lo, p_hi, q_lo, q_hi = p[:m], p[m : 2 * m], q[:m], q[m : 2 * m]
-        aq = np.multiply(ai, q_lo, out=aq_buf[:m])
-        ap = np.multiply(ai, p_lo, out=ap_buf[:m])
-        # upper halves first: they read the lower halves before these change
-        np.subtract(p_lo, aq, out=p_hi)
-        np.add(p_lo, aq, out=p_lo)
-        np.negative(ap, out=q_hi)
-        np.subtract(q_hi, q_lo, out=q_hi)
-        np.subtract(ap, q_lo, out=q_lo)
-        m *= 2
+    _doubling(a, dtype, start, p, q)
     return p, q
+
+
+def _p_table(a: Sequence[float]) -> np.ndarray:
+    """The float64 P table of `_pq_tables(a)`, bit for bit, with no Q table:
+    Q lives in one block per level of the depth-first path."""
+    p = np.empty(1 << len(a))
+    _doubling(a, np.float64, (1.0, 1.0), p, None)
+    return p
 
 
 def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
@@ -495,7 +545,7 @@ def _unit_modulus_factor(params: ParamSeq) -> float:
 def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
     """P scaled to unit L2 norm; bounded by sqrt(2) pointwise."""
     check_table_dim(params.n, max_table_n)
-    p = _pq_tables(params.a)[0]
+    p = _p_table(params.a)
     p *= _l2_scale_factor(params)
     return _adopt(HypercubeFunction, params.n, p)
 

@@ -25,11 +25,13 @@ Values are stored as float64 for real input and complex128 for complex
 input.  The dtype is the one record of realness (`is_real` reads it), and
 transforms, `conjugate`, `lift_zero_mean` and `scale` by a real factor
 keep a real table real.  Every transform runs through one in-place
-kernel, `fwht_inplace`: cache-blocked constant-geometry passes with one
-block of scratch.  Tables of size 2^n are refused above a configurable
-cap (default n = 26, about 1 GiB of values).  All operations are pure
-and the stored arrays are frozen, so values are safe to share across
-threads; reductions run in a fixed order for run-to-run determinism.
+kernel, `fwht_inplace`, with one block of scratch: constant-geometry
+passes within each 2^15-element block, then butterflies between whole
+block-rows for the higher index bits.  Tables of size 2^n are refused
+above a configurable cap (default n = 26, about 1 GiB of values).  All
+operations are pure and the stored arrays are frozen, so values are
+safe to share across threads; reductions run in a fixed order for
+run-to-run determinism.
 
 Norms, influence, Parseval mass and entropy are reduced block by block:
 each aligned 2^15-element block is squared, weighted and summed while
@@ -79,7 +81,8 @@ def _freeze(obj, n, values, copy: bool = True):
     arr = (np.array if copy else np.asarray)(values, dtype=dtype, order="C").reshape(-1)
     if arr.size != (1 << n):
         raise ParameterError(f"table length {arr.size} does not match 2^{n} = {1 << n}")
-    if not np.isfinite(arr).all():
+    # block by block: a table-sized bool temporary would outgrow a build's scratch
+    if not all(np.isfinite(arr[lo : lo + _BLOCK]).all() for lo in range(0, arr.size, _BLOCK)):
         raise ParameterError("table contains non-finite values")
     arr.setflags(write=False)
     object.__setattr__(obj, "n", n)
@@ -148,12 +151,11 @@ def popcounts(n: int) -> np.ndarray:
     return pc
 
 
-# Kernel and reduction blocking.  A block of 2^15 elements is 256 KiB of
-# float64 or 512 KiB of complex128, so it and the scratch stay in a
-# core's L2.  Reductions need at least 128 (np.sum's own pairwise leaf).
+# Kernel, table-build and reduction blocking.  A block of 2^15 elements
+# is 256 KiB of float64 or 512 KiB of complex128, so two blocks and the
+# scratch stay in a core's L2.  Reductions need at least 128 (np.sum's
+# own pairwise leaf).
 _BLOCK = 1 << 15
-# Narrowest column slab for the high passes (rows of at least 128 bytes).
-_MIN_SLAB_WIDTH = 16
 
 
 def _passes(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
@@ -167,43 +169,50 @@ def _passes(x: np.ndarray, y: np.ndarray, count: int) -> np.ndarray:
     return x
 
 
+def _butterfly(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+    # x, y = x + y, x - y for two block-rows, through one block of scratch
+    np.add(x, y, out=scratch)
+    np.subtract(x, y, out=y)
+    np.copyto(x, scratch)
+
+
 def fwht_inplace(table: np.ndarray) -> np.ndarray:
     """Unnormalized in-place Walsh-Hadamard transform of a 2^n table.
 
     `table`: 1-D, C-contiguous, length 2^n, any real or complex float dtype.
-    Each pass is Pease's constant-geometry step y[:m] = x[0::2] + x[1::2],
-    y[m:] = x[0::2] - x[1::2] (m = len/2): the butterfly on index bit 0,
-    then a rotation of the index bits, back in natural order after the
-    last pass.  The low 15 bits run per aligned 2^15-element block,
-    ping-ponging with a scratch buffer (one copy back after an odd pass
-    count); the higher bits run per narrow column slab of the block-rows,
-    ping-ponging between two halves of the scratch.  Every output is the
-    same sum or difference of the same operands as in the plain butterfly
-    loop (pass h maps (t[i], t[i+h]) to (t[i] + t[i+h], t[i] - t[i+h])),
-    so results are bit-identical to it, signed zeros, inf and nan too.
-    Scratch is one block (two _MIN_SLAB_WIDTH slabs above 2^25 elements).
+    The low 15 index bits run per aligned 2^15-element block as Pease's
+    constant-geometry passes y[:m] = x[0::2] + x[1::2], y[m:] = x[0::2] -
+    x[1::2] (m = len/2): the butterfly on index bit 0, then a rotation of
+    the index bits, back in natural order after the last pass.  They
+    ping-pong with the scratch block, copying back after an odd pass
+    count.  The higher bits run as butterflies between whole contiguous
+    block-rows, for h = 1, 2, 4, ... rows: rows j and j + h become their
+    sum and difference, while both sit in cache.  Every output is the
+    same sum or difference of the same operands, bit by bit in the same
+    order, as in the plain butterfly loop (pass h maps (t[i], t[i+h]) to
+    (t[i] + t[i+h], t[i] - t[i+h])), so results are bit-identical to it,
+    signed zeros, inf and nan too.  Scratch is one block at every n.
     """
     size = table.size
     if table.ndim != 1 or not table.flags.c_contiguous or size < 1 or size & (size - 1):
         raise ParameterError("fwht_inplace needs a contiguous 1-D table of length 2^n")
     block = min(size, _BLOCK)
-    rows = size // block
-    width = min(block, max(block // (2 * rows), _MIN_SLAB_WIDTH))  # two slabs fill a block
-    scratch = np.empty(max(block, 2 * rows * width), dtype=table.dtype)
+    scratch = np.empty(block, dtype=table.dtype)
 
     for start in range(0, size, block):
         seg = table[start : start + block]
-        done = _passes(seg, scratch[:block], block.bit_length() - 1)
+        done = _passes(seg, scratch, block.bit_length() - 1)
         if done is not seg:
             np.copyto(seg, done)
 
-    if rows > 1:
-        grid = table.reshape(rows, block)
-        halves = scratch[: 2 * rows * width].reshape(2, rows, width)
-        for col in range(0, block, width):
-            slab = grid[:, col : col + width]
-            np.copyto(halves[0], slab)
-            np.copyto(slab, _passes(halves[0], halves[1], rows.bit_length() - 1))
+    grid = table.reshape(-1, block)
+    rows = grid.shape[0]
+    h = 1
+    while h < rows:
+        for j in range(rows):
+            if not j & h:
+                _butterfly(grid[j], grid[j + h], scratch)
+        h *= 2
     return table
 
 

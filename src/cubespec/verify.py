@@ -50,6 +50,7 @@ from .construct import (
     subset_products,
     theorem_params,
     unimodular_complex,
+    _p_table,
     _pq_tables,
     _unimodular_table,
     _unit_modulus_factor,
@@ -468,7 +469,7 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     n, tol = _count("dimension", n, 0), _tolerance(tol)
     params = ParamSeq(np.broadcast_to(1.0, n))
     gate = _gate(params, tol, max_table_n)
-    p = _pq_tables(params.a)[0]  # raw P alone; the gate has refused n above the cap
+    p = _p_table(params.a)  # raw P alone; the gate has refused n above the cap
     l2_sq, linf = _norm_sums(p)
     l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
     np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's table

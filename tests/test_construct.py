@@ -43,11 +43,36 @@ weight_lists = st.lists(
 )
 
 
+def concatenated(a, dtype=np.float64, start=(1.0, 1.0)):
+    """The pair by concatenating [p + aq, p - aq] and [ap - q, -ap - q] per step."""
+    p = np.full(1, start[0], dtype=dtype)
+    q = np.full(1, start[1], dtype=dtype)
+    for ai in a:
+        ai = dtype(ai)
+        aq = ai * q
+        ap = ai * p
+        p, q = np.concatenate([p + aq, p - aq]), np.concatenate([ap - q, -ap - q])
+    return p, q
+
+
+def same_bits(got, want):
+    # float64 by bytes; longdouble padding bytes are undefined, so by value and sign
+    if got.dtype == np.float64:
+        return got.tobytes() == want.tobytes()
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def brute(params):
     """Slow reference stats of the first recursion table."""
     p, _ = orc.pair_tables(list(params.a))
     co = orc.transform(p)
     return orc.l2(p), orc.linf(p), orc.influence(co), orc.entropy(co)
+
+
+# With the block shrunk to 2^2..2^6 elements, n = 12 expands 10 down to
+# 6 levels of block-rows depth first; smaller n take fewer, or none.
+SMALL_BLOCKS = [1 << k for k in range(2, 7)]
+BUILD_NS = range(13)
 
 
 class TestRecursionTables:
@@ -82,18 +107,10 @@ class TestRecursionTables:
             assert pair.p.values.tolist() == p
             assert pair.q.values.tolist() == q
 
-    def test_unit_weights_keep_signed_zeros_of_concatenation_builder(self):
+    @pytest.mark.parametrize("block", SMALL_BLOCKS + [spectrum._BLOCK])
+    def test_unit_weights_keep_signed_zeros_of_concatenation_builder(self, monkeypatch, block):
         # a_i = 1 makes exact zeros; gen files print -0.0 and 0.0 differently
-        def concatenated(a):
-            p = np.ones(1)
-            q = np.ones(1)
-            for ai in a:
-                ai = np.float64(ai)
-                aq = ai * q
-                ap = ai * p
-                p, q = np.concatenate([p + aq, p - aq]), np.concatenate([ap - q, -ap - q])
-            return p, q
-
+        monkeypatch.setattr(construct, "_BLOCK", block)
         for n in range(1, 13):
             pair = build_pq(ParamSeq(np.ones(n)))
             p, q = concatenated(np.ones(n))
@@ -102,6 +119,7 @@ class TestRecursionTables:
             assert pair.p.values.dtype == pair.q.values.dtype == np.float64
             assert pair.p.values.tobytes() == p.tobytes()
             assert pair.q.values.tobytes() == q.tobytes()
+            assert construct._p_table(np.ones(n)).tobytes() == p.tobytes()
 
     def test_squared_sum_constant_over_random_draws(self):
         # |P|^2 + |Q|^2 must be flat at 2 * prod(1 + a_i^2)
@@ -118,6 +136,38 @@ class TestRecursionTables:
             build_pq(ParamSeq([0.5] * 27))
         with pytest.raises(ResourceLimitError):
             build_pq(ParamSeq([0.5] * 6), max_table_n=5)
+
+
+class TestDepthFirstBuild:
+    """The blocked doubling against the concatenation builder, bit for bit."""
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("start", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
+    def test_pair(self, monkeypatch, block, dtype, start):
+        monkeypatch.setattr(construct, "_BLOCK", block)
+        for n in BUILD_NS:
+            a = np.random.default_rng(n).uniform(0.05, 1.0, n)
+            got, want = construct._pq_tables(a, dtype, start), concatenated(a, dtype, start)
+            assert all(map(same_bits, got, want)), n
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_complex_planes(self, monkeypatch, block):
+        monkeypatch.setattr(construct, "_BLOCK", block)
+        for n in BUILD_NS:
+            a = np.random.default_rng(n).uniform(0.05, 1.0, n)
+            out = np.empty(1 << n, dtype=np.complex128)
+            construct._pq_tables(a, out=(out.real, out.imag))
+            p, q = concatenated(a)
+            assert out.real.copy().tobytes() == p.tobytes(), n
+            assert out.imag.copy().tobytes() == q.tobytes(), n
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    def test_p_alone(self, monkeypatch, block):
+        monkeypatch.setattr(construct, "_BLOCK", block)
+        for n in BUILD_NS:
+            a = np.random.default_rng(n).uniform(0.05, 1.0, n)
+            assert construct._p_table(a).tobytes() == concatenated(a)[0].tobytes(), n
 
 
 class TestStreamingEvaluator:

@@ -122,9 +122,10 @@ def kernel_input(n, dtype, huge):
     return plane().astype(dtype)
 
 
-# n = 16, 17 and 20 span more than one 2^15-element block, so they take
-# the per-block low passes and the per-slab high passes.
-KERNEL_NS = list(range(18)) + [20]
+# n = 16, 17, 20 and 21 span more than one 2^15-element block, so they
+# take the per-block low passes and the block-row butterflies; n = 21 has
+# 64 block-rows.
+KERNEL_NS = list(range(18)) + [20, 21]
 
 
 class TestKernel:
@@ -162,8 +163,7 @@ class TestKernel:
 
 
 # With the block shrunk to 2^2..2^6 elements, n <= 14 spans up to 4096
-# block-rows: odd and even low and high pass counts, many slabs, and
-# slabs at the narrowest width.
+# block-rows: odd and even low and high pass counts.
 SMALL_BLOCKS = [1 << k for k in range(2, 7)]
 
 
@@ -194,20 +194,28 @@ class TestKernelSmallBlocks:
                 assert np.array_equal(got, want, equal_nan=True), n
                 assert np.array_equal(np.signbit(got), np.signbit(want)), n
 
-    def test_narrowest_slabs_are_reached(self, monkeypatch):
-        # at n = 14 with 2^6-element blocks the slabs are _MIN_SLAB_WIDTH wide
-        monkeypatch.setattr(spectrum, "_BLOCK", 1 << 6)
-        widths = []
-        real_passes = spectrum._passes
+    def test_high_bits_are_butterflies_between_block_rows(self, monkeypatch):
+        # at n = 12 with 2^6-element blocks there are 64 block-rows: each
+        # high pass h = 1, 2, 4, ... pairs rows j and j + h once, in order
+        block = 1 << 6
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        x = kernel_input(12, np.float64, False)
+        got = x.copy()
+        base = got.ctypes.data
+        pairs = []
+        real_butterfly = spectrum._butterfly
 
-        def spy(x, y, count):
-            widths.append(x.shape[1:])
-            return real_passes(x, y, count)
+        def spy(a, b, scratch):
+            assert a.size == b.size == scratch.size == block
+            pairs.append(((a.ctypes.data - base) // a.nbytes, (b.ctypes.data - base) // b.nbytes))
+            real_butterfly(a, b, scratch)
 
-        monkeypatch.setattr(spectrum, "_passes", spy)
-        x = kernel_input(14, np.float64, False)
-        assert fwht_inplace(x.copy()).tobytes() == reference_fwht(x.copy()).tobytes()
-        assert (spectrum._MIN_SLAB_WIDTH,) in widths
+        monkeypatch.setattr(spectrum, "_butterfly", spy)
+        assert fwht_inplace(got).tobytes() == reference_fwht(x.copy()).tobytes()
+        rows = x.size // block
+        assert rows == 64
+        h = [1 << k for k in range(rows.bit_length() - 1)]
+        assert pairs == [(j, j + hh) for hh in h for j in range(rows) if not j & hh]
 
 
 def peak_bytes(fn):
@@ -221,13 +229,16 @@ def peak_bytes(fn):
 
 
 class TestCopies:
-    @pytest.mark.parametrize("build", [normalized_real, unimodular_complex])
-    def test_builder_peak_at_most_three_float64_tables(self, build):
-        # P and Q (or the result's two planes) plus the two half-table
-        # buffers of the doubling step
-        params = theorem_params(16)
+    @pytest.mark.parametrize("build, tables", [(normalized_real, 1.5), (unimodular_complex, 2.1)])
+    def test_builder_peak_in_float64_tables(self, build, tables):
+        # at n = 20 these read 1.22 and 2.06 tables: P and a block of Q
+        # per depth-first level, or the result's two planes, plus the two
+        # block buffers of the doubling step; the whole-table doubling
+        # (Q and two half-table buffers) read 3.0 for both
+        n = 20
+        params = theorem_params(n)
         build(params)  # warms caches outside the traced call
-        assert peak_bytes(lambda: build(params)) <= 3.1 * (8 << 16)
+        assert peak_bytes(lambda: build(params)) <= tables * (8 << n)
 
     def test_walsh_and_inverse_peak_below_one_point_six_tables(self):
         f = unimodular_complex(theorem_params(16))

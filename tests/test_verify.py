@@ -500,7 +500,9 @@ class TestCertificates:
         assert by_name["l2_norm_target"].lhs.hex() == l2.hex()
         assert by_name["linf_over_l2"].lhs.hex() == (float(linf) / l2).hex()
 
-    def test_classical_pair_peak_is_under_four_float64_tables(self):
+    def test_classical_pair_peak_is_under_two_and_a_half_float64_tables(self):
+        # 2.46 tables, set by stats of the unit-norm table; building the raw
+        # P with its Q table and two half-table buffers read 3.0
         n = 18
         cs.certify_classical_rs(n)  # warms the oracle cache
         tracemalloc.start()
@@ -510,7 +512,7 @@ class TestCertificates:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (1 << n) * 8
+        assert peak <= 2.5 * (1 << n) * 8
 
     @pytest.mark.parametrize("kind, tables", [
         ("theorem1", 4), ("theorem2", 4), ("remark2", 7), ("classical_rs", 4), ("neeman", 5),

@@ -22,9 +22,10 @@ Closed forms: with L = prod(1 + a_i^2),
 and identically for Q.  Since prod_{j != i}(1 + a_j^2) = L / (1 + a_i^2),
 I and H are L times sums of per-weight terms.  Every sum over the
 weights goes through one blockwise reducer, with the bits of whole-array
-sums, and L stays in log2 domain, so the closed forms stay finite and
-O(n) far beyond table scale (n up to 10^6 and more); tables are only
-built on request and under the cap from `spectrum`.
+sums, and L stays in log2 domain, so the closed forms stay finite far
+beyond table scale: O(n) for distinct weights, O(log n) for a constant
+sequence; tables are only built on request and under the cap from
+`spectrum`.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ from .spectrum import (
     _adopt,
     _doubled,
     _pairwise_sum,
+    _run_sum,
     check_table_dim,
 )
 
 _LN2 = math.log(2.0)
+
+
+def _constant_layout(a: np.ndarray) -> bool:
+    # a nonempty 1-D array of one value repeated by a zero stride
+    return a.size > 0 and a.strides == (0,)
 
 
 @dataclass(frozen=True)
@@ -59,14 +66,17 @@ class ParamSeq:
     constant sequence, as from np.broadcast_to(v, n)) is stored as
     np.broadcast_to of a private 0-d copy of its value: 8 bytes at any n,
     validated on that one value.  Any other input is copied.  Readers
-    see an ordinary length-n array either way.
+    see an ordinary length-n array either way.  The weight reducer takes
+    the constant layout as one run of equal weights, so the closed forms,
+    scale factors and total_mass of a constant sequence cost O(log n)
+    time and O(1) memory at any n.
     """
 
     a: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.a, dtype=np.float64)
-        if arr.ndim == 1 and arr.size and arr.strides == (0,):
+        if arr.ndim == 1 and _constant_layout(arr):
             arr = np.broadcast_to(np.array(arr[0]), arr.shape)
             values = arr[:1]
         else:
@@ -88,8 +98,8 @@ class ParamSeq:
     @property
     def total_mass(self) -> float:
         """K = sum a_i^2, with the bits of np.sum(a * a)."""
-        return float(_weight_sums(self.a, lambda x, piece, scratch: np.sum(
-            np.multiply(x, x, out=scratch[0])))[0])
+        return float(_weight_sums(self.a, lambda x, piece, scratch: np.multiply(
+            x, x, out=scratch[0]))[0])
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,7 @@ class ClosedFormReport:
     linf_upper: float      # sqrt(2) * ||P||_2
     influence: float
     entropy: float
-    coeff_log_magnitude: np.ndarray  # per-index log2 a_i^2; sum over A gives log2 |Phat(A)|^2
+    coeff_log_magnitude: np.ndarray  # log2 a_i^2 per index, in a's layout; sum over A: log2 |Phat(A)|^2
     total_mass: float                # K = sum a_i^2
     remark1_bound: float             # K * e^K, a strict upper bound for the influence
     log2_l2_sq: float                # sum log2(1 + a_i^2); finite even when l2_norm overflows
@@ -369,41 +379,49 @@ def _or_inf(fn, *args) -> float:
         return math.inf
 
 
-def _weight_sums(a: np.ndarray, terms, out: np.ndarray | None = None):
+def _weight_sums(a: np.ndarray, terms, rows: int = 1, out: np.ndarray | None = None):
     """The one walk over the weights: sums, and the smallest and largest weight.
 
-    terms(x, piece, scratch) returns the np.sum, or an array of np.sums, of
-    per-weight terms of x = a[piece], using scratch[:, :x.size].  Pieces of
-    at most 2^15 follow np.sum's pairwise split (spectrum._pairwise_sum), so
-    every sum has the whole-array bits.  A piece of equal weights is reduced
-    once per (value, length) and its sums reused, filling out[piece] from
-    the stored value where terms writes per-weight values there.  A
-    zero-stride piece (ParamSeq's constant layout) takes its smallest and
-    largest weight from x[0], so a constant sequence is read once per
-    distinct piece length, not once per weight.
+    terms(x, piece, scratch) returns per-weight terms of x = a[piece]: one
+    row, or several as a 2-D array such as scratch, which holds `rows` rows
+    of x.size.  It may write a per-weight value into out[piece] too.  Each
+    row comes back summed, with the bits of np.sum over the whole row.
+
+    Dense weights are walked in pieces of at most 2^15 along np.sum's
+    pairwise split (spectrum._pairwise_sum), each piece's rows added by
+    np.add.reduce along the last axis.  A run of equal weights has equal
+    terms, and the pairwise sum of L copies of t depends on (t, L) alone:
+    so a run hands terms its first weight only, and each row is summed by
+    spectrum._run_sum(t, L) in O(log L).  A zero-stride `a` (ParamSeq's
+    constant layout) is one run, so every caller costs O(log n) time and
+    O(1) memory at any n; there `out` is 1 long.  A dense piece whose
+    smallest and largest weight agree is a run too, and out[piece] is
+    filled from its first value.
     """
-    scratch = np.empty((3, min(a.size, _BLOCK)))
-    constant_pieces = {}
+
+    def run(lo, hi):
+        # the first weight as a contiguous copy, which numpy's loops treat
+        # as they treat a dense piece
+        t = terms(a[lo : lo + 1].copy(), slice(lo, lo + 1), scratch[:, :1])[..., 0]
+        if out is not None:
+            out[lo + 1 : hi] = out[lo]
+        return _run_sum(t, hi - lo)
+
+    if _constant_layout(a):
+        scratch = np.empty((rows, 1))
+        return run(0, a.size), float(a[0]), float(a[0])
+
+    scratch = np.empty((rows, min(a.size, _BLOCK)))
     lows, highs = [], []
 
     def leaf(lo, hi):
         x = a[lo:hi]
-        if x.size and x.strides == (0,):  # a piece of a constant sequence
-            low = high = x[0]
-        else:
-            low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
+        low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
         lows.append(low)
         highs.append(high)
-        key = (float(low), x.size) if low == high else None
-        if key in constant_pieces:
-            sums, fill = constant_pieces[key]
-            if out is not None:
-                out[lo:hi] = fill
-            return sums
-        sums = terms(x, slice(lo, hi), scratch[:, : x.size])
-        if key is not None:
-            constant_pieces[key] = sums, None if out is None else out[lo]
-        return sums
+        if low == high:
+            return run(lo, hi)
+        return np.add.reduce(terms(x, slice(lo, hi), scratch[:, : x.size]), axis=-1)
 
     return _pairwise_sum(leaf, 0, a.size), float(min(lows)), float(max(highs))
 
@@ -413,20 +431,17 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
     and a_i^2, where p_i = a_i^2 / (1 + a_i^2); 2 log2 a_i goes to log2_out."""
 
     def terms(x, piece, scratch):
-        a2 = np.multiply(x, x, out=scratch[0])
-        frac = np.add(a2, 1.0, out=scratch[1])
-        np.divide(a2, frac, out=frac)    # a_i^2 / (1 + a_i^2)
-        log2_a2 = np.log2(x, out=scratch[2] if log2_out is None else log2_out[piece])
+        frac, weighted, log2_one_plus, mass_log, a2 = scratch
+        np.multiply(x, x, out=a2)
+        np.divide(a2, np.add(a2, 1.0, out=frac), out=frac)    # a_i^2 / (1 + a_i^2)
+        log2_a2 = np.log2(x, out=weighted if log2_out is None else log2_out[piece])
         log2_a2 *= 2.0
-        return np.array((
-            np.sum(frac),
-            np.sum(np.multiply(frac, log2_a2, out=frac)),
-            np.sum(_log2_one_plus(a2, out=frac)),
-            np.sum(np.multiply(a2, log2_a2, out=scratch[2])),
-            np.sum(a2),
-        ))
+        np.multiply(a2, log2_a2, out=mass_log)
+        np.multiply(frac, log2_a2, out=weighted)
+        _log2_one_plus(a2, out=log2_one_plus)
+        return scratch
 
-    return _weight_sums(a, terms, log2_out)
+    return _weight_sums(a, terms, 5, log2_out)
 
 
 def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> float:
@@ -441,7 +456,7 @@ def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> fl
         t = np.exp2(np.add(t, lg2, out=t), out=t)
         t *= lg2
         t[lg2 == 0.0] = 0.0          # a_i = 1 adds exactly 0 (not inf * 0)
-        return np.sum(t)
+        return t
 
     # terms past the range read inf; inf * 0 reads nan until masked
     with np.errstate(over="ignore", invalid="ignore"):
@@ -472,11 +487,17 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     coeff_log_magnitude (2 log2 a_i, read-only) have the bits of
     whole-array numpy expressions; I and H agree with a 60-digit
     reference to about 1e-15 relative for the paper's weights at
-    n = 10^6.
+    n = 10^6.  coeff_log_magnitude takes the layout of params.a: an
+    n-array for dense weights, and for a constant sequence its one value
+    broadcast to n (8 bytes), so a constant sequence costs O(log n) time
+    and O(1) memory here at any n.
     """
     a = params.a
-    log2_a2 = np.empty(a.size)
+    constant = _constant_layout(a)
+    log2_a2 = np.empty(1 if constant else a.size)
     sums, amin, _ = _closed_form_sums(a, log2_a2)
+    if constant:
+        log2_a2 = np.broadcast_to(log2_a2.reshape(()), a.shape)
     log2_a2.setflags(write=False)
     frac, weighted, total, _, k = map(float, sums)
     l2 = _or_inf(pow, 2.0, 0.5 * total)
@@ -511,11 +532,11 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     which the entropy strictly exceeds whenever some a_i < 1.
 
     The sums come from _closed_form_sums, so every result has the bits
-    of the whole-array sums and the working memory is under 1 MiB at
-    any n.  The paper's constant sequences at n = 10^6 make 31 pieces of
-    2 or 3 lengths, each length reduced once; stored as one value
-    (theorem_params, remark3_params) they cost about 0.8 ms there, and
-    1.3 ms as a dense array (2-CPU x86-64 host).
+    of the whole-array sums.  Dense weights take O(n) time in 1.3 MiB
+    of scratch (five rows of one 2^15-weight piece).  The paper's
+    constant sequences, stored as one value (theorem_params,
+    remark3_params), are one run: O(log n) time and under 10 KiB at any
+    n, about 20-40 us from n = 10^3 to 10^8 (2-CPU x86-64 host).
     """
     a = params.a
     if a.size == 0:
@@ -528,8 +549,8 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
 
 def _log2_l2_sq(params: ParamSeq) -> float:
     # log2 ||P||_2^2 = sum log2(1 + a_i^2), the same sum as closed_form's
-    return float(_weight_sums(params.a, lambda x, piece, scratch: np.sum(
-        _log2_one_plus(np.multiply(x, x, out=scratch[0]), out=scratch[0])))[0])
+    return float(_weight_sums(params.a, lambda x, piece, scratch: _log2_one_plus(
+        np.multiply(x, x, out=scratch[0]), out=scratch[0]))[0])
 
 
 def _l2_scale_factor(params: ParamSeq) -> float:
@@ -577,16 +598,25 @@ def four_variants(params: ParamSeq, max_table_n: int | None = None):
     Each has coefficient magnitude sqrt(2) * prod_{i in A} |a_i| at
     every mask A, which is what makes the pointwise modulus of the
     normalized combination rigid.
+
+    Each variant's planes are written straight into its complex128
+    table, with the bits of re + 1j*im and re - 1j*im: the tables never
+    hold -0.0, so the real plane is re, and the imaginary plane im or
+    0.0 - im (a +0.0 stays +0.0, where -im would read -0.0).
     """
     check_table_dim(params.n, max_table_n)
     p, q = _pq_tables(params.a)
-    n = params.n
-    return (
-        _adopt(HypercubeFunction, n, p + 1j * q),
-        _adopt(HypercubeFunction, n, p - 1j * q),
-        _adopt(HypercubeFunction, n, q + 1j * p),
-        _adopt(HypercubeFunction, n, q - 1j * p),
-    )
+
+    def variant(re, im, conj):
+        out = np.empty(re.size, dtype=np.complex128)
+        out.real = re
+        if conj:
+            np.subtract(0.0, im, out=out.imag)
+        else:
+            out.imag = im
+        return _adopt(HypercubeFunction, params.n, out)
+
+    return variant(p, q, False), variant(p, q, True), variant(q, p, False), variant(q, p, True)
 
 
 def theorem_params(n: int) -> ParamSeq:

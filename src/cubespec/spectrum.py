@@ -233,6 +233,17 @@ def inverse_transform(s: FourierSpectrum, max_table_n: int | None = None) -> Hyp
     return _adopt(HypercubeFunction, s.n, table)
 
 
+#: np.sum's pairwise leaf: a length of at most this many is added in one
+#: unrolled loop, a longer one is split in two at _pairwise_split
+_PAIRWISE_LEAF = 128
+
+
+def _pairwise_split(length: int) -> int:
+    # where np.sum's pairwise add splits a length above _PAIRWISE_LEAF
+    half = length // 2
+    return half - half % 8
+
+
 def _pairwise_sum(leaf, start: int, stop: int):
     """Sum of [start, stop) in np.sum's order, one piece of at most _BLOCK at a time.
 
@@ -247,9 +258,33 @@ def _pairwise_sum(leaf, start: int, stop: int):
     length = stop - start
     if length <= _BLOCK:
         return leaf(start, stop)
-    half = length // 2
-    half -= half % 8
-    return _pairwise_sum(leaf, start, start + half) + _pairwise_sum(leaf, start + half, stop)
+    mid = start + _pairwise_split(length)
+    return _pairwise_sum(leaf, start, mid) + _pairwise_sum(leaf, mid, stop)
+
+
+def _run_sum(t, length: int):
+    """np.sum(np.full(length, t)), bit for bit, in O(log length) time and memory.
+
+    A run of equal values is added along np.sum's pairwise split like any
+    array, but the sum of each part depends on its length alone.  So each
+    distinct length of the split's tree (about two per level) is summed
+    once, and the leaves, of at most 128 copies, by np.add.reduce on a
+    materialized copy.  An array `t` gives one run per value, summed along
+    the last axis as np.sum(..., axis=-1) sums C-contiguous rows.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    memo = {}
+
+    def total(m):
+        if m not in memo:
+            if m <= _PAIRWISE_LEAF:
+                memo[m] = np.add.reduce(np.full((*t.shape, m), t[..., None]), axis=-1)
+            else:
+                half = _pairwise_split(m)
+                memo[m] = total(half) + total(m - half)
+        return memo[m]
+
+    return total(length)
 
 
 def _abs_squared(x: np.ndarray, out: np.ndarray) -> np.ndarray:

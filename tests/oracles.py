@@ -209,6 +209,31 @@ def decimal_closed_form(a):
         return float(l * frac), float(-l * weighted / decimal.Decimal(2).ln())
 
 
+def decimal_constant_figures(v, n):
+    """Closed-form figures of n equal weights v, at 60 digits, as floats.
+
+    With w = v^2 and p = w / (1 + w): the unit-norm influence n p and
+    entropy n (log2(1 + w) - p log2 w), the entropy lower bound
+    -n w log2 w / (1 + w), the total mass n w, and the raw pair's
+    influence L n p and entropy -L n p log2 w with L = (1 + w)^n.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ln2 = decimal.Decimal(2).ln()
+        w = decimal.Decimal(float(v)) ** 2
+        p = w / (1 + w)
+        log2_w, log2_1w = w.ln() / ln2, (1 + w).ln() / ln2
+        big_l = (n * (1 + w).ln()).exp()
+        return {
+            "influence": float(n * p),
+            "entropy": float(n * (log2_1w - p * log2_w)),
+            "bound": float(-n * w * log2_w / (1 + w)),
+            "total_mass": float(n * w),
+            "raw_influence": float(big_l * n * p),
+            "raw_entropy": float(-big_l * n * p * log2_w),
+        }
+
+
 def whole_array_oracle_errors(a64, max_table_n=None):
     """The oracle's six error figures with whole-table longdouble temporaries."""
     ld = np.longdouble

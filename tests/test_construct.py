@@ -470,23 +470,38 @@ class TestNormalizedClosedFormBlocks:
         want = np.array(orc.whole_array_normalized_closed_form(params.a))
         assert got.tobytes() == want.tobytes()
 
-    def test_constant_pieces_reduced_once_per_length(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["const-n1000000", "same-value-two-lengths", "runs-short"])
+    def test_runs_compute_their_terms_on_one_weight(self, monkeypatch, name):
+        # a dense piece of equal weights computes its terms once, on its
+        # first weight; any other piece on all of its weights
         calls = []
         real = construct._log2_one_plus
         monkeypatch.setattr(
             construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
         )
-        for a in (theorem_params(10**6).a, _same_value_pieces_of_two_lengths()):
-            pieces = _pieces(a.size)
-            keys = {(a[lo], hi - lo) for lo, hi in pieces}
-            for fn in (normalized_closed_form, closed_form):
-                calls.clear()
-                rep = fn(ParamSeq(a))
-                # past the float range closed_form takes the entropy in a
-                # second, log2-domain pass, which reduces each key once too
-                passes = 2 if fn is closed_form and rep.log2_l2_sq >= 1024 else 1
-                assert len(calls) == passes * len(keys) and len(keys) < len(pieces), fn
-                assert sorted(calls) == sorted(passes * [length for _, length in keys]), fn
+        a = NORMALIZED_WEIGHTS[name]()
+        want = [1 if a[lo:hi].min() == a[lo:hi].max() else hi - lo for lo, hi in _pieces(a.size)]
+        assert 1 in want
+        for fn in (normalized_closed_form, closed_form):
+            calls.clear()
+            rep = fn(ParamSeq(a))
+            # past the float range closed_form takes the entropy in a
+            # second, log2-domain pass, which walks the pieces alike
+            passes = 2 if fn is closed_form and rep.log2_l2_sq >= 1024 else 1
+            assert calls == passes * want, fn
+
+    @pytest.mark.parametrize("n", [1, 129, 10**6, 10**12])
+    def test_constant_sequence_computes_its_terms_once(self, monkeypatch, n):
+        calls = []
+        real = construct._log2_one_plus
+        monkeypatch.setattr(
+            construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
+        )
+        params = remark3_params(n, 4.0) if n > 4 else theorem_params(n)
+        for fn in (normalized_closed_form, closed_form):
+            calls.clear()
+            fn(params)
+            assert calls == [1], fn
 
     @pytest.mark.parametrize("name", NORMALIZED_WEIGHTS)
     def test_closed_form_whole_array_fields_keep_their_bits(self, name):
@@ -527,16 +542,19 @@ class TestOneWeightReducer:
         assert construct._unit_modulus_factor(params) == 2.0 ** (-0.5 * (1.0 + total))
         assert params.total_mass == float(np.sum(a * a))
 
-    def test_scale_factor_reduces_each_constant_piece_once(self, monkeypatch):
+    @pytest.mark.parametrize("params", [theorem_params(10**6), theorem_params(10**12),
+                                        ParamSeq(np.full(10**6, 10**-3))],
+                             ids=["constant-10^6", "constant-10^12", "dense-equal-10^6"])
+    def test_scale_factor_computes_each_run_once(self, monkeypatch, params):
+        # the constant layout is one run; each equal-valued dense piece is one
         calls = []
         real = construct._log2_one_plus
         monkeypatch.setattr(
             construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
         )
-        a = theorem_params(10**6).a
-        keys = {(a[lo], hi - lo) for lo, hi in _pieces(a.size)}
-        construct._unit_modulus_factor(ParamSeq(a))
-        assert sorted(calls) == sorted(length for _, length in keys)
+        construct._unit_modulus_factor(params)
+        runs = 1 if params.a.strides == (0,) else len(_pieces(params.n))
+        assert calls == [1] * runs
 
     def test_no_weight_sized_temporary(self):
         # the whole-array sums peaked at 7.63 MiB here: one n-sized a * a
@@ -625,6 +643,64 @@ class TestConstantStorage:
             tracemalloc.stop()
         assert build_peak < 4 << 10, build_peak
         assert closed_form_peak < 1 << 20, closed_form_peak
+
+
+def _traced(fn):
+    """fn() and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHugeConstantSequences:
+    """Constant sequences cost O(log n) time and O(1) memory at any n."""
+
+    N, SCALE = 10**12, 4.0
+
+    def want(self):
+        return orc.decimal_constant_figures(remark3_params(self.N, self.SCALE).a[0], self.N)
+
+    def test_normalized_closed_form(self):
+        params = remark3_params(self.N, self.SCALE)
+        ncf, peak = _traced(lambda: normalized_closed_form(params))
+        assert peak < 1 << 20, peak
+        want = self.want()
+        for field, key in (("influence", "influence"), ("entropy", "entropy"),
+                           ("entropy_lower_bound", "bound")):
+            assert math.isclose(getattr(ncf, field), want[key], rel_tol=1e-12), field
+
+    def test_total_mass(self):
+        params = remark3_params(self.N, self.SCALE)
+        mass, peak = _traced(lambda: params.total_mass)
+        assert peak < 1 << 20, peak
+        assert math.isclose(mass, self.want()["total_mass"], rel_tol=1e-12)
+
+    def test_remark3_certificate(self):
+        cert, peak = _traced(lambda: cs_verify.certify_remark3(self.N, self.SCALE))
+        assert peak < 1 << 20, peak
+        assert cert.overall and len(cert.checks) == 3
+        want = self.want()
+        for check in cert.checks:
+            key = "influence" if "influence" in check.name else "entropy"
+            assert math.isclose(check.lhs, want[key], rel_tol=1e-12), check.name
+
+    def test_closed_form_coefficients_are_one_value(self):
+        params = remark3_params(10**9, self.SCALE)
+        rep = closed_form(params)
+        log2_a2 = rep.coeff_log_magnitude
+        assert log2_a2.shape == (10**9,) and log2_a2.strides == (0,)
+        assert log2_a2.dtype == np.float64 and not log2_a2.flags.writeable
+        owner = log2_a2
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == 8
+        assert log2_a2[0].tobytes() == (2.0 * np.log2(params.a[:1])).tobytes()
+        want = orc.decimal_constant_figures(params.a[0], params.n)
+        assert math.isclose(rep.influence, want["raw_influence"], rel_tol=1e-12)
+        assert math.isclose(rep.entropy, want["raw_entropy"], rel_tol=1e-12)
 
 
 class TestClosedFormSaturation:
@@ -994,6 +1070,24 @@ class TestNormalizedBuilders:
         assert variants[0].values.tolist() == [1 + 1j]
         co = orc.transform([1 + 1j])
         assert abs(abs(co[0]) - math.sqrt(2.0)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_four_variants_have_the_bits_of_complex_expressions(self, n):
+        # unit weights give Q = +0.0, which p - 1j*q keeps as +0.0
+        for a in (RNG.uniform(0.05, 1.0, n), theorem_params(max(n, 1)).a[:n], np.ones(n)):
+            p, q = construct._pq_tables(a)
+            want = (p + 1j * q, p - 1j * q, q + 1j * p, q - 1j * p)
+            got = four_variants(ParamSeq(a))
+            assert [f.values.tobytes() for f in got] == [w.tobytes() for w in want]
+
+    def test_four_variants_peak_in_float64_tables(self):
+        # P, Q and the four complex results: 10.07 tables; a complex
+        # 1j * q temporary per variant read 12.26
+        n = 16
+        params = ParamSeq(RNG.uniform(0.05, 1.0, n))
+        four_variants(params)
+        _, peak = _traced(lambda: four_variants(params))
+        assert peak <= 10.2 * (8 << n), peak / (8 << n)
 
     def test_four_variants_equal_magnitude_tables(self):
         params = ParamSeq(RNG.uniform(0.1, 1.0, 3))

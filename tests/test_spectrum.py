@@ -496,6 +496,30 @@ class TestBlockwiseReducer:
         assert pieces[-1][1] == length
         assert all(hi - lo <= spectrum._BLOCK for lo, hi in pieces)
 
+    @pytest.mark.parametrize("lengths", [range(1, 301), *(
+        [(1 << k) - 1, 1 << k, (1 << k) + 1] for k in range(9, 22)), [10**6]],
+        ids=["1-300", *(f"2^{k}" for k in range(9, 22)), "10^6"])
+    def test_run_sum_is_np_sum_of_copies(self, lengths):
+        for length in lengths:
+            values = [1.0, 1.0 / math.sqrt(length), 1e-300,
+                      *np.random.default_rng(length).uniform(-1.0, 1.0, 3)]
+            want = np.array([np.sum(np.full(length, t)) for t in values])
+            for t, w in zip(values, want):
+                got = spectrum._run_sum(t, length)
+                assert got.dtype == np.float64 and got.tobytes() == w.tobytes(), (length, t)
+            # one run per value at once, as the weight reducer sums its rows
+            assert spectrum._run_sum(np.array(values), length).tobytes() == want.tobytes(), length
+
+    def test_rows_sum_like_one_dimensional_sums(self):
+        # np.add.reduce along the last axis of rows of a wider scratch,
+        # as construct._weight_sums sums a piece's rows
+        scratch = np.random.default_rng(5).standard_normal((5, spectrum._BLOCK))
+        scratch *= [[1.0], [1e-3], [1e3], [1e-300], [7.0]]
+        for length in [*range(1, 301), spectrum._BLOCK]:
+            rows = scratch[:, :length]
+            want = np.array([np.sum(np.ascontiguousarray(r)) for r in rows])
+            assert np.add.reduce(rows, axis=-1).tobytes() == want.tobytes(), length
+
     @pytest.mark.parametrize("build", [normalized_real, unimodular_complex])
     def test_stats_peak_is_the_transform_copy_plus_two_mib(self, build):
         f = build(theorem_params(20))

@@ -21,8 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import construct, fileio, verify
 from .construct import ParamSeq
 from .errors import CubespecError, FormatError, ParameterError
@@ -59,21 +57,21 @@ def _parse_float(token: str, context: str) -> float:
 def parse_param_spec(spec: str, n: int) -> ParamSeq:
     """Resolve an --a specifier to a weight sequence of length n."""
     if spec == "one-over-sqrt-n":
-        return construct.theorem_params(n) if n else ParamSeq(np.zeros(0))
+        return construct.theorem_params(n) if n else ParamSeq([])
     if spec.startswith("constant:"):
-        return ParamSeq(np.broadcast_to(_parse_float(spec[len("constant:"):], "--a constant"), n))
+        return construct._constant_weights(_parse_float(spec[len("constant:"):], "--a constant"), n)
     if spec.startswith("remark3:"):
         return construct.remark3_params(n, _parse_float(spec[len("remark3:"):], "--a remark3"))
     if spec.startswith("list:"):
         vals = [_parse_float(t, "--a list") for t in spec[len("list:"):].split(",") if t]
         if len(vals) != n:
             raise ParameterError(f"list has {len(vals)} weights but n={n}")
-        return ParamSeq(np.asarray(vals))
+        return ParamSeq(vals)
     if spec.startswith("file:"):
         vals = _read_weight_file(spec[len("file:"):])
         if len(vals) != n:
             raise ParameterError(f"weight file has {len(vals)} entries but n={n}")
-        return ParamSeq(np.asarray(vals))
+        return ParamSeq(vals)
     raise ParameterError(
         f"bad --a specifier {spec!r}: expected constant:<c>, one-over-sqrt-n, "
         f"remark3:<a>, list:<v1,v2,...> or file:<path>"
@@ -151,7 +149,7 @@ def _build_function(args: argparse.Namespace, n: int) -> tuple[HypercubeFunction
     if args.kind == "neeman":
         return construct.neeman_function(n, clamp, normalize=True, max_table_n=cap), None
     spec = args.param_spec or "one-over-sqrt-n"
-    params = ParamSeq(np.broadcast_to(1.0, n)) if args.kind == "classical" else parse_param_spec(spec, n)
+    params = construct._constant_weights(1.0, n) if args.kind == "classical" else parse_param_spec(spec, n)
     build = construct.unimodular_complex if args.kind == "complex" else construct.normalized_real
     return build(params, cap), params
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Sequence
 
@@ -53,7 +53,8 @@ _LN2 = math.log(2.0)
 
 
 def _constant_layout(a: np.ndarray) -> bool:
-    # a nonempty 1-D array of one value repeated by a zero stride
+    # a nonempty 1-D array of one value repeated by a zero stride, as in
+    # ParamSeq's one-value layout
     return a.size > 0 and a.strides == (0,)
 
 
@@ -61,35 +62,40 @@ def _constant_layout(a: np.ndarray) -> bool:
 class ParamSeq:
     """Weight sequence a_1..a_n, each in (0,1]; index i drives step i.
 
-    `a` is stored read-only and float64, in one of two layouts decided by
-    the input alone.  A 1-D input whose float64 view has zero stride (a
-    constant sequence, as from np.broadcast_to(v, n)) is stored as
-    np.broadcast_to of a private 0-d copy of its value: 8 bytes at any n,
-    validated on that one value.  Any other input is copied.  Readers
-    see an ordinary length-n array either way.  The weight reducer takes
-    the constant layout as one run of equal weights, so the closed forms,
-    scale factors and total_mass of a constant sequence cost O(log n)
-    time and O(1) memory at any n.
+    `a` is stored read-only and float64, in one of two layouts, decided
+    here once from the smallest and largest weight that validation
+    takes.  Weights that are all equal, however given (np.full, a list,
+    any shape or float dtype, a broadcast), are stored as one value
+    broadcast to n: a private 0-d array of 8 bytes at any n.  Any other
+    input is copied.  Readers see an ordinary length-n array either way.
+    A zero-stride input is validated on its one value, so it costs O(1)
+    at any n.  The weight reducer takes the one-value layout as one run
+    of equal weights, so the closed forms, scale factors and total_mass
+    of a constant sequence cost O(log n) time and O(1) memory at any n.
     """
 
     a: np.ndarray
+    #: the smallest and largest weight (inf and -inf for no weights)
+    _extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.a, dtype=np.float64)
-        if arr.ndim == 1 and _constant_layout(arr):
-            arr = np.broadcast_to(np.array(arr[0]), arr.shape)
-            values = arr[:1]
-        else:
-            arr = values = arr.reshape(-1).copy()
-        # min and max allocate nothing; a nan makes the test fail too, and
-        # only then do the checks below run, in the order of their messages
-        if values.size and not (0.0 < values.min() and values.max() <= 1.0):
+        values = arr[:1] if _constant_layout(arr) else arr
+        low, high = values.min(initial=math.inf), values.max(initial=-math.inf)
+        # a nan makes the test fail too, and only then do the checks below
+        # run, in the order of their messages
+        if not (0.0 < low and high <= 1.0):
             if not np.isfinite(values).all():
                 raise ParameterError("weights must be finite")
             bad = values[(values <= 0.0) | (values > 1.0)][0]
             raise ParameterError(f"weights must lie in (0, 1], got {bad!r}")
+        if low == high:
+            arr = np.broadcast_to(np.array(low), arr.size)
+        else:
+            arr = arr.reshape(-1).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
+        object.__setattr__(self, "_extremes", (float(low), float(high)))
 
     @property
     def n(self) -> int:
@@ -99,7 +105,7 @@ class ParamSeq:
     def total_mass(self) -> float:
         """K = sum a_i^2, with the bits of np.sum(a * a)."""
         return float(_weight_sums(self.a, lambda x, piece, scratch: np.multiply(
-            x, x, out=scratch[0]))[0])
+            x, x, out=scratch[0])))
 
 
 @dataclass(frozen=True)
@@ -379,51 +385,29 @@ def _or_inf(fn, *args) -> float:
         return math.inf
 
 
-def _weight_sums(a: np.ndarray, terms, rows: int = 1, out: np.ndarray | None = None):
-    """The one walk over the weights: sums, and the smallest and largest weight.
+def _weight_sums(a: np.ndarray, terms, rows: int = 1):
+    """The one walk over the weights: per-weight terms, each row summed.
 
     terms(x, piece, scratch) returns per-weight terms of x = a[piece]: one
     row, or several as a 2-D array such as scratch, which holds `rows` rows
-    of x.size.  It may write a per-weight value into out[piece] too.  Each
-    row comes back summed, with the bits of np.sum over the whole row.
+    of x.size.  Each row comes back summed, with the bits of np.sum over
+    the whole row.
 
+    ParamSeq's one-value layout is one run of n equal weights, whose
+    terms are equal too, and the pairwise sum of n copies of t depends on
+    (t, n) alone: so terms sees the one weight, and each row is summed by
+    spectrum._run_sum(t, n), in O(log n) time and O(1) memory at any n.
     Dense weights are walked in pieces of at most 2^15 along np.sum's
     pairwise split (spectrum._pairwise_sum), each piece's rows added by
-    np.add.reduce along the last axis.  A run of equal weights has equal
-    terms, and the pairwise sum of L copies of t depends on (t, L) alone:
-    so a run hands terms its first weight only, and each row is summed by
-    spectrum._run_sum(t, L) in O(log L).  A zero-stride `a` (ParamSeq's
-    constant layout) is one run, so every caller costs O(log n) time and
-    O(1) memory at any n; there `out` is 1 long.  A dense piece whose
-    smallest and largest weight agree is a run too, and out[piece] is
-    filled from its first value.
+    np.add.reduce along the last axis.
     """
-
-    def run(lo, hi):
-        # the first weight as a contiguous copy, which numpy's loops treat
-        # as they treat a dense piece
-        t = terms(a[lo : lo + 1].copy(), slice(lo, lo + 1), scratch[:, :1])[..., 0]
-        if out is not None:
-            out[lo + 1 : hi] = out[lo]
-        return _run_sum(t, hi - lo)
-
     if _constant_layout(a):
-        scratch = np.empty((rows, 1))
-        return run(0, a.size), float(a[0]), float(a[0])
-
+        # the weight as a contiguous copy, which numpy's loops treat as
+        # they treat a dense piece
+        return _run_sum(terms(a[:1].copy(), slice(0, 1), np.empty((rows, 1)))[..., 0], a.size)
     scratch = np.empty((rows, min(a.size, _BLOCK)))
-    lows, highs = [], []
-
-    def leaf(lo, hi):
-        x = a[lo:hi]
-        low, high = x.min(initial=math.inf), x.max(initial=-math.inf)
-        lows.append(low)
-        highs.append(high)
-        if low == high:
-            return run(lo, hi)
-        return np.add.reduce(terms(x, slice(lo, hi), scratch[:, : x.size]), axis=-1)
-
-    return _pairwise_sum(leaf, 0, a.size), float(min(lows)), float(max(highs))
+    return _pairwise_sum(lambda lo, hi: np.add.reduce(
+        terms(a[lo:hi], slice(lo, hi), scratch[:, : hi - lo]), axis=-1), 0, a.size)
 
 
 def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
@@ -441,7 +425,7 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
         _log2_one_plus(a2, out=log2_one_plus)
         return scratch
 
-    return _weight_sums(a, terms, 5, log2_out)
+    return _weight_sums(a, terms, 5)
 
 
 def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> float:
@@ -460,7 +444,7 @@ def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> fl
 
     # terms past the range read inf; inf * 0 reads nan until masked
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(-_weight_sums(a, terms)[0])
+        return float(-_weight_sums(a, terms))
 
 
 def closed_form(params: ParamSeq) -> ClosedFormReport:
@@ -488,14 +472,14 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     whole-array numpy expressions; I and H agree with a 60-digit
     reference to about 1e-15 relative for the paper's weights at
     n = 10^6.  coeff_log_magnitude takes the layout of params.a: an
-    n-array for dense weights, and for a constant sequence its one value
-    broadcast to n (8 bytes), so a constant sequence costs O(log n) time
-    and O(1) memory here at any n.
+    n-array for dense weights, and for equal weights their one value
+    broadcast to n (8 bytes), so equal weights cost O(log n) time and
+    O(1) memory here at any n.
     """
     a = params.a
     constant = _constant_layout(a)
     log2_a2 = np.empty(1 if constant else a.size)
-    sums, amin, _ = _closed_form_sums(a, log2_a2)
+    sums = _closed_form_sums(a, log2_a2)
     if constant:
         log2_a2 = np.broadcast_to(log2_a2.reshape(()), a.shape)
     log2_a2.setflags(write=False)
@@ -505,7 +489,7 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     # past the float range each p_i >= a_i^2 / 2 >= (ln 2 / 2) log2(1 + a_i^2),
     # so sum p_i >= 0.34 T > 1 and L * sum p_i passes the range too
     influence = l2_sq * frac if l2_sq < math.inf else math.inf
-    if l2_sq < math.inf and amin >= 2.0**-511:
+    if l2_sq < math.inf and params._extremes[0] >= 2.0**-511:
         entropy = l2_sq * -weighted
     else:
         entropy = _log2_domain_entropy(a, log2_a2, total)
@@ -532,16 +516,17 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     which the entropy strictly exceeds whenever some a_i < 1.
 
     The sums come from _closed_form_sums, so every result has the bits
-    of the whole-array sums.  Dense weights take O(n) time in 1.3 MiB
-    of scratch (five rows of one 2^15-weight piece).  The paper's
-    constant sequences, stored as one value (theorem_params,
-    remark3_params), are one run: O(log n) time and under 10 KiB at any
-    n, about 20-40 us from n = 10^3 to 10^8 (2-CPU x86-64 host).
+    of the whole-array sums; max a_i is the one ParamSeq validated.
+    Dense weights take O(n) time in 1.3 MiB of scratch (five rows of
+    one 2^15-weight piece).  Equal weights, which ParamSeq stores as one
+    value, are one run: O(log n) time and under 10 KiB at any n, about
+    25-55 us from n = 10^3 to 10^8 (2-CPU x86-64 host).
     """
     a = params.a
     if a.size == 0:
         return NormalizedClosedForm(0.0, 0.0, 0.0)
-    (influence, weighted, log2_l2_sq, mass_log, _), _, amax = _closed_form_sums(a)
+    influence, weighted, log2_l2_sq, mass_log, _ = _closed_form_sums(a)
+    amax = params._extremes[1]
     # squaring is monotone under rounding, so this is the largest a_i^2
     bound = -mass_log / (1.0 + amax * amax)
     return NormalizedClosedForm(float(influence), float(-weighted + log2_l2_sq), float(bound))
@@ -550,7 +535,7 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
 def _log2_l2_sq(params: ParamSeq) -> float:
     # log2 ||P||_2^2 = sum log2(1 + a_i^2), the same sum as closed_form's
     return float(_weight_sums(params.a, lambda x, piece, scratch: _log2_one_plus(
-        np.multiply(x, x, out=scratch[0]), out=scratch[0]))[0])
+        np.multiply(x, x, out=scratch[0]), out=scratch[0])))
 
 
 def _l2_scale_factor(params: ParamSeq) -> float:
@@ -619,10 +604,22 @@ def four_variants(params: ParamSeq, max_table_n: int | None = None):
     return variant(p, q, False), variant(p, q, True), variant(q, p, False), variant(q, p, True)
 
 
+#: The most weights numpy can broadcast one float64 to: n * 8 bytes must
+#: fit in np.intp
+_MAX_WEIGHTS = np.iinfo(np.intp).max // 8
+
+
+def _constant_weights(value: float, n: int) -> ParamSeq:
+    """n copies of value, in ParamSeq's one-value layout (8 bytes at any n)."""
+    if n > _MAX_WEIGHTS:
+        raise ParameterError(f"dimension must be <= {_MAX_WEIGHTS} for a weight sequence, got {n}")
+    return ParamSeq(np.broadcast_to(value, n))
+
+
 def theorem_params(n: int) -> ParamSeq:
     """The constant sequence a_i = 1/sqrt(n) of length n (n >= 1)."""
     n = _count("dimension", n, 1)
-    return ParamSeq(np.broadcast_to(1.0 / math.sqrt(n), n))
+    return _constant_weights(1.0 / math.sqrt(n), n)
 
 
 def remark3_params(n: int, a: float) -> ParamSeq:
@@ -634,7 +631,7 @@ def remark3_params(n: int, a: float) -> ParamSeq:
     n, a = _count("dimension", n, 0), _float("scale", a)
     if not 1.0 < a < n:
         raise ParameterError(f"scale must satisfy 1 < a < n, got a={a}, n={n}")
-    return ParamSeq(np.broadcast_to(math.sqrt(a / n), n))
+    return _constant_weights(math.sqrt(a / n), n)
 
 
 def normalized_sum(n: int, max_table_n: int | None = None) -> HypercubeFunction:

@@ -50,6 +50,7 @@ from .construct import (
     subset_products,
     theorem_params,
     unimodular_complex,
+    _constant_weights,
     _p_table,
     _pq_tables,
     _unimodular_table,
@@ -467,13 +468,13 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     """Weight-one case: every coefficient of the raw pair has magnitude
     one, and the unit-norm rescaling has influence n/2 and entropy n."""
     n, tol = _count("dimension", n, 0), _tolerance(tol)
-    params = ParamSeq(np.broadcast_to(1.0, n))
+    params = _constant_weights(1.0, n)
     gate = _gate(params, tol, max_table_n)
     p = _p_table(params.a)  # raw P alone; the gate has refused n above the cap
     l2_sq, linf = _norm_sums(p)
     l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
     np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's table
-    coeff_dev = float(np.max(np.abs(np.subtract(np.abs(p, out=p), 1.0, out=p), out=p)))
+    coeff_dev = _modulus_deviation(p)
     del p  # freed before the normalized table is built
     norm = stats(normalized_real(params, max_table_n), max_table_n)
     checks = [

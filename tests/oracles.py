@@ -7,9 +7,9 @@ and a handful of the numbers these produce are frozen as literals in the
 test modules.
 
 The `whole_array_*` functions after it are the numpy versions of
-`stats`, `influence`, `entropy`, the longdouble oracle and
-`normalized_closed_form` that reduced whole arrays at once (one
-array-sized temporary per operation), and
+`stats`, `influence`, `entropy`, the longdouble oracle and the closed
+forms that reduced whole arrays at once (one array-sized temporary per
+operation), and
 `concatenated_popcounts` is the popcount table built by concatenation.
 The blockwise code has to return exactly their bits, at any n.
 `decimal_closed_form` is the raw pair's influence and entropy at 60
@@ -185,6 +185,47 @@ def whole_array_normalized_closed_form(a):
     entropy = float(-np.sum(frac * log2_a2) + np.sum(np.log1p(a * a) / math.log(2.0)))
     bound = float(-np.sum(a2 * log2_a2) / (1.0 + float(np.max(a2))))
     return influence, entropy, bound
+
+
+def whole_array_closed_form(a):
+    """`closed_form`'s fields but n, by name, each from whole arrays at once.
+
+    I = L sum p_i and H = -L sum p_i log2 a_i^2, with L = 2^T,
+    T = sum log2(1 + a_i^2) and p_i = a_i^2 / (1 + a_i^2); where L passes
+    the float range or some a_i < 2^-511, H is summed term by term in
+    log2 domain.  Linear-scale fields saturate to inf.
+    """
+
+    def or_inf(fn, *args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            return math.inf
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a * a
+        lg = np.log1p(a * a) / math.log(2.0)
+        log2_a2 = 2.0 * np.log2(a)
+        frac = a2 / (1.0 + a2)
+        total, k = float(np.sum(lg)), float(np.sum(a * a))
+        l2, l2_sq = or_inf(pow, 2.0, 0.5 * total), or_inf(pow, 2.0, total)
+        if l2_sq < math.inf and a.min(initial=math.inf) >= 2.0**-511:
+            entropy = l2_sq * -float(np.sum(frac * log2_a2))
+        else:
+            terms = np.exp2(total - lg + log2_a2) * log2_a2
+            terms[log2_a2 == 0.0] = 0.0
+            entropy = -float(np.sum(terms))
+    return {
+        "l2_norm": l2,
+        "linf_lower": l2,
+        "linf_upper": math.sqrt(2.0) * l2,
+        "influence": l2_sq * float(np.sum(frac)) if l2_sq < math.inf else math.inf,
+        "entropy": entropy,
+        "coeff_log_magnitude": log2_a2,
+        "total_mass": k,
+        "remark1_bound": k * or_inf(math.exp, k),
+        "log2_l2_sq": total,
+    }
 
 
 def decimal_closed_form(a):

@@ -323,6 +323,29 @@ class TestSweep:
         assert stdout.splitlines()[1].startswith("1048576,32.0,")
 
 
+#: The most weights numpy can broadcast one float64 to (n * 8 bytes fit np.intp)
+MOST_WEIGHTS = 2**60 - 1
+
+
+class TestMostWeights:
+    def test_sweep_at_the_limit(self, capsys):
+        code, stdout, stderr = run(capsys, ["sweep", "--n", str(MOST_WEIGHTS), "--a", "4"])
+        assert code == 0 and stderr == ""
+        assert stdout.splitlines()[1:] == [
+            "1152921504606846975,4.0,4.0,237.77078016355586,232.0,59.442695040888964"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", str(MOST_WEIGHTS + 1), "--a", "4"],
+        ["stats", "--n", str(MOST_WEIGHTS + 1), "--a", "constant:0.5"],
+        ["gen", "--kind", "classical", "--n", str(MOST_WEIGHTS + 1)],
+    ], ids=["sweep", "stats-constant", "gen-classical"])
+    def test_past_the_limit_is_one_error_line(self, capsys, argv):
+        code, stdout, stderr = run(capsys, argv)
+        assert code == 2 and stdout == ""
+        assert stderr == (f"error: dimension must be <= {MOST_WEIGHTS} for a weight "
+                          f"sequence, got {MOST_WEIGHTS + 1}\n")
+
+
 class TestWeightStorage:
     """Constant weight specs are stored as one value broadcast to n."""
 

@@ -471,20 +471,26 @@ class TestNormalizedClosedFormBlocks:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", ["const-n1000000", "same-value-two-lengths", "runs-short"])
-    def test_runs_compute_their_terms_on_one_weight(self, monkeypatch, name):
-        # a dense piece of equal weights computes its terms once, on its
-        # first weight; any other piece on all of its weights
+    def test_terms_once_for_equal_weights_else_per_weight(self, monkeypatch, name):
+        # equal weights are stored as one value and compute their terms
+        # once; dense weights compute them on every weight of every piece,
+        # whole pieces of equal weights included
         calls = []
         real = construct._log2_one_plus
         monkeypatch.setattr(
             construct, "_log2_one_plus", lambda a2, out=None: calls.append(a2.size) or real(a2, out)
         )
         a = NORMALIZED_WEIGHTS[name]()
-        want = [1 if a[lo:hi].min() == a[lo:hi].max() else hi - lo for lo, hi in _pieces(a.size)]
-        assert 1 in want
+        params = ParamSeq(a)
+        if a.min() == a.max():
+            assert params.a.strides == (0,)
+            want = [1]
+        else:
+            want = [hi - lo for lo, hi in _pieces(a.size)]
+            assert any(a[lo:hi].min() == a[lo:hi].max() for lo, hi in _pieces(a.size))
         for fn in (normalized_closed_form, closed_form):
             calls.clear()
-            rep = fn(ParamSeq(a))
+            rep = fn(params)
             # past the float range closed_form takes the entropy in a
             # second, log2-domain pass, which walks the pieces alike
             passes = 2 if fn is closed_form and rep.log2_l2_sq >= 1024 else 1
@@ -585,12 +591,32 @@ def _constant_figures(params):
     floats += [params.total_mass, construct._l2_scale_factor(params),
                construct._unit_modulus_factor(params)]
     point = random.Random(params.n).getrandbits(params.n)
+    # float.hex is exact, and reads an overflowed point's nan of either sign as "nan"
     return ([float(x).hex() for x in floats], cf.coeff_log_magnitude.tobytes(),
-            [x.tobytes() for x in evaluate_many(params, [point])])
+            [float(x[0]).hex() for x in evaluate_many(params, [point])])
+
+
+def _whole_array_figures(v, n):
+    """_constant_figures of n weights v, by whole-array numpy on np.full(n, v)."""
+    a = np.full(n, v)
+    cf = orc.whole_array_closed_form(a)
+    total = cf["log2_l2_sq"]
+    floats = [value for name, value in cf.items() if name != "coeff_log_magnitude"]
+    floats += orc.whole_array_normalized_closed_form(a)
+    floats += [cf["total_mass"], 2.0 ** (-0.5 * total), 2.0 ** (-0.5 * (1.0 + total))]
+    point = random.Random(n).getrandbits(n)
+    return ([float(x).hex() for x in floats], cf["coeff_log_magnitude"].tobytes(),
+            [x.hex() for x in orc.point_values([v] * n, point)])
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 class TestConstantStorage:
-    """Constant sequences are one value broadcast to n, with the bits of np.full."""
+    """Equal weights are one value broadcast to n, with the bits of whole arrays."""
 
     @pytest.mark.parametrize("params", [
         theorem_params(1), theorem_params(10**6), remark3_params(10**6, 4.0),
@@ -605,12 +631,21 @@ class TestConstantStorage:
         assert owner.nbytes == 8
 
     @pytest.mark.parametrize("weights", [
-        np.full(5, 0.5), [0.5] * 5, np.arange(1, 6) / 5, np.full((2, 3), 0.5),
-        np.broadcast_to(np.float32(0.5), 5),
-    ], ids=["full", "list", "distinct", "2-d", "float32"])
+        np.full(5, 0.5), [0.5] * 5, np.full((2, 3), 0.5), np.broadcast_to(np.float32(0.5), 5),
+        [0.3], np.full(10**6, 0.001),
+    ], ids=["full", "list", "2-d", "float32", "n1", "full-10^6"])
+    def test_equal_weights_hold_one_value(self, weights):
+        a = ParamSeq(weights).a
+        flat = np.asarray(weights, dtype=np.float64).reshape(-1)
+        assert a.shape == flat.shape and a.strides == (0,) and not a.flags.writeable
+        assert _owner(a).nbytes == 8 and a[0] == flat[0]
+
+    @pytest.mark.parametrize("weights", [np.arange(1, 6) / 5, [], np.zeros((2, 0))],
+                             ids=["distinct", "empty", "empty-2-d"])
     def test_other_inputs_are_copied(self, weights):
         a = ParamSeq(weights).a
         assert a.flags.c_contiguous and a.flags.owndata and not a.flags.writeable
+        assert a.tolist() == np.asarray(weights, dtype=np.float64).reshape(-1).tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 32767, 32768, 32769, 65537, 10**6])
     @pytest.mark.parametrize("weight", ["1.0", "1/sqrt(n)", "0.5", "1e-170"])
@@ -618,16 +653,22 @@ class TestConstantStorage:
         v = 1.0 / math.sqrt(n) if weight == "1/sqrt(n)" else float(weight)
         constant = theorem_params(n) if weight == "1/sqrt(n)" else ParamSeq(np.broadcast_to(v, n))
         assert constant.a.strides == (0,)
-        assert _constant_figures(constant) == _constant_figures(ParamSeq(np.full(n, v)))
+        assert _constant_figures(constant) == _whole_array_figures(v, n)
 
     @pytest.mark.parametrize("n", [2, 32767, 32768, 32769, 65537, 10**6])
-    def test_remark3_certificate_text_as_with_dense_weights(self, monkeypatch, n):
+    def test_remark3_certificate_text_as_with_whole_array_sums(self, monkeypatch, n):
         a = 1.5 if n == 2 else 4.0
         text = cs_verify.certify_remark3(n, a).to_text()
-        monkeypatch.setattr(cs_verify, "remark3_params",
-                            lambda n, a: ParamSeq(np.full(n, remark3_params(n, a).a[0])))
-        assert cs_verify.remark3_params(n, a).a.strides == (8,)
+        calls = []
+
+        def whole_array(params):
+            calls.append(params.n)
+            return construct.NormalizedClosedForm(
+                *orc.whole_array_normalized_closed_form(np.full(params.n, params.a[0])))
+
+        monkeypatch.setattr(cs_verify, "normalized_closed_form", whole_array)
         assert cs_verify.certify_remark3(n, a).to_text() == text
+        assert calls == [n]
 
     def test_constant_weights_allocate_nothing_n_sized(self):
         # np.full weights read 15.3 MiB for this pair: the array, its copy
@@ -701,6 +742,26 @@ class TestHugeConstantSequences:
         want = orc.decimal_constant_figures(params.a[0], params.n)
         assert math.isclose(rep.influence, want["raw_influence"], rel_tol=1e-12)
         assert math.isclose(rep.entropy, want["raw_entropy"], rel_tol=1e-12)
+
+
+class TestMostWeights:
+    """One value broadcasts to at most 2^60 - 1 float64 weights; past that, ParameterError."""
+
+    MOST = 2**60 - 1
+
+    @pytest.mark.parametrize("build", [theorem_params, lambda n: remark3_params(n, 4.0)],
+                             ids=["theorem", "remark3"])
+    def test_limit(self, build):
+        params = build(self.MOST)
+        assert params.n == self.MOST and _owner(params.a).nbytes == 8
+        with pytest.raises(ParameterError, match=f"must be <= {self.MOST} .* got {self.MOST + 1}"):
+            build(self.MOST + 1)
+
+    def test_classical_certificate(self):
+        with pytest.raises(ParameterError, match=f"must be <= {self.MOST} "):
+            cs_verify.certify_classical_rs(self.MOST + 1)
+        with pytest.raises(ResourceLimitError):
+            cs_verify.certify_classical_rs(self.MOST)
 
 
 class TestClosedFormSaturation:

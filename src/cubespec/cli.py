@@ -165,13 +165,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     else:  # neeman
         st = stats(f, args.max_table_n)
         summary = {"l2": st.l2_norm, "influence": st.influence, "entropy": st.entropy}
-    file_kind = "complex" if args.kind == "complex" else "real"
     summary_line = f"summary {_kv({'n': n, 'kind': args.kind, **summary})}"
     if args.out is None:
-        fileio.write_function(sys.stdout, f, file_kind)
+        fileio.write_function(sys.stdout, f)
         print(summary_line, file=sys.stderr)
     else:
-        fileio.write_function(args.out, f, file_kind)
+        fileio.write_function(args.out, f)
         print(summary_line)
     return EXIT_OK
 

@@ -88,7 +88,7 @@ class ParamSeq:
             if not np.isfinite(values).all():
                 raise ParameterError("weights must be finite")
             bad = values[(values <= 0.0) | (values > 1.0)][0]
-            raise ParameterError(f"weights must lie in (0, 1], got {bad!r}")
+            raise ParameterError(f"weights must lie in (0, 1], got {float(bad)}")
         if low == high:
             arr = np.broadcast_to(np.array(low), arr.size)
         else:
@@ -613,7 +613,8 @@ def _constant_weights(value: float, n: int) -> ParamSeq:
     """n copies of value, in ParamSeq's one-value layout (8 bytes at any n)."""
     if n > _MAX_WEIGHTS:
         raise ParameterError(f"dimension must be <= {_MAX_WEIGHTS} for a weight sequence, got {n}")
-    return ParamSeq(np.broadcast_to(value, n))
+    one = ParamSeq(np.broadcast_to(value, 1))  # checks the value, at n = 0 too
+    return ParamSeq(np.broadcast_to(one.a[0], n))
 
 
 def theorem_params(n: int) -> ParamSeq:

@@ -1,12 +1,12 @@
 """Brute-force oracle and certification of the counterexample claims.
 
-Certificates re-derive every claimed inequality from raw value tables
-(2^n enumeration plus the transform), not from the closed forms being
-certified, with one exception: certify_remark3's `cf_` checks read the
-closed forms alone, and above the table cap they are its only checks.
-Before a certificate is issued, the closed forms themselves are gated
-against the enumeration oracle and the maximum relative discrepancy is
-recorded as the certificate's first check.
+Every certificate is built by one rule.  A check named `cf_` reads the
+closed forms alone and runs at every n (only certify_remark3 has them).
+Any other name is table or oracle work, done only within the table cap:
+the oracle gate on the closed forms comes first, as check 0, and only
+then are the 2^n value tables built and each claim re-derived from them.
+With no `cf_` checks, n above the cap is refused by the gate before any
+table (certify_neeman has no gate: its table builder refuses).
 
 The oracle enumerates in extended precision (np.longdouble) through a
 rank-2 split of the pair: every value is a sum of two products of
@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -72,8 +72,6 @@ from .spectrum import (
 )
 
 SQRT2 = math.sqrt(2.0)
-
-CERTIFICATE_KINDS = ("theorem1", "theorem2", "remark2", "remark3", "classical_rs", "neeman")
 
 #: Influence band of the clamp=2 family, pinned from this repo's first
 #: oracle run over n in [5, 22] and measured again up to the table cap:
@@ -162,14 +160,6 @@ class Certificate:
         lines += [f"check {_kv(c)}" for c in d["checks"]]
         lines.append(_kv({"overall": d["overall"]}))
         return "\n".join(lines)
-
-
-def make_certificate(kind: str, n: int, inputs: dict, checks: Iterable[Check]) -> Certificate:
-    if kind not in CERTIFICATE_KINDS:
-        raise ParameterError(f"unknown certificate kind {kind!r}")
-    checks = tuple(checks)
-    n = _count("dimension", n, 0)  # a Python int, so to_dict is JSON
-    return Certificate(kind, n, dict(inputs), checks, all(c.passed for c in checks))
 
 
 @dataclass(frozen=True)
@@ -359,23 +349,33 @@ def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
     return check_lt("closed_form_oracle_agreement", report.max_error(), tol)
 
 
+def _certificate(kind: str, n: int, inputs: dict, tol: float, max_table_n: int | None,
+                 tables: Callable[[], Iterable[Check]], gated: ParamSeq | None = None,
+                 any_n: Sequence[Check] = ()) -> Certificate:
+    """The module's rule: `any_n` at every n; within the table cap, or at any n
+    with no `any_n`, first the gate on `gated` (if given), then tables(); `tol` last."""
+    in_cap = not any_n or n <= _table_cap(max_table_n)
+    gate = [_gate(gated, tol, max_table_n)] if in_cap and gated is not None else []
+    checks = (*gate, *any_n, *(tables() if in_cap else ()))  # the tables after the gate
+    n = _count("dimension", n, 0)  # a Python int, so to_dict is JSON
+    return Certificate(kind, n, {**inputs, "tol": tol}, checks, all(c.passed for c in checks))
+
+
 def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Unit-norm real family: bounded by sqrt(2), influence below one,
     entropy above (n/(n+1)) log2 n."""
     params, tol = theorem_params(n), _tolerance(tol)
-    gate = _gate(params, tol, max_table_n)
-    f = normalized_real(params, max_table_n)
-    st = stats(f, max_table_n)
-    target_i = n / (n + 1.0)
-    checks = [
-        gate,
-        check_abs("l2_norm_unit", st.l2_norm, 1.0, 1e-12),
-        check_le("linf_at_most_sqrt2", st.linf_norm, SQRT2 + 1e-12),
-        check_rel("influence_equals_target", st.influence, target_i, tol),
-        check_lt("influence_below_one", st.influence, 1.0),
-        check_gt("entropy_above_bound", st.entropy, _entropy_bound(n)),
-    ]
-    return make_certificate("theorem1", n, {"weights": "1/sqrt(n)", "tol": tol}, checks)
+
+    def tables():
+        st = stats(normalized_real(params, max_table_n), max_table_n)
+        return [
+            check_abs("l2_norm_unit", st.l2_norm, 1.0, 1e-12),
+            check_le("linf_at_most_sqrt2", st.linf_norm, SQRT2 + 1e-12),
+            check_rel("influence_equals_target", st.influence, n / (n + 1.0), tol),
+            check_lt("influence_below_one", st.influence, 1.0),
+            check_gt("entropy_above_bound", st.entropy, _entropy_bound(n)),
+        ]
+    return _certificate("theorem1", n, {"weights": "1/sqrt(n)"}, tol, max_table_n, tables, params)
 
 
 def _modulus_deviation(values: np.ndarray) -> float:
@@ -397,20 +397,19 @@ def _modulus_deviation(values: np.ndarray) -> float:
 def certify_theorem2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
     """Modulus-one complex family: same influence/entropy split."""
     params, tol = theorem_params(n), _tolerance(tol)
-    gate = _gate(params, tol, max_table_n)
-    # unimodular_complex's values, which stats then transforms in place;
-    # the gate has refused n above the cap
-    table = _unimodular_table(params)
-    dev = _modulus_deviation(table)
-    st = _table_stats(params.n, table)
-    checks = [
-        gate,
-        check_lt("modulus_deviation", dev, 1e-12),
-        check_lt("influence_below_one", st.influence, 1.0),
-        check_rel("influence_equals_target", st.influence, n / (n + 1.0), tol),
-        check_gt("entropy_above_bound", st.entropy, _entropy_bound(n)),
-    ]
-    return make_certificate("theorem2", n, {"weights": "1/sqrt(n)", "tol": tol}, checks)
+
+    def tables():
+        # unimodular_complex's values, which stats then transforms in place
+        table = _unimodular_table(params)
+        dev = _modulus_deviation(table)
+        st = _table_stats(params.n, table)
+        return [
+            check_lt("modulus_deviation", dev, 1e-12),
+            check_lt("influence_below_one", st.influence, 1.0),
+            check_rel("influence_equals_target", st.influence, n / (n + 1.0), tol),
+            check_gt("entropy_above_bound", st.entropy, _entropy_bound(n)),
+        ]
+    return _certificate("theorem2", n, {"weights": "1/sqrt(n)"}, tol, max_table_n, tables, params)
 
 
 def certify_remark2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
@@ -418,22 +417,22 @@ def certify_remark2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -
     the lift's n + 1 meets the table cap before any oracle or table work."""
     params, tol = theorem_params(n), _tolerance(tol)
     check_table_dim(n + 1, max_table_n)
-    gate = _gate(params, tol, max_table_n)
-    f = normalized_real(params, max_table_n)
-    g = lift_zero_mean(f, max_table_n)
-    sf = stats(f, max_table_n)
-    sg = stats(g, max_table_n)
-    mean_g = float(np.mean(g.values))
-    checks = [
-        gate,
-        check_abs("l2_preserved", sg.l2_norm, sf.l2_norm, 1e-12),
-        check_abs("linf_preserved", sg.linf_norm, sf.linf_norm, 1e-12),
-        check_abs("entropy_preserved", sg.entropy, sf.entropy, 1e-12),
-        check_rel("influence_gains_l2_sq", sg.influence, sf.influence + sf.l2_norm**2, tol),
-        check_lt("lifted_influence_below_two", sg.influence, 2.0),
-        check_abs("lifted_mean_zero", mean_g, 0.0, 1e-12),
-    ]
-    return make_certificate("remark2", n, {"weights": "1/sqrt(n)", "tol": tol}, checks)
+
+    def tables():
+        f = normalized_real(params, max_table_n)
+        g = lift_zero_mean(f, max_table_n)
+        sf = stats(f, max_table_n)
+        sg = stats(g, max_table_n)
+        mean_g = float(np.mean(g.values))
+        return [
+            check_abs("l2_preserved", sg.l2_norm, sf.l2_norm, 1e-12),
+            check_abs("linf_preserved", sg.linf_norm, sf.linf_norm, 1e-12),
+            check_abs("entropy_preserved", sg.entropy, sf.entropy, 1e-12),
+            check_rel("influence_gains_l2_sq", sg.influence, sf.influence + sf.l2_norm**2, tol),
+            check_lt("lifted_influence_below_two", sg.influence, 2.0),
+            check_abs("lifted_mean_zero", mean_g, 0.0, 1e-12),
+        ]
+    return _certificate("remark2", n, {"weights": "1/sqrt(n)"}, tol, max_table_n, tables, params)
 
 
 def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
@@ -443,25 +442,24 @@ def certify_remark3(n: int, a: float, tol: float = 1e-9, max_table_n: int | None
     params, a, tol = remark3_params(n, a), _float("scale", a), _tolerance(tol)
     ncf = normalized_closed_form(params)
     bound = (a / 2.0) * (math.log2(n) - math.log2(a))
-    checks = [
+    closed_forms = [
         check_gt("cf_influence_above_half_scale", ncf.influence, a / 2.0),
         check_lt("cf_influence_below_scale", ncf.influence, a),
         check_gt("cf_entropy_above_bound", ncf.entropy, bound),
     ]
-    if n <= _table_cap(max_table_n):
-        checks.insert(0, _gate(params, tol, max_table_n))
+
+    def tables():
         for label, fn in (("real", normalized_real), ("complex", unimodular_complex)):
             st = stats(fn(params, max_table_n), max_table_n)
-            checks += [
+            yield from [
                 check_gt(f"{label}_influence_above_half_scale", st.influence, a / 2.0),
                 check_lt(f"{label}_influence_below_scale", st.influence, a),
                 check_gt(f"{label}_entropy_above_bound", st.entropy, bound),
                 check_rel(f"{label}_influence_matches_closed_form", st.influence, ncf.influence, tol),
                 check_rel(f"{label}_entropy_matches_closed_form", st.entropy, ncf.entropy, tol),
             ]
-    return make_certificate(
-        "remark3", n, {"weights": "sqrt(a/n)", "scale": a, "tol": tol}, checks
-    )
+    return _certificate("remark3", n, {"weights": "sqrt(a/n)", "scale": a}, tol, max_table_n,
+                        tables, params, closed_forms)
 
 
 def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = None) -> Certificate:
@@ -469,23 +467,23 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     one, and the unit-norm rescaling has influence n/2 and entropy n."""
     n, tol = _count("dimension", n, 0), _tolerance(tol)
     params = _constant_weights(1.0, n)
-    gate = _gate(params, tol, max_table_n)
-    p = _p_table(params.a)  # raw P alone; the gate has refused n above the cap
-    l2_sq, linf = _norm_sums(p)
-    l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
-    np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's table
-    coeff_dev = _modulus_deviation(p)
-    del p  # freed before the normalized table is built
-    norm = stats(normalized_real(params, max_table_n), max_table_n)
-    checks = [
-        gate,
-        check_le("coefficient_magnitude_deviation", coeff_dev, 1e-12),
-        check_rel("l2_norm_target", l2, 2.0 ** (n / 2.0), 1e-12),
-        check_le("linf_over_l2", float(linf) / l2, SQRT2 + 1e-12),
-        check_rel("normalized_influence_half_n", norm.influence, n / 2.0, tol),
-        check_rel("normalized_entropy_n", norm.entropy, float(n), tol),
-    ]
-    return make_certificate("classical_rs", n, {"weights": "1", "tol": tol}, checks)
+
+    def tables():
+        p = _p_table(params.a)  # raw P alone
+        l2_sq, linf = _norm_sums(p)
+        l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
+        np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's table
+        coeff_dev = _modulus_deviation(p)
+        del p  # freed before the normalized table is built
+        norm = stats(normalized_real(params, max_table_n), max_table_n)
+        return [
+            check_le("coefficient_magnitude_deviation", coeff_dev, 1e-12),
+            check_rel("l2_norm_target", l2, 2.0 ** (n / 2.0), 1e-12),
+            check_le("linf_over_l2", float(linf) / l2, SQRT2 + 1e-12),
+            check_rel("normalized_influence_half_n", norm.influence, n / 2.0, tol),
+            check_rel("normalized_entropy_n", norm.entropy, float(n), tol),
+        ]
+    return _certificate("classical_rs", n, {"weights": "1"}, tol, max_table_n, tables, params)
 
 
 def certify_neeman(
@@ -495,26 +493,27 @@ def certify_neeman(
     plain normalized sum when the clamp never binds, otherwise held to
     the pinned influence band (clamp == 2 only)."""
     clamp, tol = _clamp(clamp), _tolerance(tol)
-    f = neeman_function(n, clamp, normalize=True, max_table_n=max_table_n)
-    st = stats(f, max_table_n)
-    raw_norm = clamped_sum_l2_norm(n, clamp)
-    checks = [
-        check_abs("l2_norm_unit", st.l2_norm, 1.0, 1e-12),
-        check_le("linf_bound", st.linf_norm, clamp / raw_norm + 1e-12),
-    ]
-    if clamp >= math.sqrt(n):
-        checks += [
-            check_rel("influence_degenerates_to_one", st.influence, 1.0, tol),
-            check_rel("entropy_degenerates_to_log_n", st.entropy, math.log2(n), tol),
+
+    def tables():
+        st = stats(neeman_function(n, clamp, normalize=True, max_table_n=max_table_n), max_table_n)
+        checks = [
+            check_abs("l2_norm_unit", st.l2_norm, 1.0, 1e-12),
+            check_le("linf_bound", st.linf_norm, clamp / clamped_sum_l2_norm(n, clamp) + 1e-12),
         ]
-    elif clamp == 2.0:
-        lo, hi = NEEMAN_INFLUENCE_BAND
-        checks += [
-            check_ge("influence_above_band_low", st.influence, lo),
-            check_le("influence_below_band_high", st.influence, hi),
-            check_gt("entropy_positive", st.entropy, 0.0),
-        ]
-    return make_certificate("neeman", n, {"clamp": clamp, "tol": tol}, checks)
+        if clamp >= math.sqrt(n):
+            checks += [
+                check_rel("influence_degenerates_to_one", st.influence, 1.0, tol),
+                check_rel("entropy_degenerates_to_log_n", st.entropy, math.log2(n), tol),
+            ]
+        elif clamp == 2.0:
+            lo, hi = NEEMAN_INFLUENCE_BAND
+            checks += [
+                check_ge("influence_above_band_low", st.influence, lo),
+                check_le("influence_below_band_high", st.influence, hi),
+                check_gt("entropy_positive", st.entropy, 0.0),
+            ]
+        return checks
+    return _certificate("neeman", n, {"clamp": clamp}, tol, max_table_n, tables)
 
 
 @dataclass(frozen=True)

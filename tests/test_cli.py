@@ -117,6 +117,21 @@ class TestGen:
         code, _, _ = run(capsys, ["gen", "--n", "2", "--kind", "real", "--a", "constant:1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("cmd, spec, message", [
+        ("gen", "constant:5", "weights must lie in (0, 1], got 5.0"),
+        ("gen", "constant:nan", "weights must be finite"),
+        ("stats", "constant:-1", "weights must lie in (0, 1], got -1.0"),
+    ])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_constant_value_refused_at_every_n(self, capsys, cmd, spec, message, n):
+        argv = [cmd, "--n", n, "--kind", "real", "--a", spec]
+        assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec", ["constant:1", "constant:0.5"])
+    def test_valid_constant_at_n_zero(self, capsys, spec):
+        code, stdout, _ = run(capsys, ["gen", "--n", "0", "--kind", "real", "--a", spec])
+        assert code == 0 and stdout == "n=0 kind=real\n1.0\n"
+
     def test_missing_weight_file(self, capsys):
         code, _, _ = run(capsys, ["gen", "--n", "2", "--kind", "real", "--a", "file:/nonexistent/w.txt"])
         assert code == 3

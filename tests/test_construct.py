@@ -989,20 +989,25 @@ class TestParamFamilies:
             ParamSeq([0.5, bad, 0.25])
         assert str(exc.value) == "weights must be finite"
 
-    @pytest.mark.parametrize("bad", [0.0, -0.5, 1.0000000000000002])
-    def test_out_of_range_weight_message(self, bad):
-        # the offending weight is quoted as numpy's repr of its float64
+    @pytest.mark.parametrize("bad, shown", [
+        (0.0, "0.0"), (-0.5, "-0.5"), (1.0000000000000002, "1.0000000000000002")])
+    def test_out_of_range_weight_message(self, bad, shown):
+        # the offending weight is quoted as a plain float, the same text
+        # under every numpy version
         with pytest.raises(ParameterError) as exc:
             ParamSeq([0.5, bad, 0.25, 2.0])
-        assert str(exc.value) == f"weights must lie in (0, 1], got {np.float64(bad)!r}"
+        assert str(exc.value) == f"weights must lie in (0, 1], got {shown}"
 
-    @pytest.mark.parametrize("bad, message", [
+    CONSTANT_MESSAGES = [
         (math.nan, "weights must be finite"),
         (math.inf, "weights must be finite"),
         (-math.inf, "weights must be finite"),
-        *((v, f"weights must lie in (0, 1], got {np.float64(v)!r}")
-          for v in (0.0, -0.5, 1.0000000000000002)),
-    ])
+        (0.0, "weights must lie in (0, 1], got 0.0"),
+        (-0.5, "weights must lie in (0, 1], got -0.5"),
+        (1.0000000000000002, "weights must lie in (0, 1], got 1.0000000000000002"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", CONSTANT_MESSAGES)
     @pytest.mark.parametrize("n", [1, 3, 10**6])
     def test_constant_weight_messages(self, bad, message, n):
         # the constant layout is checked on its one value, with the messages
@@ -1011,6 +1016,24 @@ class TestParamFamilies:
             with pytest.raises(ParameterError) as exc:
                 ParamSeq(weights)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("bad, message", [
+        *CONSTANT_MESSAGES, (5.0, "weights must lie in (0, 1], got 5.0")])
+    @pytest.mark.parametrize("n", [0, 1, 10**12])
+    def test_constant_value_checked_at_every_n(self, bad, message, n):
+        # n = 0 included: no weight is stored, but the value is still refused
+        with pytest.raises(ParameterError) as exc:
+            construct._constant_weights(bad, n)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [1.0, 0.5])
+    def test_valid_constant_at_n_zero_is_empty(self, value):
+        params = construct._constant_weights(value, 0)
+        assert params.n == 0 and params.a.dtype == np.float64
+
+    def test_classical_certificate_at_n_zero(self):
+        cert = cs_verify.certify_classical_rs(0)
+        assert cert.overall and cert.n == 0
 
     @pytest.mark.parametrize("weights", [[math.nan, 2.0], [2.0, math.nan], [0.0, math.inf]])
     def test_non_finite_reported_before_range(self, weights):

@@ -21,7 +21,6 @@ from cubespec.verify import (
     check_le,
     check_lt,
     check_rel,
-    make_certificate,
 )
 
 # brute-force (influence, entropy) of the normalized clamp=2 family,
@@ -140,15 +139,70 @@ class TestCertificateObject:
         assert lines[-1] == "overall=true"
         assert any(line.startswith("check name=entropy_above_bound") for line in lines)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(cs.ParameterError):
-            make_certificate("folklore", 4, {}, ())
-
     def test_overall_is_conjunction(self):
-        good = check_lt("a", 0.0, 1.0)
-        bad = check_lt("b", 2.0, 1.0)
-        assert not make_certificate("theorem1", 1, {}, (good, bad)).overall
-        assert make_certificate("theorem1", 1, {}, (good,)).overall
+        # at tol 1e-30 the gate and the influence target fail, the rest pass
+        cert = cs.certify_theorem1(8, 1e-30)
+        passed = [c.passed for c in cert.checks]
+        assert any(passed) and not all(passed) and not cert.overall
+        assert [c.name for c in cert.checks if not c.passed] == [
+            "closed_form_oracle_agreement", "influence_equals_target"]
+        assert cs.certify_theorem1(8).overall
+
+
+#: The certificates whose closed forms are gated against the oracle, by kind
+GATED = {
+    "theorem1": cs.certify_theorem1,
+    "theorem2": cs.certify_theorem2,
+    "remark2": cs.certify_remark2,
+    "remark3": lambda n, **kw: cs.certify_remark3(n, 2.0, **kw),
+    "classical_rs": cs.certify_classical_rs,
+}
+CERTIFY = {**GATED, "neeman": cs.certify_neeman}
+
+
+class TestAssemblerRule:
+    """One rule builds every certificate: the any-n `cf_` checks at every n;
+    within the table cap the oracle gate as check 0, then the table checks."""
+
+    @pytest.mark.parametrize("cap", [None, 17])
+    @pytest.mark.parametrize("kind", ["theorem1", "theorem2", "remark2", "classical_rs", "neeman"])
+    def test_no_any_n_checks_refused_above_the_cap_before_oracle_or_table(self, kind, cap):
+        # a table at cap + 1 = 18 is 2 MiB; the refusal allocates almost nothing
+        n = (cs.spectrum.DEFAULT_TABLE_CAP if cap is None else cap) + 1
+        before = cs.verify._oracle_errors.cache_info()
+        tracemalloc.start()
+        try:
+            with pytest.raises(cs.ResourceLimitError, match="exceeds the table cap"):
+                CERTIFY[kind](n, max_table_n=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cs.verify._oracle_errors.cache_info() == before
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("kind", list(CERTIFY))
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_check_names_are_unique(self, kind, n):
+        names = [c.name for c in CERTIFY[kind](n).checks]
+        assert len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("kind", list(CERTIFY))
+    def test_gate_is_check_zero_of_every_gated_certificate(self, kind):
+        names = [c.name for c in CERTIFY[kind](8).checks]
+        gates = [i for i, name in enumerate(names) if name == "closed_form_oracle_agreement"]
+        assert gates == ([0] if kind in GATED else [])
+
+    @pytest.mark.parametrize("kind", list(CERTIFY))
+    def test_cf_names_come_only_from_the_any_n_part(self, kind):
+        # in the cap, the `cf_` checks are exactly those kept above it, and
+        # only remark 3 has any
+        inside = CERTIFY[kind](8).checks
+        cf = [c for c in inside if c.name.startswith("cf_")]
+        if kind == "remark3":
+            above = cs.certify_remark3(8, 2.0, max_table_n=7)
+            assert cf == list(above.checks) == list(inside[1:4])
+        else:
+            assert cf == []
 
 
 class TestOracle:

@@ -613,8 +613,9 @@ def _constant_weights(value: float, n: int) -> ParamSeq:
     """n copies of value, in ParamSeq's one-value layout (8 bytes at any n)."""
     if n > _MAX_WEIGHTS:
         raise ParameterError(f"dimension must be <= {_MAX_WEIGHTS} for a weight sequence, got {n}")
-    one = ParamSeq(np.broadcast_to(value, 1))  # checks the value, at n = 0 too
-    return ParamSeq(np.broadcast_to(one.a[0], n))
+    if n == 0:
+        ParamSeq(np.broadcast_to(value, 1))  # zero copies check nothing; check the value
+    return ParamSeq(np.broadcast_to(value, n))
 
 
 def theorem_params(n: int) -> ParamSeq:

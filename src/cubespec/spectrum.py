@@ -325,8 +325,8 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None):
     sum_m w_m popcount(m) and mass sum_m w_m are recombined along
     np.sum's split (_pairwise_sum).  With `spent`, the entropy terms
     w log2 w of the live weights (w >= ZERO_WEIGHT_CUTOFF) are written,
-    in mask order, to the front of it, and -np.sum of them is the
-    entropy: `spent` may be the transformed table itself, since the
+    in mask order, to the front of it, and 0.0 - np.sum of them is
+    the entropy: `spent` may be the transformed table itself, since the
     terms never run past the blocks already handed out.  Without it the
     entropy is None.  Sums are in `spent`'s dtype, float64 without it.
     """
@@ -363,7 +363,8 @@ def _spectral_sums(n: int, weights, spent: np.ndarray | None = None):
         # a nan weight fails the cutoff test and would drop out of the
         # entropy; the weights are >= 0, so the mass is nan exactly then
         return influence_sum, mass, mass
-    entropy_sum = -np.sum(spent[:count]) if count else spent.dtype.type(0.0)
+    # 0.0 - sum, not -sum: a point mass's 1 * log2(1) = 0 reads +0.0, not -0.0
+    entropy_sum = 0.0 - np.sum(spent[:count]) if count else spent.dtype.type(0.0)
     return influence_sum, mass, entropy_sum
 
 

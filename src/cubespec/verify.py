@@ -14,8 +14,12 @@ rank-2 split of the pair: every value is a sum of two products of
 figures.  Every coefficient is one product of a high and a low half
 transform entry, since no high mask carries two nonzeros, so the
 per-mask, influence and entropy figures come from sums over the half
-transforms alone; a mask with two nonzeros makes them nan.  It holds no
-2^n-entry table (1.5 MiB at n = 20), and resolves each squared
+transforms alone; a mask with two nonzeros makes them nan.  Q is P
+mirrored, Q(x) = (-1)^n P(~x) with every sign of x flipped, bit for
+bit: the oracle builds the high half once, walks P alone over pairs of
+mirrored blocks and transforms P's halves alone, and every figure has
+the bits of walking both planes (see _oracle_errors).  It holds no
+2^n-entry table (1.4 MiB at n = 20), and resolves each squared
 coefficient against prod a_i^2 up to COEFF_GATE_MAX_N; the library
 under test stays in double precision.  `oracle_compare` is the one entry
 point; it checks n against the table cap, then caches the six error
@@ -194,15 +198,40 @@ class OracleReport:
 
 @functools.lru_cache(maxsize=256)
 def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
-    # The doubling step is linear in (P, Q): with m ~ n / 2, (p, q) the pair
-    # of a[:m] and (u1, v1), (u2, v2) that of a[m:] from (1, 0) and (0, 1),
-    # P(xl + 2^m xh) = u1(xh) p(xl) + u2(xh) q(xl) and Q = v1 p + v2 q.  The
-    # transform of a product over disjoint variables is the product of the
-    # transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A).  The values
-    # are multiplied out one block of rows (xh) at a time, and block sums
-    # recombine along np.sum's split.  The coefficients need no such walk:
-    # each high mask B has at most one nonzero of (u1^(B), u2^(B)), and of
-    # (v1^(B), v2^(B)), so row B of P^ or Q^ is one scalar h times p^ or q^.
+    """The six error figures of the weights in `a_bytes`, walking P alone.
+
+    The doubling step is linear in (P, Q): with m ~ n / 2, (p, q) the pair
+    of a[:m] and (u1, v1), (u2, v2) that of a[m:] from (1, 0) and (0, 1),
+    P(xl + 2^m xh) = u1(xh) p(xl) + u2(xh) q(xl) and Q = v1 p + v2 q.  The
+    transform of a product over disjoint variables is the product of the
+    transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A).  The values
+    are multiplied out one block of rows (xh) at a time, and block sums
+    recombine along np.sum's split.  The coefficients need no such walk:
+    each high mask B has at most one nonzero of (u1^(B), u2^(B)), so row B
+    of P^ is one scalar h times p^ or q^ (_row_figures).
+
+    Q is P mirrored.  With J the swap of the two entries, the step matrix
+    D_e = [[1, e a], [e a, -1]] has J D_e J = -D_{-e}.  So the k high steps
+    from (0, 1) = J (1, 0) give (u2, v2)(xh) = (-1)^k (v1, u1)(~xh), where
+    ~x is x with every sign flipped, the table read backwards; the low
+    pair starts at (1, 1) = J (1, 1), so q(xl) = (-1)^m p(~xl), and
+    Q(x) = (-1)^n P(~x).  This holds in floating point too, up to the
+    sign of zeros: each step of the mirrored run negates or swaps the
+    operands of the same products and two-term sums, and round to nearest
+    commutes with negation and with the order of two addends.  So u2 is
+    v1 reversed, with that sign, and Q's values are P's, negated or not,
+    in reverse order:
+    - max |Q| is max |P|;
+    - Q^2 of block j is P^2 of block nb - 1 - j reversed, and np.sum adds
+      a reversed view in logical order, so both planes' block sums come
+      from P^2, over pairs of blocks (j, nb - 1 - j);
+    - the constancy sum P^2 + Q^2 of block nb - 1 - j is that of block j
+      reversed, so one of the two has the pair's max and min;
+    - |Q^(A)| = |P^(A)|: the butterflies of a negated or reversed table
+      are those of the table, negated or mirrored, so every coefficient
+      figure of Q is that of P.
+    Every figure thus has the bits of walking and transforming both.
+    """
     ld = np.longdouble
     a64 = np.frombuffer(a_bytes)
     n = a64.size
@@ -210,8 +239,12 @@ def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
     one_plus = 1.0 + a2
     big_l = ld(np.prod(one_plus))
 
-    # independent closed-form targets, linear domain (no log/exp route)
-    others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
+    # independent closed-form targets, linear domain (no log/exp route);
+    # others[i] is np.prod(np.delete(one_plus, i)), the same left fold
+    others = np.ones(n, dtype=ld)
+    for i, f in enumerate(one_plus):
+        others[:i] *= f
+        others[i + 1 :] *= f
     target_const = 2.0 * big_l
     target_l2 = np.sqrt(big_l)
     target_infl = ld(np.sum(a2 * others))
@@ -219,50 +252,56 @@ def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
 
     m = min(n // 2, _BLOCK.bit_length() - 1)  # a block holds whole rows
     low = _pq_tables(a64[:m], ld)
-    (u1, v1), (u2, v2) = (_pq_tables(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
-    high_pairs = (u1, u2), (v1, v2)  # those of P, then of Q
+    u1, v1 = _pq_tables(a64[m:], ld, (1.0, 0.0))
+    u2 = v1[::-1] if (n - m) % 2 == 0 else -v1[::-1]  # the run from (0, 1)
     # normalized transforms of the half tables
-    low_hat, *high_hats = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
-                           for pair in (low, *high_pairs)]
+    low_hat, high_hat = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
+                         for pair in (low, (u1, u2))]
 
     size = 1 << n
     block = min(size, _BLOCK)
-    # P = [u1 u2] [p; q] row by row, and Q = [v1 v2] [p; q]
-    highs = [np.stack(pair, axis=1) for pair in high_pairs]
+    nb, rows = size // block, block >> m
+    # P = [u1 u2] [p; q] row by row
+    high = np.stack((u1, u2), axis=1)
     lows = np.stack(low)
     buf = np.empty((2, block), dtype=ld)
-    grid = buf.reshape(2, block >> m, 1 << m)
+    grid = buf.reshape(2, rows, 1 << m)
+    sums = np.empty((2, nb), dtype=ld)  # block sums of P^2, then of Q^2
     peaks = []
-
-    def leaf(lo, hi):
-        rows = slice(lo >> m, hi >> m)
-        # P, then Q: u1 p + u2 q of each row, a sum of two products in
-        # either order, so einsum's bits are those of the two outer products
-        pq = [np.einsum("rk,kc->rc", h[rows], lows, out=grid[k]).reshape(-1)
-              for k, h in enumerate(highs)]
-        linf = [np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pq]
-        l2_sq = [np.sum(np.multiply(x, x, out=x)) for x in pq]
-        s = np.add(*pq, out=pq[0])
+    for j in range((nb + 1) // 2):
+        k = nb - 1 - j
+        # P on blocks j and k (one block if j = k): u1 p + u2 q of each row,
+        # a sum of two products in either order, so einsum's bits are those
+        # of the two outer products
+        pv = [np.einsum("rk,kc->rc", high[b * rows : (b + 1) * rows], lows, out=grid[i]).reshape(-1)
+              for i, b in enumerate(dict.fromkeys((j, k)))]
+        linf = np.max([np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pv])
+        sq = [np.multiply(x, x, out=x) for x in pv]
+        sq_j, sq_k = sq[0], sq[-1]
+        sums[:, j] = np.sum(sq_j), np.sum(sq_k[::-1])
+        sums[:, k] = np.sum(sq_k), np.sum(sq_j[::-1])
+        # over block j, unless it is also block k, whose reversed read that
+        # would overwrite: then into the free buf[1]
+        s = np.add(sq_j, sq_k[::-1], out=buf[0] if j < k else buf[1])
         # s - target is monotone in s, so its largest magnitude is at an end
         dev = np.maximum(s[np.argmax(s)] - target_const, target_const - s[np.argmin(s)])
-        peaks.append((dev, *linf))
-        return np.array(l2_sq)
+        peaks.append((dev, linf))
 
-    l2_sums = _pairwise_sum(leaf, 0, size)
-    dev, *linfs = np.max(peaks, axis=0)
+    l2_sums = _pairwise_sum(lambda lo, hi: sums[:, lo // block], 0, size)
+    dev, linf = np.max(peaks, axis=0)
     low_products, high_products = (subset_products(x, dtype=ld) for x in (a2[:m], a2[m:]))
     low_sums = [_low_sums(t, low_products, popcounts(m)) for t in low_hat]
-    coeffs = [_row_figures(h, low_sums, high_products, popcounts(n - m)) for h in high_hats]
+    per_mask, infl, ent = _row_figures(high_hat, low_sums, high_products, popcounts(n - m))
     lo, hi = target_l2, SQRT2 * target_l2
-    planes = [(  # the five figures of P, then of Q
-        abs(np.sqrt(l2_sq / ld(size)) - target_l2) / target_l2,
+    return tuple(map(float, (
+        dev / target_const,
+        # the worse of P's and Q's; np.max keeps a nan, which Python max may not
+        np.max(abs(np.sqrt(l2_sums / ld(size)) - target_l2) / target_l2),
         max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
         per_mask,
         abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
         abs(ent - target_ent) / max(abs(target_ent), big_l),
-    ) for l2_sq, linf, (per_mask, infl, ent) in zip(l2_sums, linfs, coeffs)]
-    # np.max keeps a nan figure, where a fold with Python max passes over it
-    return (float(dev / target_const), *map(float, np.max(planes, axis=0)))
+    )))
 
 
 def _low_sums(t: np.ndarray, products: np.ndarray, pc: np.ndarray) -> tuple:

@@ -12,6 +12,9 @@ forms that reduced whole arrays at once (one array-sized temporary per
 operation), and
 `concatenated_popcounts` is the popcount table built by concatenation.
 The blockwise code has to return exactly their bits, at any n.
+`two_run_oracle_errors` is the split oracle that builds the high half
+from (1, 0) and from (0, 1) and walks and transforms both planes; the
+oracle, which reads Q from P's mirror, has to return its bits.
 `decimal_closed_form` is the raw pair's influence and entropy at 60
 digits, against which `closed_form` is held to a relative error bound.
 
@@ -29,6 +32,7 @@ import math
 
 import numpy as np
 
+from cubespec import verify
 from cubespec.construct import _pq_tables, subset_products
 from cubespec.errors import FormatError
 from cubespec.fileio import _open_maybe, _parse_header, _parse_value
@@ -141,7 +145,7 @@ def whole_array_entropy_sum(w):
         w = w[live]
     terms = np.log2(w)
     np.multiply(w, terms, out=terms)
-    return -np.sum(terms)
+    return 0.0 - np.sum(terms)  # +0.0 for a point mass
 
 
 def whole_array_stats(f):
@@ -317,6 +321,71 @@ def whole_array_oracle_errors(a64, max_table_n=None):
         )
         worst = tuple(map(max, worst, map(float, errs)))
     return (err_const, *worst)
+
+
+def two_run_oracle_errors(a64):
+    """The oracle's six error figures from both planes' walks and transforms.
+
+    The high half is built twice, from (1, 0) and from (0, 1), and P and Q
+    are both multiplied out, block by block, and both transformed, where
+    `verify._oracle_errors` walks P alone and reads Q from the mirror
+    Q(x) = (-1)^n P(~x).  Same split, same sums: the six figures have to
+    agree bit for bit.  The leave-one-out products are taken one
+    np.prod(np.delete(...)) at a time.
+    """
+    ld = np.longdouble
+    a64 = np.asarray(a64, dtype=np.float64)
+    n = a64.size
+    a2 = np.square(a64.astype(ld))
+    one_plus = 1.0 + a2
+    big_l = ld(np.prod(one_plus))
+
+    others = np.array([np.prod(np.delete(one_plus, i)) for i in range(n)], dtype=ld)
+    target_const = 2.0 * big_l
+    target_l2 = np.sqrt(big_l)
+    target_infl = ld(np.sum(a2 * others))
+    target_ent = ld(-np.sum(others * a2 * np.log2(a2)))
+
+    m = min(n // 2, verify._BLOCK.bit_length() - 1)
+    low = _pq_tables(a64[:m], ld)
+    (u1, v1), (u2, v2) = (_pq_tables(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
+    high_pairs = (u1, u2), (v1, v2)
+    low_hat, *high_hats = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
+                           for pair in (low, *high_pairs)]
+
+    size = 1 << n
+    block = min(size, verify._BLOCK)
+    highs = [np.stack(pair, axis=1) for pair in high_pairs]
+    lows = np.stack(low)
+    buf = np.empty((2, block), dtype=ld)
+    grid = buf.reshape(2, block >> m, 1 << m)
+    peaks = []
+
+    def leaf(lo, hi):
+        rows = slice(lo >> m, hi >> m)
+        pq = [np.einsum("rk,kc->rc", h[rows], lows, out=grid[k]).reshape(-1)
+              for k, h in enumerate(highs)]
+        linf = [np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pq]
+        l2_sq = [np.sum(np.multiply(x, x, out=x)) for x in pq]
+        s = np.add(*pq, out=pq[0])
+        dev = np.maximum(s[np.argmax(s)] - target_const, target_const - s[np.argmin(s)])
+        peaks.append((dev, *linf))
+        return np.array(l2_sq)
+
+    l2_sums = verify._pairwise_sum(leaf, 0, size)
+    dev, *linfs = np.max(peaks, axis=0)
+    low_products, high_products = (subset_products(x, dtype=ld) for x in (a2[:m], a2[m:]))
+    low_sums = [verify._low_sums(t, low_products, popcounts(m)) for t in low_hat]
+    coeffs = [verify._row_figures(h, low_sums, high_products, popcounts(n - m)) for h in high_hats]
+    lo, hi = target_l2, math.sqrt(2.0) * target_l2
+    planes = [(
+        abs(np.sqrt(l2_sq / ld(size)) - target_l2) / target_l2,
+        max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
+        per_mask,
+        abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
+        abs(ent - target_ent) / max(abs(target_ent), big_l),
+    ) for l2_sq, linf, (per_mask, infl, ent) in zip(l2_sums, linfs, coeffs)]
+    return (float(dev / target_const), *map(float, np.max(planes, axis=0)))
 
 
 def concatenated_popcounts(n):

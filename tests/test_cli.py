@@ -217,6 +217,12 @@ class TestStats:
         assert code == 0
         assert "influence: 1.0" in stdout
 
+    def test_point_mass_entropy_prints_positive_zero(self, capsys):
+        # the one weight 1 has 1 * log2(1) = 0: entropy 0.0, never -0.0
+        code, stdout, _ = run(capsys, ["stats", "--n", "0", "--a", "constant:0.5"])
+        assert code == 0
+        assert "entropy: 0.0\n" in stdout and "-0.0" not in stdout
+
 
 class TestVerify:
     def test_classical_kind_passes(self, capsys):
@@ -294,6 +300,11 @@ class TestVerify:
     def test_scaled_family_flag_accepts_complex_kind(self, capsys):
         code, stdout, _ = run(capsys, ["verify", "--kind", "complex", "--n", "6", "--remark3", "3"])
         assert code == 0 and "overall=true" in stdout
+
+    def test_classical_pair_at_n_zero_prints_no_negative_zero(self, capsys):
+        code, stdout, _ = run(capsys, ["verify", "--kind", "classical", "--n", "0"])
+        assert code == 0 and "-0.0" not in stdout
+        assert "check name=normalized_entropy_n lhs=0.0 " in stdout
 
 
 class TestSweep:

@@ -23,6 +23,7 @@ from cubespec import (
     lift_zero_mean,
     neeman_function,
     normalized_real,
+    normalized_sum,
     popcounts,
     scale,
     stats,
@@ -300,7 +301,13 @@ class TestInfluenceEntropy:
     def test_point_mass_entropy_zero(self):
         c = np.zeros(8, dtype=complex)
         c[3] = 1.0
-        assert entropy(FourierSpectrum(3, c)) == 0.0
+        got = entropy(FourierSpectrum(3, c))
+        assert (got, math.copysign(1.0, got)) == (0.0, 1.0)  # +0.0, not -0.0
+
+    def test_point_mass_stats_entropy_is_positive_zero(self):
+        # the normalized sum at n = 1 is the character x_1: one weight 1
+        got = stats(normalized_sum(1)).entropy
+        assert (got, math.copysign(1.0, got)) == (0.0, 1.0)
 
     def test_uniform_singletons_entropy(self):
         n = 8

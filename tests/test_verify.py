@@ -355,21 +355,88 @@ def _two_nonzero_masks(a):
     return sum(int(np.count_nonzero((h1 != 0) & (h2 != 0))) for h1, h2 in _high_transforms(a))
 
 
+def _default_campaign_draws():
+    """The weight vectors oracle_campaign(14) draws, in order."""
+    draws = []
+    zero = cs.OracleReport(1, None, *(0.0,) * 6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "oracle_compare",
+                   lambda params, max_table_n=None: draws.append(params.a) or zero)
+        cs.oracle_campaign(14)
+    return draws
+
+
+def _family(name, n):
+    # theorem_params needs n >= 1; at n = 0 both families are the empty sequence
+    return cs.theorem_params(n).a if name == "theorem" and n else np.ones(n)
+
+
+def _mirrored(a):
+    """Whether the oracle's half tables of `a` obey the mirror, entry for entry:
+    the low (p, q) from (1, 1) has q = (-1)^m p reversed, and the high run
+    from (0, 1) is (-1)^k times the one from (1, 0) reversed and swapped."""
+    ld = np.longdouble
+    m = min(a.size // 2, verify._BLOCK.bit_length() - 1)
+    p, q = verify._pq_tables(a[:m], ld)
+    (u1, v1), (u2, v2) = (verify._pq_tables(a[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
+    low_sign, high_sign = ld((-1) ** m), ld((-1) ** (a.size - m))
+    return (np.array_equal(q, low_sign * p[::-1])
+            and np.array_equal(u2, high_sign * v1[::-1])
+            and np.array_equal(v2, high_sign * u1[::-1]))
+
+
+def _has_two_run_bits(a):
+    """Whether the oracle's six figures are the two-run walk's, bit for bit."""
+    got = verify._oracle_errors.__wrapped__(a.tobytes())
+    return [x.hex() for x in got] == [x.hex() for x in orc.two_run_oracle_errors(a)]
+
+
+class TestMirror:
+    """The oracle walks and transforms P alone and reads Q from the mirror
+    Q(x) = (-1)^n P(~x); its figures keep the bits of walking both."""
+
+    @pytest.mark.parametrize("n", range(27))
+    @pytest.mark.parametrize("family", ["theorem", "ones"])
+    def test_half_tables_obey_the_mirror(self, family, n):
+        assert _mirrored(_family(family, n))
+
+    def test_half_tables_of_the_default_campaign_obey_the_mirror(self):
+        assert all(map(_mirrored, _default_campaign_draws()))
+
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_half_tables_of_the_oracle_weights_obey_the_mirror(self, name):
+        assert _mirrored(ORACLE_WEIGHTS[name]())
+
+    @pytest.mark.parametrize("n", range(23))
+    @pytest.mark.parametrize("family", ["theorem", "ones"])
+    def test_figures_have_the_two_run_bits(self, family, n):
+        assert _has_two_run_bits(_family(family, n))
+
+    def test_figures_of_the_default_campaign_have_the_two_run_bits(self):
+        assert all(map(_has_two_run_bits, _default_campaign_draws()))
+
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_figures_of_the_oracle_weights_have_the_two_run_bits(self, name):
+        assert _has_two_run_bits(ORACLE_WEIGHTS[name]())
+
+    def test_the_mirror_with_small_blocks(self, monkeypatch):
+        # 2^7-entry blocks: 2^11 blocks at n = 18, walked in mirrored pairs
+        for module in (cs.spectrum, cs.verify):
+            monkeypatch.setattr(module, "_BLOCK", 1 << 7)
+        for a in (cs.theorem_params(18).a, _uniform_draw(5, 17), np.ones(8)):
+            assert _mirrored(a) and _has_two_run_bits(a)
+
+
 class TestBlockwiseOracle:
     @pytest.mark.parametrize("n", range(1, 27))
     @pytest.mark.parametrize("family", ["theorem", "ones"])
     def test_no_high_mask_has_two_nonzero_coefficients(self, family, n):
         # the coefficient figures read each row of P^ and Q^ as one scalar
         # times p^ or q^; the half tables alone show it, up to the cap
-        a = cs.theorem_params(n).a if family == "theorem" else np.ones(n)
-        assert _two_nonzero_masks(a) == 0
+        assert _two_nonzero_masks(_family(family, n)) == 0
 
-    def test_no_high_mask_of_the_default_campaign_has_two_nonzeros(self, monkeypatch):
-        draws = []
-        zero = cs.OracleReport(1, None, *(0.0,) * 6)
-        monkeypatch.setattr(verify, "oracle_compare",
-                            lambda params, max_table_n=None: draws.append(params.a) or zero)
-        cs.oracle_campaign(14)
+    def test_no_high_mask_of_the_default_campaign_has_two_nonzeros(self):
+        draws = _default_campaign_draws()
         assert len(draws) == 100 and all(a.size == 14 for a in draws)
         assert sum(map(_two_nonzero_masks, draws)) == 0
 
@@ -382,13 +449,15 @@ class TestBlockwiseOracle:
         assert zero_rows == 32 and _two_nonzero_masks(a) == 0
 
     def test_a_high_mask_with_two_nonzeros_reads_nan_and_fails_the_gate(self, monkeypatch):
-        # u2 + 2^-40 moves u2^(0) off zero, next to u1^(0) = 1: row 0 of P^
-        # is no longer one scalar times p^ or q^
+        # v1 + 2^-40 moves v1^(0) off zero, and with it u2^(0), since the
+        # oracle reads u2 as v1 reversed: next to u1^(0) = 1, row 0 of P^
+        # is no longer one scalar times p^ or q^ (and, on the real (0, 1)
+        # run, row 0 of Q^ has v1^(0) next to v2^(0))
         real = verify._pq_tables
 
         def shifted(a, dtype=np.float64, start=(1.0, 1.0)):
             p, q = real(a, dtype, start)
-            return (p + 2.0**-40, q) if start == (0.0, 1.0) else (p, q)
+            return (p, q + 2.0**-40) if start == (1.0, 0.0) else (p, q)
 
         monkeypatch.setattr(verify, "_pq_tables", shifted)
         monkeypatch.setattr(verify, "_oracle_errors", verify._oracle_errors.__wrapped__)

@@ -5,6 +5,10 @@ doubling step in a fresh coordinate eps with weight a in (0,1]:
 
     P' = P + eps * a * Q,       Q' = eps * a * P - Q.
 
+Only P is built by the doubling step (_p_table): the pair obeys
+Q(x) = (-1)^n P(~x) bit for bit, ~x flipping every sign of x, so each
+step reads its Q from P, and every Q table is P's mirror (_mirror).
+
 Everything else here is a rescaling or recombination of one such pair:
 the unit-norm real function P / ||P||_2, the modulus-one complex
 function (P + iQ) / (sqrt(2) * ||P||_2), its four sign/swap variants,
@@ -157,87 +161,70 @@ def _log2_one_plus(a2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(lg, _LN2, out=lg)
 
 
-def _step(ai, p_lo, q_lo, p_hi, q_hi, aq, ap) -> None:
-    # one doubling step: (p_lo, q_lo) becomes the eps = +1 child in place
-    # and (p_hi, q_hi) the eps = -1 child, with the per-element operations
-    # of [p + aq, p - aq] and [ap - q, -ap - q]; q_hi None: P alone, no Q
-    np.multiply(ai, q_lo, out=aq)
-    if q_hi is not None:
-        np.multiply(ai, p_lo, out=ap)
-    # the eps = -1 child first: it reads the parent before that changes
-    np.subtract(p_lo, aq, out=p_hi)
-    np.add(p_lo, aq, out=p_lo)
-    if q_hi is not None:
-        np.negative(ap, out=q_hi)
-        np.subtract(q_hi, q_lo, out=q_hi)
-        np.subtract(ap, q_lo, out=q_lo)
+def _step(ai, k: int, rows: list, children: list, t: np.ndarray) -> None:
+    # step k of a row and its mirror row, or of a row that is its own: each
+    # row becomes its eps = +1 child in place, its child the eps = -1 one.
+    # Q_k is (-1)^k P_k reversed, so with t = a times the mirror row read
+    # backwards, p + aQ and p - aQ are p + t and p - t, swapped for odd k
+    for ti, mirror in zip(t, rows[::-1]):
+        np.multiply(ai, mirror[::-1], out=ti)  # both before either row changes
+    plus, minus = (np.add, np.subtract) if k % 2 == 0 else (np.subtract, np.add)
+    for row, child, ti in zip(rows, children, t):
+        minus(row, ti, out=child)  # the eps = -1 child first: it reads the parent
+        plus(row, ti, out=row)
 
 
-def _doubling(a: Sequence[float], dtype, start, p: np.ndarray, q: np.ndarray | None) -> None:
-    """Fill the 2^n table p with P, and q with Q, by the doubling step.
+def _p_table(a: Sequence[float], p: np.ndarray) -> np.ndarray:
+    """Fill the 2^n table p with P by the doubling step, in p's dtype; return p.
 
-    The first 15 steps double in place inside one block (the first
-    2^15 entries).  Above it the tables form a tree of block-rows: step
-    k turns row j into its two children, rows j and j + 2^(k-15).  That
-    tree is expanded depth first, one block at a time, from an explicit
-    stack, so each step writes both children while the parent is still
-    in cache.  With q None only P is kept as a table: the Q of a node is
-    a block buffer, the eps = +1 child's in place and the eps = -1
-    child's in a pending block of its level, free again once that
-    child's subtree is done; the last step writes no Q.
+    The first half of the table is the eps = +1 branch (new index bit
+    clear), the second half eps = -1, as in `spectrum`.  Each step reads
+    Q from P (see _mirror), with the bits of the two-table step
+    [p + aq, p - aq], [ap - q, -ap - q], signed zeros included.  The first
+    15 steps double in place inside one block.  Above it, of r block-rows,
+    row i's mirror is row r - 1 - i, and a step turns that pair into the
+    pairs (i, 2r - 1 - i) and (r - 1 - i, r + i), depth first, so it writes
+    the children while the parents are in cache.  Scratch is two blocks.
     """
     n = len(a)
     block = min(p.size, _BLOCK)
     low = block.bit_length() - 1
-    a = [dtype(ai) for ai in a]
-    aq, ap = np.empty(block, dtype=dtype), np.empty(block, dtype=dtype)
-    q_row = np.empty(block, dtype=dtype) if q is None else q[:block]
-    pending = [np.empty(block, dtype=dtype) for _ in range(low, n - 1)] if q is None else []
-    p[0], q_row[0] = start
+    a = [p.dtype.type(ai) for ai in a]
+    t = np.empty((2, block), dtype=p.dtype)
+    p[0] = 1.0
     for k in range(low):
         m = 1 << k
-        q_hi = None if q is None and k == n - 1 else q_row[m : 2 * m]
-        _step(a[k], p[:m], q_row[:m], p[m : 2 * m], q_hi, aq[:m], ap[:m])
+        _step(a[k], k, [p[:m]], [p[m : 2 * m]], t[:, :m])
 
-    stack = [(0, q_row, low)] if n > low else []
+    grid = p.reshape(-1, block)  # block-rows, views into p
+    stack = [(0, low)] if n > low else []
     while stack:
-        row, q_row, k = stack.pop()
-        hi = row + (1 << (k - low))
-        if q is not None:
-            q_hi = q[hi * block : (hi + 1) * block]
-        else:
-            q_hi = pending[k - low] if k < n - 1 else None
-        _step(a[k], p[row * block : (row + 1) * block], q_row,
-              p[hi * block : (hi + 1) * block], q_hi, aq, ap)
-        if k + 1 < n:
-            stack += [(hi, q_hi, k + 1), (row, q_row, k + 1)]  # eps = +1 child first
-
-
-def _pq_tables(a: Sequence[float], dtype=np.float64, start=(1.0, 1.0),
-               out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Raw value tables of the pair, via the doubling step, in `dtype`.
-
-    The first half of each table is the eps = +1 branch (new index bit
-    clear), the second half eps = -1, matching the point convention in
-    `spectrum`.  Each step doubles in place inside the final arrays
-    (`_doubling`, depth first above one block), with the same
-    per-element operations as concatenating [p + aq, p - aq] and
-    [ap - q, -ap - q], signed zeros included.  Scratch is two blocks.
-    `start` is (P, Q) of the empty sequence; the step is linear in it.
-    `out`, two 2^n-entry arrays of `dtype` (strided views do), replaces p, q.
-    """
-    size = 1 << len(a)
-    p, q = out or (np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
-    _doubling(a, dtype, start, p, q)
-    return p, q
-
-
-def _p_table(a: Sequence[float]) -> np.ndarray:
-    """The float64 P table of `_pq_tables(a)`, bit for bit, with no Q table:
-    Q lives in one block per level of the depth-first path."""
-    p = np.empty(1 << len(a))
-    _doubling(a, np.float64, (1.0, 1.0), p, None)
+        i, k = stack.pop()
+        r = 1 << (k - low)
+        pair = list(dict.fromkeys((i, r - 1 - i)))  # one row at r = 1: its own mirror
+        _step(a[k], k, [grid[j] for j in pair], [grid[j + r] for j in pair], t)
+        stack += [(j, k + 1) for j in pair if k + 1 < n]
     return p
+
+
+def _mirror(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Q from the 2^n table p of P: out[x] = (-1)^n p[~x]; returns out.
+
+    ~x flips every sign of x: the table read backwards.  With J the swap
+    of (P, Q), the step D_e = [[1, e a], [e a, -1]] has J D_e J = -D_{-e},
+    and the start is (1, 1) = J (1, 1), so Q(x) = (-1)^n P(~x).  Each step
+    of the mirrored run negates or swaps the operands of the same products
+    and two-term sums, and round to nearest commutes with both, so this
+    holds bit for bit but for the sign of zeros.  No table holds -0.0 (a
+    sum is -0.0 only of two -0.0s), so out is 0.0 - x or 0.0 + x, keeping
+    +0.0; one block at a time, so out may be the other plane of p's array.
+    """
+    size = p.size
+    block = min(size, _BLOCK)
+    sign = np.subtract if n % 2 else np.add
+    for lo in range(0, size, block):
+        sign(0.0, p[size - lo - block : size - lo][::-1], out=out[lo : lo + block])
+    return out
 
 
 def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
@@ -255,7 +242,9 @@ def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
 def build_pq(params: ParamSeq, max_table_n: int | None = None) -> RSPair:
     """Value tables of the pair for these weights, float64 like every real table."""
     check_table_dim(params.n, max_table_n)
-    return RSPair(*(_adopt(HypercubeFunction, params.n, t) for t in _pq_tables(params.a)))
+    p = _p_table(params.a, np.empty(1 << params.n))
+    q = _mirror(p, params.n, np.empty_like(p))
+    return RSPair(*(_adopt(HypercubeFunction, params.n, t) for t in (p, q)))
 
 
 #: Packed point bits held per chunk: bounds the working memory of
@@ -551,7 +540,7 @@ def _unit_modulus_factor(params: ParamSeq) -> float:
 def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
     """P scaled to unit L2 norm; bounded by sqrt(2) pointwise."""
     check_table_dim(params.n, max_table_n)
-    p = _p_table(params.a)
+    p = _p_table(params.a, np.empty(1 << params.n))
     p *= _l2_scale_factor(params)
     return _adopt(HypercubeFunction, params.n, p)
 
@@ -559,10 +548,10 @@ def normalized_real(params: ParamSeq, max_table_n: int | None = None) -> Hypercu
 def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> HypercubeFunction:
     """(P + iQ) / (sqrt(2) ||P||_2): every value on the unit circle.
 
-    P and Q are built and scaled in the result's real and imaginary planes.
-    That has the bits of (p + 1j*q) * c, signed zeros included: the tables
-    never hold -0.0 and are never both zero at a point, so the complex
-    product's p*c - q*0 and p*0 + q*c are p*c and q*c.
+    P is built and scaled in the real plane and mirrored into the
+    imaginary one, as Q * c = +-(P * c) reversed: the bits of
+    (p + 1j*q) * c, signed zeros included, as the tables never hold -0.0
+    and are never both zero at a point (so p*c - q*0 is p*c, p*0 + q*c q*c).
     """
     check_table_dim(params.n, max_table_n)
     return _adopt(HypercubeFunction, params.n, _unimodular_table(params))
@@ -571,9 +560,9 @@ def unimodular_complex(params: ParamSeq, max_table_n: int | None = None) -> Hype
 def _unimodular_table(params: ParamSeq) -> np.ndarray:
     # unimodular_complex's values as a writable table, with no cap check
     out = np.empty(1 << params.n, dtype=np.complex128)
-    c = _unit_modulus_factor(params)
-    for plane in _pq_tables(params.a, out=(out.real, out.imag)):
-        plane *= c
+    _p_table(params.a, out.real)
+    out.real *= _unit_modulus_factor(params)
+    _mirror(out.real, params.n, out.imag)
     return out
 
 
@@ -589,8 +578,8 @@ def four_variants(params: ParamSeq, max_table_n: int | None = None):
     hold -0.0, so the real plane is re, and the imaginary plane im or
     0.0 - im (a +0.0 stays +0.0, where -im would read -0.0).
     """
-    check_table_dim(params.n, max_table_n)
-    p, q = _pq_tables(params.a)
+    pair = build_pq(params, max_table_n)
+    p, q = pair.p.values, pair.q.values
 
     def variant(re, im, conj):
         out = np.empty(re.size, dtype=np.complex128)

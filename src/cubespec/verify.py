@@ -12,13 +12,11 @@ The oracle enumerates in extended precision (np.longdouble) through a
 rank-2 split of the pair: every value is a sum of two products of
 2^(n/2)-entry half tables, walked one block at a time for the value
 figures.  Every coefficient is one product of a high and a low half
-transform entry, since no high mask carries two nonzeros, so the
-per-mask, influence and entropy figures come from sums over the half
-transforms alone; a mask with two nonzeros makes them nan.  Q is P
-mirrored, Q(x) = (-1)^n P(~x) with every sign of x flipped, bit for
-bit: the oracle builds the high half once, walks P alone over pairs of
-mirrored blocks and transforms P's halves alone, and every figure has
-the bits of walking both planes (see _oracle_errors).  It holds no
+transform entry, since no high mask carries two nonzeros (proved in
+_row_figures), so the per-mask, influence and entropy figures come from
+sums over the half transforms alone; a mask with two nonzeros makes them
+nan.  Q is P mirrored (construct._mirror), so the oracle walks and
+transforms P alone, with the bits of walking both planes.  It holds no
 2^n-entry table (1.4 MiB at n = 20), and resolves each squared
 coefficient against prod a_i^2 up to COEFF_GATE_MAX_N; the library
 under test stays in double precision.  `oracle_compare` is the one entry
@@ -55,8 +53,8 @@ from .construct import (
     theorem_params,
     unimodular_complex,
     _constant_weights,
+    _mirror,
     _p_table,
-    _pq_tables,
     _unimodular_table,
     _unit_modulus_factor,
 )
@@ -196,6 +194,16 @@ class OracleReport:
         return self.max_error() < tol
 
 
+def _high_half(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u1, v1): the pair of the weights `a` from (1, 0), a start that is not
+    its own mirror, in longdouble (at most 2^13 entries within the cap)."""
+    u, v = np.ones(1, dtype=np.longdouble), np.zeros(1, dtype=np.longdouble)
+    for ai in a.astype(np.longdouble):
+        av, au = ai * v, ai * u
+        u, v = np.concatenate([u + av, u - av]), np.concatenate([au - v, -au - v])
+    return u, v
+
+
 @functools.lru_cache(maxsize=256)
 def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
     """The six error figures of the weights in `a_bytes`, walking P alone.
@@ -210,27 +218,17 @@ def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
     each high mask B has at most one nonzero of (u1^(B), u2^(B)), so row B
     of P^ is one scalar h times p^ or q^ (_row_figures).
 
-    Q is P mirrored.  With J the swap of the two entries, the step matrix
-    D_e = [[1, e a], [e a, -1]] has J D_e J = -D_{-e}.  So the k high steps
-    from (0, 1) = J (1, 0) give (u2, v2)(xh) = (-1)^k (v1, u1)(~xh), where
-    ~x is x with every sign flipped, the table read backwards; the low
-    pair starts at (1, 1) = J (1, 1), so q(xl) = (-1)^m p(~xl), and
-    Q(x) = (-1)^n P(~x).  This holds in floating point too, up to the
-    sign of zeros: each step of the mirrored run negates or swaps the
-    operands of the same products and two-term sums, and round to nearest
-    commutes with negation and with the order of two addends.  So u2 is
-    v1 reversed, with that sign, and Q's values are P's, negated or not,
-    in reverse order:
-    - max |Q| is max |P|;
-    - Q^2 of block j is P^2 of block nb - 1 - j reversed, and np.sum adds
-      a reversed view in logical order, so both planes' block sums come
-      from P^2, over pairs of blocks (j, nb - 1 - j);
-    - the constancy sum P^2 + Q^2 of block nb - 1 - j is that of block j
-      reversed, so one of the two has the pair's max and min;
-    - |Q^(A)| = |P^(A)|: the butterflies of a negated or reversed table
-      are those of the table, negated or mirrored, so every coefficient
-      figure of Q is that of P.
-    Every figure thus has the bits of walking and transforming both.
+    Q(x) = (-1)^n P(~x) bit for bit, and by the same proof
+    (construct._mirror) the k high steps from (0, 1) = J (1, 0), J the
+    swap, give (u2, v2)(xh) = (-1)^k (v1, u1)(~xh).  So the low half is P
+    and its mirror, u2 is v1 reversed with that sign, and Q's values are
+    P's, negated or not, in reverse order: max |Q| is max |P|; Q^2 of
+    block j is P^2 of block nb - 1 - j reversed (np.sum adds a reversed
+    view in logical order), so P^2 over the pair of blocks (j, nb - 1 - j)
+    gives both planes' block sums and the constancy sums P^2 + Q^2 of
+    both blocks, one the other reversed; and |Q^(A)| = |P^(A)|, since the
+    butterflies of a negated or reversed table are its own, negated or
+    mirrored.  Every figure thus has the bits of walking both planes.
     """
     ld = np.longdouble
     a64 = np.frombuffer(a_bytes)
@@ -251,8 +249,9 @@ def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
     target_ent = ld(-np.sum(others * a2 * np.log2(a2)))
 
     m = min(n // 2, _BLOCK.bit_length() - 1)  # a block holds whole rows
-    low = _pq_tables(a64[:m], ld)
-    u1, v1 = _pq_tables(a64[m:], ld, (1.0, 0.0))
+    p = _p_table(a64[:m], np.empty(1 << m, dtype=ld))
+    low = p, _mirror(p, m, np.empty_like(p))
+    u1, v1 = _high_half(a64[m:])
     u2 = v1[::-1] if (n - m) % 2 == 0 else -v1[::-1]  # the run from (0, 1)
     # normalized transforms of the half tables
     low_hat, high_hat = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
@@ -319,6 +318,15 @@ def _low_sums(t: np.ndarray, products: np.ndarray, pc: np.ndarray) -> tuple:
 def _row_figures(highs, lows, products: np.ndarray, pc: np.ndarray) -> tuple:
     """(per-mask error, influence, entropy) of the plane h1^(B) l1 + h2^(B) l2.
 
+    The highs transform the high runs from (1, 0) and (0, 1), and in exact
+    arithmetic no mask has two nonzeros, for any weights.  For B free of a
+    fresh coordinate k, the step u' = u + e a v, v' = e a u - v in k gives
+    u'^(B) = u^(B), u'^(B + {k}) = a v^(B), v'^(B) = -v^(B) and
+    v'^(B + {k}) = a u^(B).  So two runs whose u^ have disjoint supports,
+    and whose v^ do, keep both so.  The runs start with u^ on {0} and {},
+    v^ on {} and {0}; by induction the invariant holds, and a nonzero left
+    by rounding where the exact coefficient is zero takes the nan path.
+
     Row B is h^2 times the squares of one low transform, h the nonzero
     of (h1^(B), h2^(B)) (0 if both are), so the influence is
     sum_B h^2 (D + |B| M) and the entropy -sum_B h^2 (E + log2(h^2) M).
@@ -345,15 +353,17 @@ def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> Oracl
     return OracleReport(1, None, *_oracle_errors(params.a.tobytes()))
 
 
-def oracle_campaign(n: int, trials: int = 100, seed: int = 12345,
+def oracle_campaign(n: int, trials: int = 100, seed: int | None = 12345,
                     max_table_n: int | None = None, low: float = 0.05) -> OracleReport:
     """Aggregate oracle_compare over seeded random weight draws.
 
     Weights are uniform on (low, 1]; very small a_i are legal but their
     coefficients sink below any enumeration's precision, so the draw
-    floor keeps the comparison informative.
+    floor keeps the comparison informative.  The seed is an integer >= 0,
+    or None for fresh draws.
     """
     n, trials, low = _count("dimension", n, 0), _count("trials", trials, 1), _float("low", low)
+    seed = seed if seed is None else _count("seed", seed, 0)
     if not 0.0 <= low <= 1.0:
         raise ParameterError(f"low must lie in [0, 1], got {low}")
     rng = np.random.default_rng(seed)
@@ -508,7 +518,7 @@ def certify_classical_rs(n: int, tol: float = 1e-9, max_table_n: int | None = No
     params = _constant_weights(1.0, n)
 
     def tables():
-        p = _p_table(params.a)  # raw P alone
+        p = _p_table(params.a, np.empty(1 << n))  # raw P alone
         l2_sq, linf = _norm_sums(p)
         l2 = math.sqrt(float(l2_sq) * math.ldexp(1.0, -n))
         np.multiply(fwht_inplace(p), math.ldexp(1.0, -n), out=p)  # walsh_transform's table

@@ -6,6 +6,11 @@ no numpy. The production code has to agree with these on small instances,
 and a handful of the numbers these produce are frozen as literals in the
 test modules.
 
+`concatenated` is the pair built by concatenating both tables at every
+doubling step, from any start. The blocked P builder, the mirror and the
+oracle's high half are held to it bit for bit, and every reference below
+builds its pair with it.
+
 The `whole_array_*` functions after it are the numpy versions of
 `stats`, `influence`, `entropy`, the longdouble oracle and the closed
 forms that reduced whole arrays at once (one array-sized temporary per
@@ -33,7 +38,7 @@ import math
 import numpy as np
 
 from cubespec import verify
-from cubespec.construct import _pq_tables, subset_products
+from cubespec.construct import subset_products
 from cubespec.errors import FormatError
 from cubespec.fileio import _open_maybe, _parse_header, _parse_value
 from cubespec.spectrum import (
@@ -279,6 +284,18 @@ def decimal_constant_figures(v, n):
         }
 
 
+def concatenated(a, dtype=np.float64, start=(1.0, 1.0)):
+    """The pair by concatenating [p + aq, p - aq] and [ap - q, -ap - q] per step."""
+    p = np.full(1, start[0], dtype=dtype)
+    q = np.full(1, start[1], dtype=dtype)
+    for ai in a:
+        ai = dtype(ai)
+        aq = ai * q
+        ap = ai * p
+        p, q = np.concatenate([p + aq, p - aq]), np.concatenate([ap - q, -ap - q])
+    return p, q
+
+
 def whole_array_oracle_errors(a64, max_table_n=None):
     """The oracle's six error figures with whole-table longdouble temporaries."""
     ld = np.longdouble
@@ -290,7 +307,7 @@ def whole_array_oracle_errors(a64, max_table_n=None):
     one_plus = 1.0 + a2
     big_l = ld(np.prod(one_plus)) if n else ld(1.0)
 
-    p, q = _pq_tables(a64, dtype=ld)
+    p, q = concatenated(a64, ld)
     s = p * p + q * q
     target_const = 2.0 * big_l
     err_const = float(np.max(np.abs(s - target_const)) / target_const)
@@ -347,8 +364,8 @@ def two_run_oracle_errors(a64):
     target_ent = ld(-np.sum(others * a2 * np.log2(a2)))
 
     m = min(n // 2, verify._BLOCK.bit_length() - 1)
-    low = _pq_tables(a64[:m], ld)
-    (u1, v1), (u2, v2) = (_pq_tables(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
+    low = concatenated(a64[:m], ld)
+    (u1, v1), (u2, v2) = (concatenated(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
     high_pairs = (u1, u2), (v1, v2)
     low_hat, *high_hats = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
                            for pair in (low, *high_pairs)]

@@ -43,18 +43,6 @@ weight_lists = st.lists(
 )
 
 
-def concatenated(a, dtype=np.float64, start=(1.0, 1.0)):
-    """The pair by concatenating [p + aq, p - aq] and [ap - q, -ap - q] per step."""
-    p = np.full(1, start[0], dtype=dtype)
-    q = np.full(1, start[1], dtype=dtype)
-    for ai in a:
-        ai = dtype(ai)
-        aq = ai * q
-        ap = ai * p
-        p, q = np.concatenate([p + aq, p - aq]), np.concatenate([ap - q, -ap - q])
-    return p, q
-
-
 def same_bits(got, want):
     # float64 by bytes; longdouble padding bytes are undefined, so by value and sign
     if got.dtype == np.float64:
@@ -113,13 +101,13 @@ class TestRecursionTables:
         monkeypatch.setattr(construct, "_BLOCK", block)
         for n in range(1, 13):
             pair = build_pq(ParamSeq(np.ones(n)))
-            p, q = concatenated(np.ones(n))
+            p, q = orc.concatenated(np.ones(n))
             if n % 2:  # odd n: P and Q take the values 0 and +-2^((n+1)/2)
                 assert np.count_nonzero(p == 0.0) and np.count_nonzero(q == 0.0)
             assert pair.p.values.dtype == pair.q.values.dtype == np.float64
             assert pair.p.values.tobytes() == p.tobytes()
             assert pair.q.values.tobytes() == q.tobytes()
-            assert construct._p_table(np.ones(n)).tobytes() == p.tobytes()
+            assert construct._p_table(np.ones(n), np.empty(1 << n)).tobytes() == p.tobytes()
 
     def test_squared_sum_constant_over_random_draws(self):
         # |P|^2 + |Q|^2 must be flat at 2 * prod(1 + a_i^2)
@@ -138,36 +126,48 @@ class TestRecursionTables:
             build_pq(ParamSeq([0.5] * 6), max_table_n=5)
 
 
+#: Weights for the blocked build: uniform draws, the all-ones pair (exact
+#: zeros, whose signs the mirror must keep) and the theorem weights (the
+#: one-value layout of ParamSeq)
+BUILD_WEIGHTS = {
+    "uniform": lambda n: np.random.default_rng(n).uniform(0.05, 1.0, n),
+    "ones": np.ones,
+    "theorem": lambda n: theorem_params(max(n, 1)).a[:n],
+}
+
+
 class TestDepthFirstBuild:
-    """The blocked doubling against the concatenation builder, bit for bit."""
+    """P alone by the blocked doubling, and Q as its mirror, against the
+    concatenation builder, bit for bit."""
 
     @pytest.mark.parametrize("block", SMALL_BLOCKS)
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    @pytest.mark.parametrize("start", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
-    def test_pair(self, monkeypatch, block, dtype, start):
+    @pytest.mark.parametrize("weights", list(BUILD_WEIGHTS))
+    def test_p_and_its_mirror(self, monkeypatch, block, dtype, weights):
         monkeypatch.setattr(construct, "_BLOCK", block)
         for n in BUILD_NS:
-            a = np.random.default_rng(n).uniform(0.05, 1.0, n)
-            got, want = construct._pq_tables(a, dtype, start), concatenated(a, dtype, start)
-            assert all(map(same_bits, got, want)), n
+            a = BUILD_WEIGHTS[weights](n)
+            p = construct._p_table(a, np.empty(1 << n, dtype=dtype))
+            q = construct._mirror(p, n, np.empty_like(p))
+            want_p, want_q = orc.concatenated(a, dtype)
+            assert same_bits(p, want_p) and same_bits(q, want_q), n
 
     @pytest.mark.parametrize("block", SMALL_BLOCKS)
-    def test_complex_planes(self, monkeypatch, block):
-        monkeypatch.setattr(construct, "_BLOCK", block)
+    @pytest.mark.parametrize("weights", list(BUILD_WEIGHTS))
+    def test_complex_planes(self, monkeypatch, block, weights):
+        # P * c in the real plane, mirrored into the imaginary plane as Q * c;
+        # c is taken at the real block size, which the weight reducer's
+        # pieces follow
         for n in BUILD_NS:
-            a = np.random.default_rng(n).uniform(0.05, 1.0, n)
-            out = np.empty(1 << n, dtype=np.complex128)
-            construct._pq_tables(a, out=(out.real, out.imag))
-            p, q = concatenated(a)
-            assert out.real.copy().tobytes() == p.tobytes(), n
-            assert out.imag.copy().tobytes() == q.tobytes(), n
-
-    @pytest.mark.parametrize("block", SMALL_BLOCKS)
-    def test_p_alone(self, monkeypatch, block):
-        monkeypatch.setattr(construct, "_BLOCK", block)
-        for n in BUILD_NS:
-            a = np.random.default_rng(n).uniform(0.05, 1.0, n)
-            assert construct._p_table(a).tobytes() == concatenated(a)[0].tobytes(), n
+            params = ParamSeq(BUILD_WEIGHTS[weights](n))
+            c = construct._unit_modulus_factor(params)
+            with monkeypatch.context() as mp:
+                mp.setattr(construct, "_BLOCK", block)
+                mp.setattr(construct, "_unit_modulus_factor", lambda params: c)
+                got = construct._unimodular_table(params)
+            p, q = orc.concatenated(params.a)
+            assert got.real.copy().tobytes() == (p * c).tobytes(), n
+            assert got.imag.copy().tobytes() == (q * c).tobytes(), n
 
 
 class TestStreamingEvaluator:
@@ -1159,7 +1159,7 @@ class TestNormalizedBuilders:
     def test_four_variants_have_the_bits_of_complex_expressions(self, n):
         # unit weights give Q = +0.0, which p - 1j*q keeps as +0.0
         for a in (RNG.uniform(0.05, 1.0, n), theorem_params(max(n, 1)).a[:n], np.ones(n)):
-            p, q = construct._pq_tables(a)
+            p, q = orc.concatenated(a)
             want = (p + 1j * q, p - 1j * q, q + 1j * p, q - 1j * p)
             got = four_variants(ParamSeq(a))
             assert [f.values.tobytes() for f in got] == [w.tobytes() for w in want]

@@ -230,12 +230,13 @@ def peak_bytes(fn):
 
 
 class TestCopies:
-    @pytest.mark.parametrize("build, tables", [(normalized_real, 1.5), (unimodular_complex, 2.1)])
+    @pytest.mark.parametrize("build, tables", [
+        (normalized_real, 1.1), (unimodular_complex, 2.1), (build_pq, 2.05)])
     def test_builder_peak_in_float64_tables(self, build, tables):
-        # at n = 20 these read 1.22 and 2.06 tables: P and a block of Q
-        # per depth-first level, or the result's two planes, plus the two
-        # block buffers of the doubling step; the whole-table doubling
-        # (Q and two half-table buffers) read 3.0 for both
+        # at n = 20 these read 1.06, 2.06 and 2.00 tables: P, the result's
+        # two planes or P and its mirror Q, plus the two block buffers of
+        # the doubling step, which keeps no Q; the whole-table doubling
+        # (Q and two half-table buffers) read 3.0 for the first two
         n = 20
         params = theorem_params(n)
         build(params)  # warms caches outside the traced call

@@ -278,6 +278,23 @@ class TestOracle:
         with pytest.raises(cs.ParameterError, match=f"dimension must be >= 0, got {n}"):
             cs.oracle_campaign(n, trials=2, seed=7)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (np.float64(7.0), "seed must be an integer"),
+        ("7", "seed must be an integer, got '7'"),
+    ])
+    def test_campaign_refuses_a_seed_that_is_not_a_count(self, seed, message):
+        # numpy's own ValueError and TypeError used to escape for -1 and 1.5
+        with pytest.raises(cs.ParameterError, match=message):
+            cs.oracle_campaign(3, trials=2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(7), 2**70])
+    def test_campaign_takes_none_or_any_count_as_seed(self, seed):
+        rep = cs.oracle_campaign(3, trials=2, seed=seed)
+        assert rep.trials == 2 and rep.seed == seed and rep.max_error() < 1e-9
+        assert seed is None or type(rep.seed) is int
+
     def test_campaign_runs_at_dimension_zero(self):
         rep = cs.oracle_campaign(0, trials=2, seed=7)
         assert rep.trials == 2 and rep.max_error() < 1e-9
@@ -343,9 +360,10 @@ ORACLE_WEIGHTS = {
 
 
 def _high_transforms(a):
-    """The oracle's normalized high-half transforms, ((u1^, u2^), (v1^, v2^))."""
+    """Normalized transforms of the two-table high runs from (1, 0) and (0, 1)
+    that the oracle's split takes, ((u1^, u2^), (v1^, v2^))."""
     m = min(a.size // 2, verify._BLOCK.bit_length() - 1)
-    (u1, v1), (u2, v2) = (verify._pq_tables(a[m:], np.longdouble, start)
+    (u1, v1), (u2, v2) = (orc.concatenated(a[m:], np.longdouble, start)
                           for start in ((1.0, 0.0), (0.0, 1.0)))
     return [[verify.fwht_inplace(t) / np.longdouble(t.size) for t in pair]
             for pair in ((u1, u2), (v1, v2))]
@@ -372,13 +390,13 @@ def _family(name, n):
 
 
 def _mirrored(a):
-    """Whether the oracle's half tables of `a` obey the mirror, entry for entry:
+    """Whether the two-table half pairs of `a` obey the mirror, entry for entry:
     the low (p, q) from (1, 1) has q = (-1)^m p reversed, and the high run
     from (0, 1) is (-1)^k times the one from (1, 0) reversed and swapped."""
     ld = np.longdouble
     m = min(a.size // 2, verify._BLOCK.bit_length() - 1)
-    p, q = verify._pq_tables(a[:m], ld)
-    (u1, v1), (u2, v2) = (verify._pq_tables(a[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
+    p, q = orc.concatenated(a[:m], ld)
+    (u1, v1), (u2, v2) = (orc.concatenated(a[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
     low_sign, high_sign = ld((-1) ** m), ld((-1) ** (a.size - m))
     return (np.array_equal(q, low_sign * p[::-1])
             and np.array_equal(u2, high_sign * v1[::-1])
@@ -419,6 +437,15 @@ class TestMirror:
     def test_figures_of_the_oracle_weights_have_the_two_run_bits(self, name):
         assert _has_two_run_bits(ORACLE_WEIGHTS[name]())
 
+    @pytest.mark.parametrize("family", ["theorem", "ones"])
+    def test_high_half_is_the_two_table_run_from_one_zero(self, family):
+        # the oracle's own loop against the reference, bit for bit, up to
+        # the 13 high steps the cap allows
+        for k in range(14):
+            a = _family(family, 2 * k)[k:]
+            for got, want in zip(verify._high_half(a), orc.concatenated(a, np.longdouble, (1.0, 0.0))):
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), k
+
     def test_the_mirror_with_small_blocks(self, monkeypatch):
         # 2^7-entry blocks: 2^11 blocks at n = 18, walked in mirrored pairs
         for module in (cs.spectrum, cs.verify):
@@ -449,20 +476,21 @@ class TestBlockwiseOracle:
         assert zero_rows == 32 and _two_nonzero_masks(a) == 0
 
     def test_a_high_mask_with_two_nonzeros_reads_nan_and_fails_the_gate(self, monkeypatch):
-        # v1 + 2^-40 moves v1^(0) off zero, and with it u2^(0), since the
-        # oracle reads u2 as v1 reversed: next to u1^(0) = 1, row 0 of P^
-        # is no longer one scalar times p^ or q^ (and, on the real (0, 1)
-        # run, row 0 of Q^ has v1^(0) next to v2^(0))
-        real = verify._pq_tables
+        # v1 + 2^-40 in the oracle's high-half loop moves v1^(0) off zero,
+        # and with it u2^(0), since the oracle reads u2 as v1 reversed: next
+        # to u1^(0) = 1, row 0 of P^ is no longer one scalar times p^ or q^
+        real = verify._high_half
 
-        def shifted(a, dtype=np.float64, start=(1.0, 1.0)):
-            p, q = real(a, dtype, start)
-            return (p, q + 2.0**-40) if start == (1.0, 0.0) else (p, q)
+        def shifted(a):
+            u1, v1 = real(a)
+            return u1, v1 + 2.0**-40
 
-        monkeypatch.setattr(verify, "_pq_tables", shifted)
+        monkeypatch.setattr(verify, "_high_half", shifted)
         monkeypatch.setattr(verify, "_oracle_errors", verify._oracle_errors.__wrapped__)
         params = cs.theorem_params(6)
-        assert _two_nonzero_masks(params.a) == 1
+        u1, v1 = verify._high_half(params.a[3:])  # m = 3; the oracle's u2 is +-v1 reversed
+        h1, h2 = (verify.fwht_inplace(t.copy()) for t in (u1, v1[::-1]))
+        assert np.count_nonzero((h1 != 0) & (h2 != 0)) == 1
         rep = cs.oracle_compare(params)
         assert rep.err_constancy < 1e-9
         assert all(map(math.isnan, (rep.err_coefficients, rep.err_influence, rep.err_entropy)))

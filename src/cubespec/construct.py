@@ -42,9 +42,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import spectrum
 from .errors import ParameterError, _clamp, _count, _float
 from .spectrum import (
-    _BLOCK,
     HypercubeFunction,
     _adopt,
     _doubled,
@@ -185,18 +185,24 @@ def _p_table(a: Sequence[float], p: np.ndarray) -> np.ndarray:
     row i's mirror is row r - 1 - i, and a step turns that pair into the
     pairs (i, 2r - 1 - i) and (r - 1 - i, r + i), depth first, so it writes
     the children while the parents are in cache.  Scratch is two blocks.
+
+    p may also be a C-contiguous stack of tables along its last axis, one
+    per weight row of `a` (shape (..., n)), each with the bits of its own;
+    scratch is then two blocks per table.  The steps run along axis 0 of
+    the transposes, which for one table are the table and its weights.
     """
+    table, p = p, p.T
+    a = np.asarray(a, dtype=p.dtype).T  # a[k]: step k's weight of each table
     n = len(a)
-    block = min(p.size, _BLOCK)
+    block = min(len(p), spectrum._BLOCK)
     low = block.bit_length() - 1
-    a = [p.dtype.type(ai) for ai in a]
-    t = np.empty((2, block), dtype=p.dtype)
+    t = np.empty((2, block, *p.shape[1:]), dtype=p.dtype)
     p[0] = 1.0
     for k in range(low):
         m = 1 << k
         _step(a[k], k, [p[:m]], [p[m : 2 * m]], t[:, :m])
 
-    grid = p.reshape(-1, block)  # block-rows, views into p
+    grid = p.reshape(-1, block, *p.shape[1:])  # block-rows, views into p
     stack = [(0, low)] if n > low else []
     while stack:
         i, k = stack.pop()
@@ -204,7 +210,7 @@ def _p_table(a: Sequence[float], p: np.ndarray) -> np.ndarray:
         pair = list(dict.fromkeys((i, r - 1 - i)))  # one row at r = 1: its own mirror
         _step(a[k], k, [grid[j] for j in pair], [grid[j + r] for j in pair], t)
         stack += [(j, k + 1) for j in pair if k + 1 < n]
-    return p
+    return table
 
 
 def _mirror(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
@@ -218,12 +224,15 @@ def _mirror(p: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     holds bit for bit but for the sign of zeros.  No table holds -0.0 (a
     sum is -0.0 only of two -0.0s), so out is 0.0 - x or 0.0 + x, keeping
     +0.0; one block at a time, so out may be the other plane of p's array.
+    A stack of tables along the last axis is mirrored table by table,
+    along axis 0 of the transposes.
     """
-    size = p.size
-    block = min(size, _BLOCK)
+    q, p = out.T, p.T
+    size = len(p)
+    block = min(size, spectrum._BLOCK)
     sign = np.subtract if n % 2 else np.add
     for lo in range(0, size, block):
-        sign(0.0, p[size - lo - block : size - lo][::-1], out=out[lo : lo + block])
+        sign(0.0, p[size - lo - block : size - lo][::-1], out=q[lo : lo + block])
     return out
 
 
@@ -233,10 +242,13 @@ def subset_products(factors: Sequence[float], dtype=np.float64) -> np.ndarray:
     Built by the same doubling as the value tables, in place inside the
     final array (t[m:2m] = t[:m] * factors[i]), so t is generated in
     ascending mask order; linear domain, for mask counts within cap.
+    Factors of shape (..., n) give one such table per row, shape (..., 2^n).
     """
-    t = np.empty(1 << len(factors), dtype=dtype)
-    t[0] = 1.0
-    return _doubled(t, np.multiply, map(dtype, factors))
+    factors = np.asarray(factors, dtype=dtype)
+    t = np.empty((*factors.shape[:-1], 1 << factors.shape[-1]), dtype=dtype)
+    t[..., 0] = 1.0
+    _doubled(t.T, np.multiply, factors.T)  # along axis 0 of the transposes
+    return t
 
 
 def build_pq(params: ParamSeq, max_table_n: int | None = None) -> RSPair:
@@ -290,7 +302,7 @@ def _signed_weight_blocks(a: np.ndarray, packed: np.ndarray):
     blocks cover i = 0..n-1 in order, about _BLOCK entries each.
     """
     n = a.size
-    step = 8 * max(1, _BLOCK // (8 * packed.shape[0]))
+    step = 8 * max(1, spectrum._BLOCK // (8 * packed.shape[0]))
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         bits = np.unpackbits(
@@ -394,7 +406,7 @@ def _weight_sums(a: np.ndarray, terms, rows: int = 1):
         # the weight as a contiguous copy, which numpy's loops treat as
         # they treat a dense piece
         return _run_sum(terms(a[:1].copy(), slice(0, 1), np.empty((rows, 1)))[..., 0], a.size)
-    scratch = np.empty((rows, min(a.size, _BLOCK)))
+    scratch = np.empty((rows, min(a.size, spectrum._BLOCK)))
     return _pairwise_sum(lambda lo, hi: np.add.reduce(
         terms(a[lo:hi], slice(lo, hi), scratch[:, : hi - lo]), axis=-1), 0, a.size)
 

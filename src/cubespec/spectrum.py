@@ -196,16 +196,28 @@ def fwht_inplace(table: np.ndarray) -> np.ndarray:
     size = table.size
     if table.ndim != 1 or not table.flags.c_contiguous or size < 1 or size & (size - 1):
         raise ParameterError("fwht_inplace needs a contiguous 1-D table of length 2^n")
+    return _fwht(table)
+
+
+def _fwht(table: np.ndarray) -> np.ndarray:
+    """fwht_inplace of each row of a C-contiguous stack of 2^n tables, the
+    last axis the table's: the same operations on every row, so each row
+    gets the bits of its own transform.  Scratch is one block per row.
+
+    The work runs along axis 0 of the transposes, which for one table are
+    the table itself, so a stack of tables takes the one-table code."""
+    t = table.T
+    size = t.shape[0]
     block = min(size, _BLOCK)
-    scratch = np.empty(block, dtype=table.dtype)
+    scratch = np.empty((*table.shape[:-1], block), dtype=table.dtype).T
 
     for start in range(0, size, block):
-        seg = table[start : start + block]
+        seg = t[start : start + block]
         done = _passes(seg, scratch, block.bit_length() - 1)
         if done is not seg:
             np.copyto(seg, done)
 
-    grid = table.reshape(-1, block)
+    grid = t.reshape(-1, block, *t.shape[1:])
     rows = grid.shape[0]
     h = 1
     while h < rows:

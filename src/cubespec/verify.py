@@ -17,12 +17,17 @@ _row_figures), so the per-mask, influence and entropy figures come from
 sums over the half transforms alone; a mask with two nonzeros makes them
 nan.  Q is P mirrored (construct._mirror), so the oracle walks and
 transforms P alone, with the bits of walking both planes.  It holds no
-2^n-entry table (1.4 MiB at n = 20), and resolves each squared
+2^n-entry table (1.1 MiB at n = 20), and resolves each squared
 coefficient against prod a_i^2 up to COEFF_GATE_MAX_N; the library
-under test stays in double precision.  `oracle_compare` is the one entry
-point; it checks n against the table cap, then caches the six error
+under test stays in double precision.  One function evaluates the oracle,
+over a batch of weight vectors of one n (_oracle_batch): everything but
+the 2^n-value walk runs once for the batch, and each vector's figures
+have the bits of a batch of one.  `oracle_compare` checks n against the
+table cap, then evaluates a batch of one and caches the six error
 figures per weight vector (least recently used, at most 256 entries),
 so certificates that share weights enumerate them once.
+`oracle_campaign` evaluates its seeded draws batch by batch and bypasses
+that cache.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
@@ -41,6 +46,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import spectrum
 from .construct import (
     ParamSeq,
     clamped_sum_l2_norm,
@@ -61,7 +67,7 @@ from .construct import (
 from .errors import ParameterError, _clamp, _count, _float, _tolerance
 from .spectrum import (
     ZERO_WEIGHT_CUTOFF,
-    _BLOCK,
+    _fwht,
     _norm_sums,
     _pairwise_sum,
     _table_cap,
@@ -196,17 +202,34 @@ class OracleReport:
 
 def _high_half(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(u1, v1): the pair of the weights `a` from (1, 0), a start that is not
-    its own mirror, in longdouble (at most 2^13 entries within the cap)."""
-    u, v = np.ones(1, dtype=np.longdouble), np.zeros(1, dtype=np.longdouble)
-    for ai in a.astype(np.longdouble):
+    its own mirror, in longdouble (at most 2^13 entries within the cap).
+    Weights of shape (..., k) give one pair per row, along the last axis."""
+    a = np.asarray(a, dtype=np.longdouble)
+    u = np.ones((*a.shape[:-1], 1), dtype=np.longdouble)
+    v = np.zeros_like(u)
+    for i in range(a.shape[-1]):
+        ai = a[..., i, None]
         av, au = ai * v, ai * u
-        u, v = np.concatenate([u + av, u - av]), np.concatenate([au - v, -au - v])
+        u = np.concatenate([u + av, u - av], axis=-1)
+        v = np.concatenate([au - v, -au - v], axis=-1)
     return u, v
 
 
-@functools.lru_cache(maxsize=256)
-def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
-    """The six error figures of the weights in `a_bytes`, walking P alone.
+def _low_bits(n: int) -> int:
+    # m, the low half's dimension: n // 2, capped so that a block holds whole rows
+    return min(n // 2, spectrum._BLOCK.bit_length() - 1)
+
+
+def _hat(t: np.ndarray) -> np.ndarray:
+    # the normalized transforms of a stack of half tables, in a fresh array
+    t = _fwht(t.copy())
+    t /= np.longdouble(t.shape[-1])
+    return t
+
+
+def _oracle_batch(a64: np.ndarray) -> np.ndarray:
+    """The six error figures of each weight row of a64 (draws, n), walking P
+    alone; a float64 array (draws, 6).
 
     The doubling step is linear in (P, Q): with m ~ n / 2, (p, q) the pair
     of a[:m] and (u1, v1), (u2, v2) that of a[m:] from (1, 0) and (0, 1),
@@ -229,94 +252,116 @@ def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
     both blocks, one the other reversed; and |Q^(A)| = |P^(A)|, since the
     butterflies of a negated or reversed table are its own, negated or
     mirrored.  Every figure thus has the bits of walking both planes.
+
+    The targets, the half tables, their transforms and the coefficient
+    figures are taken once for the whole batch, one row per draw along a
+    leading axis: elementwise operations, and sums, products and extremes
+    along the last axis of C-contiguous rows, which numpy reduces row by
+    row as it reduces one row alone, so each row has the bits of a batch of
+    one.  The walk over the 2^n values runs draw by draw.
     """
     ld = np.longdouble
-    a64 = np.frombuffer(a_bytes)
-    n = a64.size
+    draws, n = a64.shape
     a2 = np.square(a64.astype(ld))
     one_plus = 1.0 + a2
-    big_l = ld(np.prod(one_plus))
+    big_l = np.prod(one_plus, axis=-1)
 
     # independent closed-form targets, linear domain (no log/exp route);
-    # others[i] is np.prod(np.delete(one_plus, i)), the same left fold
-    others = np.ones(n, dtype=ld)
-    for i, f in enumerate(one_plus):
-        others[:i] *= f
-        others[i + 1 :] *= f
+    # others[:, i] is np.prod(np.delete(one_plus, i, axis=-1), axis=-1), the
+    # same left fold
+    others = np.ones_like(a2)
+    for i in range(n):
+        f = one_plus[:, i, None]
+        others[:, :i] *= f
+        others[:, i + 1 :] *= f
     target_const = 2.0 * big_l
     target_l2 = np.sqrt(big_l)
-    target_infl = ld(np.sum(a2 * others))
-    target_ent = ld(-np.sum(others * a2 * np.log2(a2)))
+    target_infl = np.sum(a2 * others, axis=-1)
+    target_ent = -np.sum(others * a2 * np.log2(a2), axis=-1)
 
-    m = min(n // 2, _BLOCK.bit_length() - 1)  # a block holds whole rows
-    p = _p_table(a64[:m], np.empty(1 << m, dtype=ld))
-    low = p, _mirror(p, m, np.empty_like(p))
-    u1, v1 = _high_half(a64[m:])
-    u2 = v1[::-1] if (n - m) % 2 == 0 else -v1[::-1]  # the run from (0, 1)
-    # normalized transforms of the half tables
-    low_hat, high_hat = [[fwht_inplace(t.copy()) / ld(t.size) for t in pair]
-                         for pair in (low, (u1, u2))]
+    m = _low_bits(n)
+    # the walk's operands, one draw per row: P = [u1 u2] [p; q] row by row
+    p = _p_table(a64[:, :m], np.empty((draws, 1 << m), dtype=ld))
+    lows = np.stack((p, _mirror(p, m, np.empty_like(p))), axis=1)
+    u1, v1 = _high_half(a64[:, m:])
+    u2 = v1[:, ::-1] if (n - m) % 2 == 0 else -v1[:, ::-1]  # the run from (0, 1)
+    highs = np.stack((u1, u2), axis=-1)
+    del p, u1, v1, u2  # held by the stacks: fewer half tables at the peak
+
+    low_products = subset_products(a2[:, :m], dtype=ld)
+    low_sums = [_low_sums(_hat(lows[:, i]), low_products, popcounts(m)) for i in (0, 1)]
+    del low_products
+    per_mask, infl, ent = _row_figures([_hat(highs[..., i]) for i in (0, 1)], low_sums,
+                                       subset_products(a2[:, m:], dtype=ld), popcounts(n - m))
 
     size = 1 << n
-    block = min(size, _BLOCK)
+    block = min(size, spectrum._BLOCK)
     nb, rows = size // block, block >> m
-    # P = [u1 u2] [p; q] row by row
-    high = np.stack((u1, u2), axis=1)
-    lows = np.stack(low)
     buf = np.empty((2, block), dtype=ld)
     grid = buf.reshape(2, rows, 1 << m)
     sums = np.empty((2, nb), dtype=ld)  # block sums of P^2, then of Q^2
-    peaks = []
-    for j in range((nb + 1) // 2):
-        k = nb - 1 - j
-        # P on blocks j and k (one block if j = k): u1 p + u2 q of each row,
-        # a sum of two products in either order, so einsum's bits are those
-        # of the two outer products
-        pv = [np.einsum("rk,kc->rc", high[b * rows : (b + 1) * rows], lows, out=grid[i]).reshape(-1)
-              for i, b in enumerate(dict.fromkeys((j, k)))]
-        linf = np.max([np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pv])
-        sq = [np.multiply(x, x, out=x) for x in pv]
-        sq_j, sq_k = sq[0], sq[-1]
-        sums[:, j] = np.sum(sq_j), np.sum(sq_k[::-1])
-        sums[:, k] = np.sum(sq_k), np.sum(sq_j[::-1])
-        # over block j, unless it is also block k, whose reversed read that
-        # would overwrite: then into the free buf[1]
-        s = np.add(sq_j, sq_k[::-1], out=buf[0] if j < k else buf[1])
-        # s - target is monotone in s, so its largest magnitude is at an end
-        dev = np.maximum(s[np.argmax(s)] - target_const, target_const - s[np.argmin(s)])
-        peaks.append((dev, linf))
+    figures = np.empty((draws, 6))
+    for d, (high, pq) in enumerate(zip(highs, lows)):
+        peaks = []
+        for j in range((nb + 1) // 2):
+            k = nb - 1 - j
+            # P on blocks j and k (one block if j = k): u1 p + u2 q of each
+            # row, a sum of two products in either order, so einsum's bits
+            # are those of the two outer products
+            pv = [np.einsum("rk,kc->rc", high[b * rows : (b + 1) * rows], pq, out=grid[i]).reshape(-1)
+                  for i, b in enumerate(dict.fromkeys((j, k)))]
+            linf = np.max([np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pv])
+            sq = [np.multiply(x, x, out=x) for x in pv]
+            sq_j, sq_k = sq[0], sq[-1]
+            sums[:, j] = np.sum(sq_j), np.sum(sq_k[::-1])
+            if j < k:
+                sums[:, k] = np.sum(sq_k), np.sum(sq_j[::-1])
+            # over block j, unless it is also block k, whose reversed read
+            # that would overwrite: then into the free buf[1]
+            s = np.add(sq_j, sq_k[::-1], out=buf[0] if j < k else buf[1])
+            # s - target is monotone in s, so its largest magnitude is at an end
+            dev = np.maximum(s[np.argmax(s)] - target_const[d], target_const[d] - s[np.argmin(s)])
+            peaks.append((dev, linf))
 
-    l2_sums = _pairwise_sum(lambda lo, hi: sums[:, lo // block], 0, size)
-    dev, linf = np.max(peaks, axis=0)
-    low_products, high_products = (subset_products(x, dtype=ld) for x in (a2[:m], a2[m:]))
-    low_sums = [_low_sums(t, low_products, popcounts(m)) for t in low_hat]
-    per_mask, infl, ent = _row_figures(high_hat, low_sums, high_products, popcounts(n - m))
-    lo, hi = target_l2, SQRT2 * target_l2
-    return tuple(map(float, (
-        dev / target_const,
-        # the worse of P's and Q's; np.max keeps a nan, which Python max may not
-        np.max(abs(np.sqrt(l2_sums / ld(size)) - target_l2) / target_l2),
-        max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
-        per_mask,
-        abs(infl - target_infl) / max(abs(target_infl), ld(1e-300)),
-        abs(ent - target_ent) / max(abs(target_ent), big_l),
-    )))
+        l2_sums = _pairwise_sum(lambda lo, hi: sums[:, lo // block], 0, size)
+        dev, linf = np.max(peaks, axis=0)
+        lo, hi = target_l2[d], SQRT2 * target_l2[d]
+        figures[d] = (
+            dev / target_const[d],
+            # the worse of P's and Q's; np.max keeps a nan, which Python max may not
+            np.max(abs(np.sqrt(l2_sums / ld(size)) - target_l2[d]) / target_l2[d]),
+            max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
+            per_mask[d],
+            abs(infl[d] - target_infl[d]) / max(abs(target_infl[d]), ld(1e-300)),
+            abs(ent[d] - target_ent[d]) / max(abs(target_ent[d]), big_l[d]),
+        )
+    return figures
+
+
+@functools.lru_cache(maxsize=256)
+def _oracle_errors(a_bytes: bytes) -> tuple[float, ...]:
+    """The six error figures of the weights in `a_bytes`: a batch of one."""
+    return tuple(_oracle_batch(np.frombuffer(a_bytes).reshape(1, -1))[0].tolist())
 
 
 def _low_sums(t: np.ndarray, products: np.ndarray, pc: np.ndarray) -> tuple:
-    """(M, D, E, min rho, max rho) of one normalized low transform t.
+    """(M, D, E, min rho, max rho) of normalized low transforms t, one per row.
 
     M = sum t^2, D = sum |A| t^2, E = sum t^2 log2 t^2 over the live
-    terms (t^2 >= ZERO_WEIGHT_CUTOFF), and rho = t^2 / prod_{i in A} a_i^2.
+    terms (t^2 >= ZERO_WEIGHT_CUTOFF), and rho = t^2 / prod_{i in A} a_i^2,
+    each along the last axis.
     """
     sq = t * t
-    logs = np.log2(sq, out=np.zeros_like(sq), where=sq >= ZERO_WEIGHT_CUTOFF)
     rho = sq / products
-    return np.sum(sq), np.sum(sq * pc), np.sum(sq * logs), np.min(rho), np.max(rho)
+    extremes = np.min(rho, axis=-1), np.max(rho, axis=-1)
+    del rho
+    logs = np.log2(sq, out=np.zeros_like(sq), where=sq >= ZERO_WEIGHT_CUTOFF)
+    return np.sum(sq, axis=-1), np.sum(sq * pc, axis=-1), np.sum(sq * logs, axis=-1), *extremes
 
 
 def _row_figures(highs, lows, products: np.ndarray, pc: np.ndarray) -> tuple:
-    """(per-mask error, influence, entropy) of the plane h1^(B) l1 + h2^(B) l2.
+    """(per-mask error, influence, entropy) of the plane h1^(B) l1 + h2^(B) l2,
+    one of each per row of the highs (the last axis B).
 
     The highs transform the high runs from (1, 0) and (0, 1), and in exact
     arithmetic no mask has two nonzeros, for any weights.  For B free of a
@@ -333,18 +378,25 @@ def _row_figures(highs, lows, products: np.ndarray, pc: np.ndarray) -> tuple:
     The per-mask error |c rho - 1|, c = h^2 / prod_{i in B} a_i^2, is
     largest at the row's least or greatest rho: the rounded c rho - 1 is
     monotone in rho for c > 0, and constant for c = 0.  A row with two
-    nonzeros is not of this form: all three figures are nan.
+    nonzeros is not of this form: all three of its figures are nan.
     """
     h1, h2 = highs
-    if np.any((h1 != 0) & (h2 != 0)):
-        return (np.longdouble(np.nan),) * 3
-    second = h2 != 0  # the rows that scale the second low transform
+    second = h2 != 0  # the masks that scale the second low transform
     sq = np.square(np.where(second, h2, h1))
-    mass, dsum, esum, rho_min, rho_max = (np.where(second, b, a) for a, b in zip(*lows))
+
+    def pick(i):
+        # figure i of the low transform that each mask's row scales
+        return np.where(second, lows[1][i][..., None], lows[0][i][..., None])
+
     c = sq / products
-    per_mask = np.max(np.maximum(np.abs(c * rho_max - 1), np.abs(c * rho_min - 1)))
+    per_mask = np.max(np.maximum(np.abs(c * pick(4) - 1), np.abs(c * pick(3) - 1)), axis=-1)
+    del c
+    mass = pick(0)
+    influence = np.sum(sq * (pick(1) + pc * mass), axis=-1)
     logs = np.log2(sq, out=np.zeros_like(sq), where=sq >= ZERO_WEIGHT_CUTOFF)
-    return per_mask, np.sum(sq * (dsum + pc * mass)), -np.sum(sq * (esum + logs * mass))
+    entropy = -np.sum(sq * (pick(2) + logs * mass), axis=-1)
+    two = np.any((h1 != 0) & (h2 != 0), axis=-1)
+    return tuple(np.where(two, np.longdouble(np.nan), f) for f in (per_mask, influence, entropy))
 
 
 def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> OracleReport:
@@ -353,25 +405,44 @@ def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> Oracl
     return OracleReport(1, None, *_oracle_errors(params.a.tobytes()))
 
 
+def _campaign_draws(n: int, trials: int, seed: int | None, low: float):
+    """oracle_campaign's weight draws, batch by batch, each a (draws, n) array.
+
+    Row for row, in trial order, these are the draws of one
+    1.0 - rng.uniform(0.0, 1.0 - low, size=n) per trial.  A batch holds as
+    many draws as keep each half table of the batch within _BLOCK entries
+    (at least one draw), so a campaign holds one batch at a time at any
+    number of trials.
+    """
+    rng = np.random.default_rng(seed)
+    batch = max(1, spectrum._BLOCK >> (n - _low_bits(n)))
+    for start in range(0, trials, batch):
+        yield 1.0 - rng.uniform(0.0, 1.0 - low, size=(min(batch, trials - start), n))
+
+
 def oracle_campaign(n: int, trials: int = 100, seed: int | None = 12345,
                     max_table_n: int | None = None, low: float = 0.05) -> OracleReport:
-    """Aggregate oracle_compare over seeded random weight draws.
+    """The worst of each oracle figure over seeded random weight draws.
 
     Weights are uniform on (low, 1]; very small a_i are legal but their
     coefficients sink below any enumeration's precision, so the draw
     floor keeps the comparison informative.  The seed is an integer >= 0,
-    or None for fresh draws.
+    or None for fresh draws.  n is checked against the table cap before
+    any draw.  The draws are evaluated batch by batch (_campaign_draws):
+    every draw's six figures have the bits oracle_compare gives it, and the
+    report is their elementwise maximum folded in trial order, so a nan
+    figure stays nan.  A campaign bypasses oracle_compare's cache: it
+    neither reads nor fills it.
     """
     n, trials, low = _count("dimension", n, 0), _count("trials", trials, 1), _float("low", low)
     seed = seed if seed is None else _count("seed", seed, 0)
     if not 0.0 <= low <= 1.0:
         raise ParameterError(f"low must lie in [0, 1], got {low}")
-    rng = np.random.default_rng(seed)
+    check_table_dim(n, max_table_n)
     worst = np.zeros(6)
-    for _ in range(trials):
-        a = 1.0 - rng.uniform(0.0, 1.0 - low, size=n)
-        rep = oracle_compare(ParamSeq(a), max_table_n=max_table_n)
-        np.maximum(worst, rep.errors(), out=worst)  # a nan figure stays nan
+    for a in _campaign_draws(n, trials, seed, low):
+        for figures in _oracle_batch(a):
+            np.maximum(worst, figures, out=worst)  # a nan figure stays nan
     return OracleReport(trials, seed, *map(float, worst))
 
 
@@ -434,10 +505,11 @@ def _modulus_deviation(values: np.ndarray) -> float:
     np.max(np.abs(np.abs(values) - 1.0)), nan included, without its two
     table-sized temporaries.
     """
-    scratch = np.empty(min(values.size, _BLOCK))
+    block = spectrum._BLOCK
+    scratch = np.empty(min(values.size, block))
     peaks = []
-    for lo in range(0, values.size, _BLOCK):
-        seg = values[lo : lo + _BLOCK]
+    for lo in range(0, values.size, block):
+        seg = values[lo : lo + block]
         x = np.abs(seg, out=scratch[: seg.size])
         peaks.append(np.max(np.abs(np.subtract(x, 1.0, out=x), out=x)))
     return float(np.max(peaks))

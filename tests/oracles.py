@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from cubespec import verify
+from cubespec import spectrum, verify
 from cubespec.construct import subset_products
 from cubespec.errors import FormatError
 from cubespec.fileio import _open_maybe, _parse_header, _parse_value
@@ -363,7 +363,7 @@ def two_run_oracle_errors(a64):
     target_infl = ld(np.sum(a2 * others))
     target_ent = ld(-np.sum(others * a2 * np.log2(a2)))
 
-    m = min(n // 2, verify._BLOCK.bit_length() - 1)
+    m = min(n // 2, spectrum._BLOCK.bit_length() - 1)
     low = concatenated(a64[:m], ld)
     (u1, v1), (u2, v2) = (concatenated(a64[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
     high_pairs = (u1, u2), (v1, v2)
@@ -371,7 +371,7 @@ def two_run_oracle_errors(a64):
                            for pair in (low, *high_pairs)]
 
     size = 1 << n
-    block = min(size, verify._BLOCK)
+    block = min(size, spectrum._BLOCK)
     highs = [np.stack(pair, axis=1) for pair in high_pairs]
     lows = np.stack(low)
     buf = np.empty((2, block), dtype=ld)

@@ -98,7 +98,7 @@ class TestRecursionTables:
     @pytest.mark.parametrize("block", SMALL_BLOCKS + [spectrum._BLOCK])
     def test_unit_weights_keep_signed_zeros_of_concatenation_builder(self, monkeypatch, block):
         # a_i = 1 makes exact zeros; gen files print -0.0 and 0.0 differently
-        monkeypatch.setattr(construct, "_BLOCK", block)
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
         for n in range(1, 13):
             pair = build_pq(ParamSeq(np.ones(n)))
             p, q = orc.concatenated(np.ones(n))
@@ -144,13 +144,27 @@ class TestDepthFirstBuild:
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     @pytest.mark.parametrize("weights", list(BUILD_WEIGHTS))
     def test_p_and_its_mirror(self, monkeypatch, block, dtype, weights):
-        monkeypatch.setattr(construct, "_BLOCK", block)
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
         for n in BUILD_NS:
             a = BUILD_WEIGHTS[weights](n)
             p = construct._p_table(a, np.empty(1 << n, dtype=dtype))
             q = construct._mirror(p, n, np.empty_like(p))
             want_p, want_q = orc.concatenated(a, dtype)
             assert same_bits(p, want_p) and same_bits(q, want_q), n
+
+    @pytest.mark.parametrize("block", SMALL_BLOCKS + [spectrum._BLOCK])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_stacked_tables_have_the_bits_of_each_alone(self, monkeypatch, block, dtype):
+        # one table per weight row, the blocked levels included: each row
+        # and its mirror are the concatenation builder's
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        for n in BUILD_NS:
+            a = np.stack([BUILD_WEIGHTS[w](n) for w in BUILD_WEIGHTS])
+            p = construct._p_table(a, np.empty((len(a), 1 << n), dtype=dtype))
+            q = construct._mirror(p, n, np.empty_like(p))
+            for row, got_p, got_q in zip(a, p, q):
+                want_p, want_q = orc.concatenated(row, dtype)
+                assert same_bits(got_p, want_p) and same_bits(got_q, want_q), n
 
     @pytest.mark.parametrize("block", SMALL_BLOCKS)
     @pytest.mark.parametrize("weights", list(BUILD_WEIGHTS))
@@ -162,7 +176,7 @@ class TestDepthFirstBuild:
             params = ParamSeq(BUILD_WEIGHTS[weights](n))
             c = construct._unit_modulus_factor(params)
             with monkeypatch.context() as mp:
-                mp.setattr(construct, "_BLOCK", block)
+                mp.setattr(spectrum, "_BLOCK", block)
                 mp.setattr(construct, "_unit_modulus_factor", lambda params: c)
                 got = construct._unimodular_table(params)
             p, q = orc.concatenated(params.a)
@@ -251,7 +265,7 @@ class TestBatchedEvaluator:
 
     def test_chunked_batch_matches_one_point_at_a_time(self, monkeypatch):
         monkeypatch.setattr(construct, "_CHUNK_MAX_POINTS", 7)
-        monkeypatch.setattr(construct, "_BLOCK", 64)
+        monkeypatch.setattr(spectrum, "_BLOCK", 64)
         params = ParamSeq(RNG.uniform(0.05, 1.0, 100))
         rng = random.Random(3)
         points = [rng.getrandbits(100) for _ in range(50)]
@@ -574,6 +588,19 @@ class TestOneWeightReducer:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 1 << 20, peak
+
+    @pytest.mark.parametrize("block", [1 << 7, 1 << 8])
+    def test_sums_over_more_weights_than_a_small_block_keep_their_bits(self, monkeypatch, block):
+        # one block size, spectrum's, sizes the scratch and splits the pieces:
+        # construct kept a copy of its own, and with that copy at 4 the closed
+        # form of nine weights raised a broadcast error.  The pieces follow
+        # np.sum's split, which stays exact down to its 2^7-entry leaf
+        assert "_BLOCK" not in vars(construct) and "_BLOCK" not in vars(cs_verify)
+        params = ParamSeq(np.linspace(0.1, 0.9, 300))
+        figures = [normalized_closed_form, construct._unit_modulus_factor, lambda p: p.total_mass]
+        want = [repr(f(params)) for f in figures]
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        assert [repr(f(params)) for f in figures] == want
 
     def test_empty_sequence(self):
         params = ParamSeq([])
@@ -1086,6 +1113,14 @@ class TestSubsetProducts:
         want = _concatenating_subset_products(a2, dtype=np.longdouble)
         assert got.dtype == np.longdouble
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_rows_of_factors_give_a_table_per_row(self, dtype):
+        factors = np.random.default_rng(7).uniform(0.01, 3.0, (4, 6)).astype(dtype)
+        got = subset_products(factors, dtype=dtype)
+        assert got.shape == (4, 64)
+        for row, table in zip(factors, got):
+            assert np.array_equal(table, _concatenating_subset_products(row, dtype=dtype))
 
     def test_list_of_factors_and_zero_factor(self):
         got = subset_products([0.5, 0.0, -2.0])

@@ -195,6 +195,24 @@ class TestKernelSmallBlocks:
                 assert np.array_equal(got, want, equal_nan=True), n
                 assert np.array_equal(np.signbit(got), np.signbit(want)), n
 
+    @pytest.mark.parametrize("block", SMALL_BLOCKS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.longdouble])
+    def test_stacked_tables_have_the_bits_of_each_alone(self, monkeypatch, block, dtype):
+        # the oracle transforms a stack of half tables along the last axis
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(11):
+                x = np.stack([kernel_input(n, dtype, huge) for huge in (False, True, False)])
+                x[2] = x[2][::-1]
+                got = spectrum._fwht(x.copy())
+                for row, want in zip(got, x):
+                    want = fwht_inplace(want.copy())
+                    if dtype != np.longdouble:
+                        assert row.tobytes() == want.tobytes(), n
+                    else:  # padding bytes are undefined: by value and sign
+                        assert np.array_equal(row, want, equal_nan=True), n
+                        assert np.array_equal(np.signbit(row), np.signbit(want)), n
+
     def test_high_bits_are_butterflies_between_block_rows(self, monkeypatch):
         # at n = 12 with 2^6-element blocks there are 64 block-rows: each
         # high pass h = 1, 2, 4, ... pairs rows j and j + h once, in order

@@ -1,5 +1,6 @@
 """Certificates, the extended-precision oracle, and the pinned regressions."""
 
+import inspect
 import json
 import math
 import random
@@ -253,9 +254,18 @@ class TestOracle:
         assert cs.verify._oracle_errors.cache_info() == info
 
     def test_cache_stays_bounded(self):
-        cs.oracle_campaign(3, trials=300, seed=4)
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            cs.oracle_compare(cs.ParamSeq(1.0 - rng.uniform(0.0, 0.95, 3)))
         info = cs.verify._oracle_errors.cache_info()
-        assert info.currsize <= info.maxsize < 300
+        assert info.currsize == info.maxsize < 300
+
+    def test_campaign_bypasses_the_cache(self):
+        cs.oracle_campaign(3, trials=2, seed=7)
+        before = cs.verify._oracle_errors.cache_info()
+        cs.oracle_campaign(3, trials=2, seed=7)
+        cs.oracle_campaign(8, trials=300, seed=4)
+        assert cs.verify._oracle_errors.cache_info() == before
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_per_mask_error_of_the_theorem_weights_stays_resolved(self, n):
@@ -331,8 +341,13 @@ class TestOracle:
         assert not report.passed(1e-9)
 
     def test_campaign_keeps_a_nan_figure(self, monkeypatch):
-        report = cs.OracleReport(1, None, 1e-17, math.nan, 0.0, 2e-16, 0.0, 0.0)
-        monkeypatch.setattr(verify, "oracle_compare", lambda params, max_table_n=None: report)
+        # the nan comes in the last draw's figures, after finite ones
+        def figures(a):
+            rows = np.tile([1e-17, 0.0, 0.0, 2e-16, 0.0, 0.0], (len(a), 1))
+            rows[-1, 1] = math.nan
+            return rows
+
+        monkeypatch.setattr(verify, "_oracle_batch", figures)
         rep = cs.oracle_campaign(3, trials=2, seed=7)
         assert rep.err_constancy == 1e-17 and rep.err_coefficients == 2e-16
         assert math.isnan(rep.err_l2) and not rep.passed(1e-9)
@@ -362,7 +377,7 @@ ORACLE_WEIGHTS = {
 def _high_transforms(a):
     """Normalized transforms of the two-table high runs from (1, 0) and (0, 1)
     that the oracle's split takes, ((u1^, u2^), (v1^, v2^))."""
-    m = min(a.size // 2, verify._BLOCK.bit_length() - 1)
+    m = min(a.size // 2, cs.spectrum._BLOCK.bit_length() - 1)
     (u1, v1), (u2, v2) = (orc.concatenated(a[m:], np.longdouble, start)
                           for start in ((1.0, 0.0), (0.0, 1.0)))
     return [[verify.fwht_inplace(t) / np.longdouble(t.size) for t in pair]
@@ -373,15 +388,16 @@ def _two_nonzero_masks(a):
     return sum(int(np.count_nonzero((h1 != 0) & (h2 != 0))) for h1, h2 in _high_transforms(a))
 
 
+def _default_campaign_batches():
+    """The batches of weight vectors oracle_campaign(14) draws, in order,
+    from its own draw helper."""
+    defaults = {k: v.default for k, v in inspect.signature(cs.oracle_campaign).parameters.items()}
+    return list(verify._campaign_draws(14, defaults["trials"], defaults["seed"], defaults["low"]))
+
+
 def _default_campaign_draws():
     """The weight vectors oracle_campaign(14) draws, in order."""
-    draws = []
-    zero = cs.OracleReport(1, None, *(0.0,) * 6)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "oracle_compare",
-                   lambda params, max_table_n=None: draws.append(params.a) or zero)
-        cs.oracle_campaign(14)
-    return draws
+    return [a for batch in _default_campaign_batches() for a in batch]
 
 
 def _family(name, n):
@@ -394,7 +410,7 @@ def _mirrored(a):
     the low (p, q) from (1, 1) has q = (-1)^m p reversed, and the high run
     from (0, 1) is (-1)^k times the one from (1, 0) reversed and swapped."""
     ld = np.longdouble
-    m = min(a.size // 2, verify._BLOCK.bit_length() - 1)
+    m = min(a.size // 2, cs.spectrum._BLOCK.bit_length() - 1)
     p, q = orc.concatenated(a[:m], ld)
     (u1, v1), (u2, v2) = (orc.concatenated(a[m:], ld, start) for start in ((1.0, 0.0), (0.0, 1.0)))
     low_sign, high_sign = ld((-1) ** m), ld((-1) ** (a.size - m))
@@ -448,8 +464,7 @@ class TestMirror:
 
     def test_the_mirror_with_small_blocks(self, monkeypatch):
         # 2^7-entry blocks: 2^11 blocks at n = 18, walked in mirrored pairs
-        for module in (cs.spectrum, cs.verify):
-            monkeypatch.setattr(module, "_BLOCK", 1 << 7)
+        monkeypatch.setattr(cs.spectrum, "_BLOCK", 1 << 7)
         for a in (cs.theorem_params(18).a, _uniform_draw(5, 17), np.ones(8)):
             assert _mirrored(a) and _has_two_run_bits(a)
 
@@ -522,8 +537,7 @@ class TestBlockwiseOracle:
     def test_low_half_is_capped_so_blocks_hold_whole_rows(self, monkeypatch):
         # 2^7-entry blocks cap the low half at 7 of n = 18 bits, the route
         # that n >= 32 takes with the real block size
-        for module in (cs.spectrum, cs.verify):
-            monkeypatch.setattr(module, "_BLOCK", 1 << 7)
+        monkeypatch.setattr(cs.spectrum, "_BLOCK", 1 << 7)
         a = cs.theorem_params(18).a
         got = cs.verify._oracle_errors.__wrapped__(a.tobytes())
         want = orc.whole_array_oracle_errors(a)
@@ -541,6 +555,114 @@ class TestBlockwiseOracle:
         finally:
             tracemalloc.stop()
         assert peak <= 8 << 20
+
+
+def _per_draw_hex(a):
+    return [x.hex() for x in verify._oracle_errors.__wrapped__(np.ascontiguousarray(a).tobytes())]
+
+
+def _batch_hex(batch):
+    return [[x.hex() for x in row] for row in verify._oracle_batch(np.asarray(batch)).tolist()]
+
+
+def _campaign_fold(n, trials, seed, low, errors):
+    """oracle_campaign's figures taken one draw at a time: `errors` of each
+    draw 1 - rng.uniform(0, 1 - low, size=n), folded by np.maximum in order."""
+    rng = np.random.default_rng(seed)
+    worst = np.zeros(6)
+    for _ in range(trials):
+        np.maximum(worst, errors(1.0 - rng.uniform(0.0, 1.0 - low, size=n)), out=worst)
+    return [float(x).hex() for x in worst]
+
+
+def _campaign_peak(n, trials):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cs.oracle_campaign(n, trials=trials, seed=1)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchedOracle:
+    """A campaign evaluates its draws a batch at a time; every draw's six
+    figures keep the bits of oracle_compare, which is a batch of one."""
+
+    def test_default_campaign_batch_has_per_draw_bits(self):
+        batches = _default_campaign_batches()
+        assert [len(b) for b in batches] == [100]
+        assert _batch_hex(batches[0]) == [_per_draw_hex(a) for a in batches[0]]
+
+    @pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+    def test_oracle_weights_in_a_batch_have_per_draw_bits(self, name):
+        # between two uniform draws of the same length, and reversed
+        a = ORACLE_WEIGHTS[name]()
+        batch = np.stack([_uniform_draw(1, a.size), a, a[::-1], _uniform_draw(2, a.size)])
+        assert _batch_hex(batch) == [_per_draw_hex(x) for x in batch]
+
+    @pytest.mark.parametrize("n", range(23))
+    def test_theorem_and_ones_weights_in_one_batch_have_per_draw_bits(self, n):
+        batch = np.stack([_family("theorem", n), _family("ones", n)])
+        assert _batch_hex(batch) == [_per_draw_hex(x) for x in batch]
+
+    def test_a_two_nonzero_mask_makes_nan_only_in_its_own_draw(self, monkeypatch):
+        # v1 + 2^-40 in the first draw's high half, as in the single-draw
+        # fault test: that draw's coefficient figures read nan, the second
+        # draw's keep the bits it has alone
+        real = verify._high_half
+
+        def shifted(a):
+            u1, v1 = real(a)
+            v1[0] += 2.0**-40
+            return u1, v1
+
+        batch = np.stack([cs.theorem_params(6).a, _uniform_draw(3, 6)])
+        want = _per_draw_hex(batch[1])
+        monkeypatch.setattr(verify, "_high_half", shifted)
+        got = verify._oracle_batch(batch)
+        assert got[0, 0] < 1e-9 and np.isnan(got[0, 3:]).all()
+        assert [x.hex() for x in got[1].tolist()] == want
+
+    @pytest.mark.parametrize("low", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 8, 14, 17])
+    def test_campaign_is_the_fold_of_compare_over_its_draws(self, n, low):
+        rep = cs.oracle_campaign(n, trials=5, seed=n + 11, low=low)
+        want = _campaign_fold(n, 5, n + 11, low, lambda a: cs.oracle_compare(cs.ParamSeq(a)).errors())
+        assert [x.hex() for x in rep.errors()] == want
+
+    @pytest.mark.parametrize("n, trials, sizes", [
+        (3, 70, [32, 32, 6]), (8, 21, [8, 8, 5]), (17, 3, [1, 1, 1]),
+    ])
+    def test_campaign_over_several_batches(self, monkeypatch, n, trials, sizes):
+        # 2^7-entry blocks: a batch's half tables hold at most 2^7 entries
+        # each (one draw at least), so the trials span several batches and
+        # end in a partial one; the draws stay those of one rng call per trial
+        monkeypatch.setattr(cs.spectrum, "_BLOCK", 1 << 7)
+        batches = list(verify._campaign_draws(n, trials, 5, 0.05))
+        assert [len(b) for b in batches] == sizes
+        rng = np.random.default_rng(5)
+        assert all(np.array_equal(a, 1.0 - rng.uniform(0.0, 0.95, size=n)) for b in batches for a in b)
+        assert all(_batch_hex(b) == [_per_draw_hex(a) for a in b] for b in batches)
+        rep = cs.oracle_campaign(n, trials=trials, seed=5)
+        want = _campaign_fold(n, trials, 5, 0.05, lambda a: verify._oracle_errors.__wrapped__(a.tobytes()))
+        assert [x.hex() for x in rep.errors()] == want
+
+    def test_campaign_peak_does_not_grow_with_trials(self, monkeypatch):
+        # draws are taken a batch at a time (16384 of them at n = 2), never
+        # all at once: 10^5 draws at once would hold 3.2 MB of weights.  The
+        # oracle costs about 1 ms a draw under tracemalloc, so 10^3 draws run
+        # it and 10^5 draws run a stand-in that returns the batch's figures
+        # as zeros
+        bound = 2 << 20
+        assert _campaign_peak(2, 10**3) <= bound
+        monkeypatch.setattr(verify, "_oracle_batch", lambda a: np.zeros((len(a), 6)))
+        assert _campaign_peak(2, 10**5) <= bound
+
+    def test_campaign_peak_stays_under_eight_mib_at_twenty(self):
+        # the single oracle's pin (TestBlockwiseOracle): 40 draws in batches
+        # of 32, whose half tables hold 2^15 longdouble entries each
+        assert _campaign_peak(20, 40) <= 8 << 20
 
 
 class TestGateOracle:
@@ -598,7 +720,7 @@ class TestModulusDeviation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= verify._BLOCK * 8 + (16 << 10), peak
+        assert peak <= cs.spectrum._BLOCK * 8 + (16 << 10), peak
 
 
 class TestCertificates:

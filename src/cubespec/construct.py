@@ -11,9 +11,9 @@ step reads its Q from P, and every Q table is P's mirror (_mirror).
 
 Everything else here is a rescaling or recombination of one such pair:
 the unit-norm real function P / ||P||_2, the modulus-one complex
-function (P + iQ) / (sqrt(2) * ||P||_2), its four sign/swap variants,
-the classical polynomials (a_i = 1), plus two unrelated reference
-families (the normalized coordinate sum and its clamped version).
+function (P + iQ) / (sqrt(2) * ||P||_2), the classical polynomials
+(a_i = 1), plus two unrelated reference families (the normalized
+coordinate sum and its clamped version).
 
 Closed forms: with L = prod(1 + a_i^2),
 
@@ -576,33 +576,6 @@ def _unimodular_table(params: ParamSeq) -> np.ndarray:
     out.real *= _unit_modulus_factor(params)
     _mirror(out.real, params.n, out.imag)
     return out
-
-
-def four_variants(params: ParamSeq, max_table_n: int | None = None):
-    """P+iQ, P-iQ, Q+iP, Q-iP, unnormalized.
-
-    Each has coefficient magnitude sqrt(2) * prod_{i in A} |a_i| at
-    every mask A, which is what makes the pointwise modulus of the
-    normalized combination rigid.
-
-    Each variant's planes are written straight into its complex128
-    table, with the bits of re + 1j*im and re - 1j*im: the tables never
-    hold -0.0, so the real plane is re, and the imaginary plane im or
-    0.0 - im (a +0.0 stays +0.0, where -im would read -0.0).
-    """
-    pair = build_pq(params, max_table_n)
-    p, q = pair.p.values, pair.q.values
-
-    def variant(re, im, conj):
-        out = np.empty(re.size, dtype=np.complex128)
-        out.real = re
-        if conj:
-            np.subtract(0.0, im, out=out.imag)
-        else:
-            out.imag = im
-        return _adopt(HypercubeFunction, params.n, out)
-
-    return variant(p, q, False), variant(p, q, True), variant(q, p, False), variant(q, p, True)
 
 
 #: The most weights numpy can broadcast one float64 to: n * 8 bytes must

@@ -30,7 +30,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError
 from .spectrum import FourierSpectrum, HypercubeFunction, _adopt, check_table_dim
 
 KINDS = ("real", "complex", "spectrum")
@@ -85,16 +85,11 @@ def _write_table(fh, table: np.ndarray, n: int, kind: str) -> None:
         fh.write(_format_chunk(table[lo : lo + _CHUNK], kind == "real"))
 
 
-def write_function(path_or_file, f: HypercubeFunction, kind: str | None = None) -> None:
-    """Write a value table; kind defaults to real iff f is real (float64).
-    A complex f is refused kind=real, even with all imaginary parts zero."""
-    if kind not in (None, "real", "complex"):
-        raise ParameterError(f"function kind must be real or complex, got {kind!r}")
-    if kind == "real" and not f.is_real:
-        raise ParameterError("kind=real requested for a complex table")
-    kind = kind or ("real" if f.is_real else "complex")
+def write_function(path_or_file, f: HypercubeFunction) -> None:
+    """Write a value table as the kind its dtype names: real for float64,
+    complex for complex128, even with all imaginary parts zero."""
     with _open_maybe(path_or_file, "w") as fh:
-        _write_table(fh, f.values, f.n, kind)
+        _write_table(fh, f.values, f.n, "real" if f.is_real else "complex")
 
 
 def write_spectrum(path_or_file, s: FourierSpectrum) -> None:

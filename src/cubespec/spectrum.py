@@ -154,7 +154,7 @@ def popcounts(n: int) -> np.ndarray:
 # Kernel, table-build and reduction blocking.  A block of 2^15 elements
 # is 256 KiB of float64 or 512 KiB of complex128, so two blocks and the
 # scratch stay in a core's L2.  Reductions need at least 128 (np.sum's
-# own pairwise leaf).
+# own pairwise leaf) and refuse a smaller block.
 _BLOCK = 1 << 15
 
 
@@ -265,8 +265,12 @@ def _pairwise_sum(leaf, start: int, stop: int):
     leaf(lo, hi) -- the np.sum of one piece, or an array of several such
     sums -- along them, calling leaf on the pieces in ascending order.
     The result is bit-identical to np.sum over the whole range (up to
-    the sign of a zero total).
+    the sign of a zero total), for a _BLOCK of at least _PAIRWISE_LEAF:
+    a smaller one splits pieces np.sum adds whole, so it is refused.
     """
+    if _BLOCK < _PAIRWISE_LEAF:
+        raise ValueError(f"reductions need a block of at least {_PAIRWISE_LEAF} entries "
+                         f"(np.sum's pairwise leaf), got spectrum._BLOCK = {_BLOCK}")
     length = stop - start
     if length <= _BLOCK:
         return leaf(start, stop)

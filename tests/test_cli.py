@@ -89,7 +89,7 @@ class TestGen:
         out, want = tmp_path / "r.txt", tmp_path / "w.txt"
         argv = ["gen", "--n", "8", "--kind", "real", "--a", "remark3:4", "--out", str(out)]
         assert run(capsys, argv)[0] == 0
-        write_function(want, construct.normalized_real(construct.remark3_params(8, 4.0)), "real")
+        write_function(want, construct.normalized_real(construct.remark3_params(8, 4.0)))
         assert out.read_bytes() == want.read_bytes()
 
     def test_sum_kind_summary(self, capsys):

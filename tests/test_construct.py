@@ -20,15 +20,16 @@ from cubespec import (
     build_pq,
     clamped_sum_l2_norm,
     closed_form,
+    conjugate,
     evaluate_at,
     evaluate_many,
-    four_variants,
     neeman_function,
     normalized_closed_form,
     normalized_real,
     normalized_sum,
     popcounts,
     remark3_params,
+    scale,
     stats,
     subset_products,
     theorem_params,
@@ -602,6 +603,27 @@ class TestOneWeightReducer:
         monkeypatch.setattr(spectrum, "_BLOCK", block)
         assert [repr(f(params)) for f in figures] == want
 
+    @pytest.mark.parametrize("block", [4, 64])
+    def test_blocks_below_the_pairwise_leaf_are_refused(self, monkeypatch, block):
+        # a block of 4 recursed without end on nine weights; one of 16..64
+        # split pieces that np.sum adds whole: at 64 both figures of these
+        # 380 weights came back with other bits
+        rng = np.random.default_rng(11)
+        draws = [np.linspace(0.1, 0.9, 9), rng.uniform(0.05, 1.0, int(rng.integers(130, 2000)))]
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        for a in draws:
+            for figure in (normalized_closed_form, lambda p: p.total_mass):
+                with pytest.raises(ValueError, match="np.sum's pairwise leaf"):
+                    figure(ParamSeq(a))
+
+    def test_a_block_of_the_pairwise_leaf_keeps_the_bits(self, monkeypatch):
+        rng = np.random.default_rng(130)
+        draws = [ParamSeq(rng.uniform(0.05, 1.0, int(rng.integers(130, 2000)))) for _ in range(20)]
+        figures = [normalized_closed_form, lambda p: p.total_mass]
+        want = [repr(f(params)) for params in draws for f in figures]
+        monkeypatch.setattr(spectrum, "_BLOCK", 1 << 7)
+        assert [repr(f(params)) for params in draws for f in figures] == want
+
     def test_empty_sequence(self):
         params = ParamSeq([])
         assert construct._log2_l2_sq(params) == 0.0 and params.total_mass == 0.0
@@ -1157,7 +1179,7 @@ class TestBuildersCopyOnce:
         pair = build_pq(params)
         real = (normalized_real(params), pair.p, pair.q, neeman_function(6),
                 neeman_function(6, 0.5, normalize=False), normalized_sum(6))
-        complex_ = (unimodular_complex(params), *four_variants(params))
+        complex_ = (unimodular_complex(params),)
         for dtype, tables in ((np.float64, real), (np.complex128, complex_)):
             for f in tables:
                 assert f.values.dtype == dtype and f.is_real == (dtype == np.float64)
@@ -1184,43 +1206,27 @@ class TestNormalizedBuilders:
         assert abs(a.influence - b.influence) <= 1e-12
         assert abs(a.entropy - b.entropy) <= 1e-12
 
-    def test_four_variants_base_case(self):
-        variants = four_variants(ParamSeq([]))
-        assert variants[0].values.tolist() == [1 + 1j]
-        co = orc.transform([1 + 1j])
-        assert abs(abs(co[0]) - math.sqrt(2.0)) <= 1e-15
-
-    @pytest.mark.parametrize("n", range(13))
-    def test_four_variants_have_the_bits_of_complex_expressions(self, n):
-        # unit weights give Q = +0.0, which p - 1j*q keeps as +0.0
-        for a in (RNG.uniform(0.05, 1.0, n), theorem_params(max(n, 1)).a[:n], np.ones(n)):
-            p, q = orc.concatenated(a)
-            want = (p + 1j * q, p - 1j * q, q + 1j * p, q - 1j * p)
-            got = four_variants(ParamSeq(a))
-            assert [f.values.tobytes() for f in got] == [w.tobytes() for w in want]
-
-    def test_four_variants_peak_in_float64_tables(self):
-        # P, Q and the four complex results: 10.07 tables; a complex
-        # 1j * q temporary per variant read 12.26
-        n = 16
-        params = ParamSeq(RNG.uniform(0.05, 1.0, n))
-        four_variants(params)
-        _, peak = _traced(lambda: four_variants(params))
-        assert peak <= 10.2 * (8 << n), peak / (8 << n)
-
-    def test_four_variants_equal_magnitude_tables(self):
-        params = ParamSeq(RNG.uniform(0.1, 1.0, 3))
-        mags = [np.abs(walsh_transform(v).coeffs) for v in four_variants(params)]
-        for other in mags[1:]:
-            assert np.max(np.abs(other - mags[0])) <= 1e-13
-
-    def test_four_variants_magnitude_formula(self):
-        variants = four_variants(ParamSeq([0.5] * 5))
-        for v in variants:
-            mags = np.abs(walsh_transform(v).coeffs)
-            for mask in range(32):
-                want = math.sqrt(2.0) * 0.5 ** bin(mask).count("1")
-                assert abs(mags[mask] - want) <= 1e-13
+    @pytest.mark.parametrize("n", range(11))
+    def test_sign_and_swap_variants_share_the_coefficient_magnitudes(self, n):
+        # with g = (P + iQ) / sqrt(2L), the variants P - iQ, Q + iP and
+        # Q - iP are sqrt(2L) times conj(g), i conj(g) and -i g; each has
+        # |coefficient at A| = prod_{i in A} a_i / sqrt(L)
+        for a in (RNG.uniform(0.05, 1.0, n), theorem_params(max(n, 1)).a[:n]):
+            params = ParamSeq(a)
+            g = unimodular_complex(params)
+            sqrt_l = math.sqrt(np.prod(1.0 + a * a))
+            pair = build_pq(params)
+            p, q = pair.p.values, pair.q.values
+            variants = {
+                "P + iQ": (g, p + 1j * q),
+                "P - iQ": (conjugate(g), p - 1j * q),
+                "Q + iP": (scale(conjugate(g), 1j), q + 1j * p),
+                "Q - iP": (scale(g, -1j), q - 1j * p),
+            }
+            want = [math.prod(a[i] for i in range(n) if m >> i & 1) / sqrt_l for m in range(1 << n)]
+            for name, (v, raw) in variants.items():
+                assert np.max(np.abs(v.values * math.sqrt(2.0) * sqrt_l - raw)) <= 1e-13 * sqrt_l, name
+                assert np.max(np.abs(np.abs(walsh_transform(v).coeffs) - want)) <= 1e-15, name
 
 
 class TestSumFamilies:

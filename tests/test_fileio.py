@@ -11,7 +11,6 @@ from cubespec import (
     FormatError,
     FourierSpectrum,
     HypercubeFunction,
-    ParameterError,
     ResourceLimitError,
     normalized_real,
     read_function,
@@ -26,9 +25,9 @@ from cubespec import (
 RNG = np.random.default_rng(7)
 
 
-def dump(f, kind=None):
+def dump(f):
     buf = io.StringIO()
-    write_function(buf, f, kind=kind)
+    write_function(buf, f)
     return buf.getvalue()
 
 
@@ -85,28 +84,12 @@ class TestLayout:
         f = HypercubeFunction(1, np.array([1 + 2j, 3 - 1j]))
         assert dump(f) == "n=1 kind=complex\n1.0 2.0\n3.0 -1.0\n"
 
-    def test_real_values_can_be_forced_to_two_columns(self):
-        f = HypercubeFunction(1, np.array([1.0, 2.0]))
-        assert dump(f, kind="complex").startswith("n=1 kind=complex\n1.0 0.0\n")
-
-    def test_real_kind_rejects_imaginary_parts(self):
-        f = HypercubeFunction(1, np.array([1 + 2j, 0j]))
-        with pytest.raises(ParameterError):
-            dump(f, kind="real")
-
     def test_complex_table_with_zero_imaginary_parts_is_written_complex(self):
         f = HypercubeFunction(1, np.array([1 + 0j, -0.5 - 0j]))
         assert dump(f) == "n=1 kind=complex\n1.0 0.0\n-0.5 0.0\n"
-        with pytest.raises(ParameterError, match="complex table"):
-            dump(f, kind="real")
 
-    @pytest.mark.parametrize("kind, values, reads", [
-        (None, [1.0, -0.5], 1),
-        (None, [1 + 2j, 0j], 1),
-        ("real", [1.0, -0.5], 1),
-        ("complex", [1.0, -0.5], 0),
-    ])
-    def test_imaginary_plane_scanned_at_most_once(self, monkeypatch, kind, values, reads):
+    @pytest.mark.parametrize("values", [[1.0, -0.5], [1 + 2j, 0j]])
+    def test_imaginary_plane_scanned_at_most_once(self, monkeypatch, values):
         seen = []
         real_is_real = HypercubeFunction.is_real
 
@@ -115,12 +98,8 @@ class TestLayout:
             return real_is_real.fget(f)
 
         monkeypatch.setattr(HypercubeFunction, "is_real", property(spy))
-        dump(HypercubeFunction(1, np.array(values)), kind=kind)
-        assert len(seen) == reads
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ParameterError, match="real or complex"):
-            dump(HypercubeFunction(1, np.array([1.0, 2.0])), kind="spectrum")
+        dump(HypercubeFunction(1, np.array(values)))
+        assert len(seen) == 1
 
     def test_spectrum_layout_frozen(self):
         buf = io.StringIO()
@@ -383,7 +362,7 @@ class TestMatchesLineByLine:
             values = [complex(0.0, -0.0), complex(-0.0, 0.0), 1 + 2j, 2 + 1j,
                       complex(5e-324, 0.0), complex(0.0, 5e-324), 1 + 2j, complex(-0.0, -0.0)]
         f = HypercubeFunction(3, np.array(values))
-        text = dump(f, kind=kind)
+        text = dump(f)
         assert text == reference_text(f.values, 3, kind or "real")
         assert_reads_like_reference(text)
 

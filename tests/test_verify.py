@@ -7,7 +7,7 @@ import random
 import tracemalloc
 import warnings
 from contextlib import nullcontext
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -148,6 +148,21 @@ class TestCertificateObject:
         assert [c.name for c in cert.checks if not c.passed] == [
             "closed_form_oracle_agreement", "influence_equals_target"]
         assert cs.certify_theorem1(8).overall
+
+    def test_verdict_and_log_base_cannot_be_set_apart_from_the_checks(self):
+        checks = (check_lt("ok", 1.0, 2.0), check_lt("bad", 3.0, 2.0))
+        cert = cs.Certificate("theorem1", 4, {"tol": 1e-9}, checks)
+        assert cert.overall is False and cert.log_base == 2
+        assert cs.Certificate("theorem1", 4, {}, checks[:1]).overall is True
+        assert [f.name for f in fields(cs.Certificate)] == ["kind", "n", "inputs", "checks"]
+        for extra in ({"overall": True}, {"log_base": 10}):
+            with pytest.raises(TypeError):
+                cs.Certificate("theorem1", 4, {}, checks, **extra)
+        d = cert.to_dict()
+        assert list(d) == ["kind", "n", "log_base", "inputs", "checks", "overall"]
+        assert d["log_base"] == 2 and d["overall"] is False
+        assert cert.to_text().splitlines()[0] == "certificate kind=theorem1 n=4 log_base=2"
+        assert cert.to_text().splitlines()[-1] == "overall=false"
 
 
 #: The certificates whose closed forms are gated against the oracle, by kind

@@ -1206,12 +1206,13 @@ class TestNormalizedBuilders:
         assert abs(a.influence - b.influence) <= 1e-12
         assert abs(a.entropy - b.entropy) <= 1e-12
 
-    @pytest.mark.parametrize("n", range(11))
+    @pytest.mark.parametrize("n", range(13))
     def test_sign_and_swap_variants_share_the_coefficient_magnitudes(self, n):
         # with g = (P + iQ) / sqrt(2L), the variants P - iQ, Q + iP and
         # Q - iP are sqrt(2L) times conj(g), i conj(g) and -i g; each has
-        # |coefficient at A| = prod_{i in A} a_i / sqrt(L)
-        for a in (RNG.uniform(0.05, 1.0, n), theorem_params(max(n, 1)).a[:n]):
+        # |coefficient at A| = prod_{i in A} a_i / sqrt(L); unit weights
+        # put exact zeros in P and Q
+        for a in (RNG.uniform(0.05, 1.0, n), theorem_params(max(n, 1)).a[:n], np.ones(n)):
             params = ParamSeq(a)
             g = unimodular_complex(params)
             sqrt_l = math.sqrt(np.prod(1.0 + a * a))

@@ -88,6 +88,25 @@ class TestLayout:
         f = HypercubeFunction(1, np.array([1 + 0j, -0.5 - 0j]))
         assert dump(f) == "n=1 kind=complex\n1.0 0.0\n-0.5 0.0\n"
 
+    def test_real_values_in_a_complex_table_round_trip_as_complex(self):
+        # two columns for real values come from the table's dtype alone;
+        # a -0.0 imaginary part keeps its sign through the file
+        vals = np.array([complex(1.0, 0.0), complex(-0.5, -0.0), complex(0.0, 0.0), complex(2.0, -0.0)])
+        text = dump(HypercubeFunction(2, vals))
+        assert text.startswith("n=2 kind=complex\n1.0 0.0\n-0.5 -0.0\n")
+        back = read_function(io.StringIO(text))
+        assert back.values.dtype == np.complex128 and back.values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("call", [
+        lambda buf, f: write_function(buf, f, "real"),
+        lambda buf, f: write_function(buf, f, kind="complex"),
+    ])
+    def test_the_kind_is_not_an_argument(self, call):
+        buf = io.StringIO()
+        with pytest.raises(TypeError):
+            call(buf, HypercubeFunction(1, np.array([1.0, 2.0])))
+        assert buf.getvalue() == ""
+
     @pytest.mark.parametrize("values", [[1.0, -0.5], [1 + 2j, 0j]])
     def test_imaginary_plane_scanned_at_most_once(self, monkeypatch, values):
         seen = []

@@ -164,6 +164,22 @@ class TestCertificateObject:
         assert cert.to_text().splitlines()[0] == "certificate kind=theorem1 n=4 log_base=2"
         assert cert.to_text().splitlines()[-1] == "overall=false"
 
+    def test_verdict_and_log_base_cannot_be_assigned(self):
+        cert = cs.certify_theorem1(4)
+        for name, value in (("overall", False), ("log_base", 10)):
+            with pytest.raises(AttributeError):
+                setattr(cert, name, value)
+        assert cert.overall is True and cert.log_base == 2
+
+    def test_replaced_checks_carry_their_own_verdict(self):
+        # a stored verdict would survive replace() and disagree with the
+        # new checks; the derived one follows them both ways
+        cert = cs.certify_theorem1(4)
+        failing = replace(cert, checks=cert.checks + (check_lt("bad", 3.0, 2.0),))
+        assert cert.overall is True and failing.overall is False
+        assert replace(failing, checks=cert.checks).overall is True
+        assert failing.to_text().splitlines()[-1] == "overall=false"
+
 
 #: The certificates whose closed forms are gated against the oracle, by kind
 GATED = {

@@ -186,7 +186,7 @@ def _p_table(a: Sequence[float], p: np.ndarray) -> np.ndarray:
     pairs (i, 2r - 1 - i) and (r - 1 - i, r + i), depth first, so it writes
     the children while the parents are in cache.  Scratch is two blocks.
 
-    p may also be a C-contiguous stack of tables along its last axis, one
+    p may also be a stack of C-contiguous tables along its last axis, one
     per weight row of `a` (shape (..., n)), each with the bits of its own;
     scratch is then two blocks per table.  The steps run along axis 0 of
     the transposes, which for one table are the table and its weights.

@@ -9,25 +9,19 @@ With no `cf_` checks, n above the cap is refused by the gate before any
 table (certify_neeman has no gate: its table builder refuses).
 
 The oracle enumerates in extended precision (np.longdouble) through a
-rank-2 split of the pair: every value is a sum of two products of
-2^(n/2)-entry half tables, walked one block at a time for the value
-figures.  Every coefficient is one product of a high and a low half
-transform entry, since no high mask carries two nonzeros (proved in
-_row_figures), so the per-mask, influence and entropy figures come from
-sums over the half transforms alone; a mask with two nonzeros makes them
-nan.  Q is P mirrored (construct._mirror), so the oracle walks and
-transforms P alone, with the bits of walking both planes.  It holds no
-2^n-entry table (1.1 MiB at n = 20), and resolves each squared
-coefficient against prod a_i^2 up to COEFF_GATE_MAX_N; the library
-under test stays in double precision.  One function evaluates the oracle,
-over a batch of weight vectors of one n (_oracle_batch): everything but
-the 2^n-value walk runs once for the batch, and each vector's figures
-have the bits of a batch of one.  `oracle_compare` checks n against the
-table cap, then evaluates a batch of one and caches the six error
-figures per weight vector (least recently used, at most 256 entries),
-so certificates that share weights enumerate them once.
-`oracle_campaign` evaluates its seeded draws batch by batch and bypasses
-that cache.
+rank-2 split of the pair into 2^(n/2)-entry half tables, in two stages:
+the half-table stage (_half_stage) takes the targets and the per-mask,
+influence and entropy figures from the half transforms alone, and the
+value stage (_value_stage) walks the 2^n values of P, one block at a
+time, for the constancy, L2 and L-inf figures (Q is P mirrored).  No
+2^n-entry table is held (1.1 MiB at n = 20); each squared coefficient is
+resolved against prod a_i^2 up to COEFF_GATE_MAX_N, and the library under
+test stays in double precision.  `oracle_compare` checks n against the
+table cap and caches the six error figures per weight vector (least
+recently used, at most 256 entries), so certificates that share weights
+enumerate them once.  `oracle_campaign` runs its seeded draws in batches,
+the half-table stage once a batch, and bypasses that cache; each draw's
+figures have the bits of a batch of one.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
@@ -226,92 +220,82 @@ def _low_bits(n: int) -> int:
 
 def _hat(t: np.ndarray) -> np.ndarray:
     # the normalized transforms of a stack of half tables, in a fresh array
-    t = _fwht(t.copy())
-    t /= np.longdouble(t.shape[-1])
-    return t
+    return _fwht(t.copy()) / np.longdouble(t.shape[-1])
 
 
-def _oracle_batch(a64: np.ndarray) -> np.ndarray:
-    """The six error figures of each weight row of a64 (draws, n), walking P
-    alone; a float64 array (draws, 6).
+def _half_stage(a64: np.ndarray) -> tuple:
+    """The oracle's half-table stage for the weight rows of a64 (draws, n),
+    in longdouble, one row per draw: ((L, influence target, entropy target),
+    (per-mask error, influence, entropy), highs, lows), L = prod(1 + a_i^2).
 
-    The doubling step is linear in (P, Q): with m ~ n / 2, (p, q) the pair
-    of a[:m] and (u1, v1), (u2, v2) that of a[m:] from (1, 0) and (0, 1),
-    P(xl + 2^m xh) = u1(xh) p(xl) + u2(xh) q(xl) and Q = v1 p + v2 q.  The
+    With m ~ n / 2, lows (draws, 2, 2^m) holds (p, q), the pair of a[:m],
+    and (u1, v1), (u2, v2) are the pairs of a[m:] from (1, 0) and (0, 1);
+    highs (draws, 2^(n-m), 2) holds (u1, u2).  The doubling step is linear
+    in (P, Q), so P(xl + 2^m xh) = u1(xh) p(xl) + u2(xh) q(xl), and the
     transform of a product over disjoint variables is the product of the
-    transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A).  The values
-    are multiplied out one block of rows (xh) at a time, and block sums
-    recombine along np.sum's split.  The coefficients need no such walk:
-    each high mask B has at most one nonzero of (u1^(B), u2^(B)), so row B
-    of P^ is one scalar h times p^ or q^ (_row_figures).
-
-    Q(x) = (-1)^n P(~x) bit for bit, and by the same proof
-    (construct._mirror) the k high steps from (0, 1) = J (1, 0), J the
-    swap, give (u2, v2)(xh) = (-1)^k (v1, u1)(~xh).  So the low half is P
-    and its mirror, u2 is v1 reversed with that sign, and Q's values are
-    P's, negated or not, in reverse order: max |Q| is max |P|; Q^2 of
-    block j is P^2 of block nb - 1 - j reversed (np.sum adds a reversed
-    view in logical order), so P^2 over the pair of blocks (j, nb - 1 - j)
-    gives both planes' block sums and the constancy sums P^2 + Q^2 of
-    both blocks, one the other reversed; and |Q^(A)| = |P^(A)|, since the
-    butterflies of a negated or reversed table are its own, negated or
-    mirrored.  Every figure thus has the bits of walking both planes.
-
-    The targets, the half tables, their transforms and the coefficient
-    figures are taken once for the whole batch, one row per draw along a
-    leading axis: elementwise operations, and sums, products and extremes
-    along the last axis of C-contiguous rows, which numpy reduces row by
-    row as it reduces one row alone, so each row has the bits of a batch of
-    one.  The walk over the 2^n values runs draw by draw.
+    transforms: P^(A + 2^m B) = u1^(B) p^(A) + u2^(B) q^(A), one scalar
+    times p^ or q^ (_row_figures).  It all runs once for the batch, one row
+    per draw: elementwise operations, and sums, products and extremes along
+    the last axis of C-contiguous rows, which numpy reduces row by row as
+    one row alone, so each row has the bits of a batch of one.
     """
     ld = np.longdouble
     draws, n = a64.shape
     a2 = np.square(a64.astype(ld))
     one_plus = 1.0 + a2
-    big_l = np.prod(one_plus, axis=-1)
-
-    # independent closed-form targets, linear domain (no log/exp route);
-    # others[:, i] is np.prod(np.delete(one_plus, i, axis=-1), axis=-1), the
-    # same left fold
+    # independent closed-form targets, linear domain (no log/exp route); others[:, i]
+    # is np.prod(np.delete(one_plus, i, axis=-1), axis=-1), the same left fold
     others = np.ones_like(a2)
     for i in range(n):
         f = one_plus[:, i, None]
         others[:, :i] *= f
         others[:, i + 1 :] *= f
-    target_const = 2.0 * big_l
-    target_l2 = np.sqrt(big_l)
-    target_infl = np.sum(a2 * others, axis=-1)
-    target_ent = -np.sum(others * a2 * np.log2(a2), axis=-1)
+    targets = (np.prod(one_plus, axis=-1), np.sum(a2 * others, axis=-1),
+               -np.sum(others * a2 * np.log2(a2), axis=-1))
 
     m = _low_bits(n)
-    # the walk's operands, one draw per row: P = [u1 u2] [p; q] row by row
-    p = _p_table(a64[:, :m], np.empty((draws, 1 << m), dtype=ld))
-    lows = np.stack((p, _mirror(p, m, np.empty_like(p))), axis=1)
-    u1, v1 = _high_half(a64[:, m:])
-    u2 = v1[:, ::-1] if (n - m) % 2 == 0 else -v1[:, ::-1]  # the run from (0, 1)
-    highs = np.stack((u1, u2), axis=-1)
-    del p, u1, v1, u2  # held by the stacks: fewer half tables at the peak
+    lows = np.empty((draws, 2, 1 << m), dtype=ld)
+    _mirror(_p_table(a64[:, :m], lows[:, 0]), m, lows[:, 1])
+    highs = np.stack(_high_half(a64[:, m:]), axis=-1)  # (u1, v1), then (u1, u2):
+    highs[..., 1] = (-1) ** (n - m) * highs[:, ::-1, 1]  # the run from (0, 1)
+    # the low subset products once per plane, so that none is held at the peak
+    low_sums = [_low_sums(_hat(lows[:, i]), subset_products(a2[:, :m], dtype=ld), popcounts(m))
+                for i in (0, 1)]
+    sums = _row_figures([_hat(highs[..., i]) for i in (0, 1)], low_sums,
+                        subset_products(a2[:, m:], dtype=ld), popcounts(n - m))
+    return targets, sums, highs, lows
 
-    low_products = subset_products(a2[:, :m], dtype=ld)
-    low_sums = [_low_sums(_hat(lows[:, i]), low_products, popcounts(m)) for i in (0, 1)]
-    del low_products
-    per_mask, infl, ent = _row_figures([_hat(highs[..., i]) for i in (0, 1)], low_sums,
-                                       subset_products(a2[:, m:], dtype=ld), popcounts(n - m))
 
-    size = 1 << n
+def _value_stage(highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
+    """The oracle's value stage: P = u1 p + u2 q (_half_stage) at all 2^n
+    points, draw by draw, one block of rows at a time, block sums recombined
+    along np.sum's split; a longdouble array (draws, 5) of max and min of
+    P^2 + Q^2, sum P^2, sum Q^2 and max |P|.
+
+    Q(x) = (-1)^n P(~x) bit for bit, and by the same proof
+    (construct._mirror) the k high steps from (0, 1) = J (1, 0), J the
+    swap, give (u2, v2)(xh) = (-1)^k (v1, u1)(~xh): the low half is P and
+    its mirror, and u2 is v1 reversed with that sign.  Q's values are P's,
+    negated or not, in reverse order: max |Q| is max |P|, and Q^2 of block
+    j is P^2 of block nb - 1 - j reversed (np.sum adds a reversed view in
+    logical order), so P^2 on blocks j and nb - 1 - j gives both planes'
+    block sums and P^2 + Q^2 on both.  |Q^(A)| = |P^(A)|, since the
+    butterflies of a negated or reversed table are its own, negated or
+    mirrored: every figure has the bits of walking both planes.
+    """
+    size = highs.shape[1] * lows.shape[-1]
     block = min(size, spectrum._BLOCK)
-    nb, rows = size // block, block >> m
-    buf = np.empty((2, block), dtype=ld)
-    grid = buf.reshape(2, rows, 1 << m)
-    sums = np.empty((2, nb), dtype=ld)  # block sums of P^2, then of Q^2
-    figures = np.empty((draws, 6))
+    nb, rows = size // block, block // lows.shape[-1]
+    buf = np.empty((2, block), dtype=lows.dtype)
+    grid = buf.reshape(2, rows, -1)
+    sums = np.empty((2, nb), dtype=lows.dtype)  # block sums of P^2, then of Q^2
+    values = np.empty((len(lows), 5), dtype=lows.dtype)
     for d, (high, pq) in enumerate(zip(highs, lows)):
         peaks = []
         for j in range((nb + 1) // 2):
             k = nb - 1 - j
-            # P on blocks j and k (one block if j = k): u1 p + u2 q of each
-            # row, a sum of two products in either order, so einsum's bits
-            # are those of the two outer products
+            # P on blocks j and k (one block if j = k): u1 p + u2 q of each row, a sum
+            # of two products in either order, so einsum's bits are the products'
             pv = [np.einsum("rk,kc->rc", high[b * rows : (b + 1) * rows], pq, out=grid[i]).reshape(-1)
                   for i, b in enumerate(dict.fromkeys((j, k)))]
             linf = np.max([np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pv])
@@ -320,26 +304,33 @@ def _oracle_batch(a64: np.ndarray) -> np.ndarray:
             sums[:, j] = np.sum(sq_j), np.sum(sq_k[::-1])
             if j < k:
                 sums[:, k] = np.sum(sq_k), np.sum(sq_j[::-1])
-            # over block j, unless it is also block k, whose reversed read
-            # that would overwrite: then into the free buf[1]
+            # over block j, or the free buf[1] if j = k, whose reversed read it would overwrite
             s = np.add(sq_j, sq_k[::-1], out=buf[0] if j < k else buf[1])
-            # s - target is monotone in s, so its largest magnitude is at an end
-            dev = np.maximum(s[np.argmax(s)] - target_const[d], target_const[d] - s[np.argmin(s)])
-            peaks.append((dev, linf))
-
+            peaks.append((s[np.argmax(s)], s[np.argmin(s)], linf))
+        top, bottom, linf = np.array(peaks).T
         l2_sums = _pairwise_sum(lambda lo, hi: sums[:, lo // block], 0, size)
-        dev, linf = np.max(peaks, axis=0)
-        lo, hi = target_l2[d], SQRT2 * target_l2[d]
-        figures[d] = (
-            dev / target_const[d],
-            # the worse of P's and Q's; np.max keeps a nan, which Python max may not
-            np.max(abs(np.sqrt(l2_sums / ld(size)) - target_l2[d]) / target_l2[d]),
-            max((lo - linf) / lo, (linf - hi) / hi, ld(0.0)),
-            per_mask[d],
-            abs(infl[d] - target_infl[d]) / max(abs(target_infl[d]), ld(1e-300)),
-            abs(ent[d] - target_ent[d]) / max(abs(target_ent[d]), big_l[d]),
-        )
-    return figures
+        values[d] = np.max(top), np.min(bottom), *l2_sums, np.max(linf)
+    return values
+
+
+def _oracle_batch(a64: np.ndarray) -> np.ndarray:
+    """The six error figures of each weight row of a64 (draws, n), float64,
+    assembled over the batch elementwise from the two stages, so each row has
+    the bits of a batch of one; s - target is monotone in s = P^2 + Q^2."""
+    (big_l, target_infl, target_ent), (per_mask, infl, ent), highs, lows = _half_stage(a64)
+    top, bottom, sum_p, sum_q, linf = _value_stage(highs, lows).T
+    target_const, target_l2 = 2.0 * big_l, np.sqrt(big_l)
+    l2 = np.sqrt(np.stack((sum_p, sum_q)) / (1 << a64.shape[1]))
+    lo, hi = target_l2, SQRT2 * target_l2
+    figures = (
+        np.maximum(top - target_const, target_const - bottom) / target_const,
+        np.max(abs(l2 - target_l2) / target_l2, axis=0),  # the worse of P's and Q's
+        np.maximum(np.maximum((lo - linf) / lo, (linf - hi) / hi), 0.0),
+        per_mask,
+        abs(infl - target_infl) / np.maximum(abs(target_infl), 1e-300),
+        abs(ent - target_ent) / np.maximum(abs(target_ent), big_l),
+    )
+    return np.stack(figures, axis=-1).astype(np.float64)
 
 
 @functools.lru_cache(maxsize=256)
@@ -358,7 +349,6 @@ def _low_sums(t: np.ndarray, products: np.ndarray, pc: np.ndarray) -> tuple:
     sq = t * t
     rho = sq / products
     extremes = np.min(rho, axis=-1), np.max(rho, axis=-1)
-    del rho
     logs = np.log2(sq, out=np.zeros_like(sq), where=sq >= ZERO_WEIGHT_CUTOFF)
     return np.sum(sq, axis=-1), np.sum(sq * pc, axis=-1), np.sum(sq * logs, axis=-1), *extremes
 
@@ -458,15 +448,15 @@ def _entropy_bound(n: int) -> float:
 #: Largest n at which the certificate gate holds the per-mask figure: for
 #: the theorem weights it reads 1.35e-13 at n = 20 and 4.60e-11 at n = 26
 #: in x87 extended precision, and 1.7e-10 at n = 20 and 7.2e-9 at n = 24
-#: in a float64 simulation (never run there).  Above it that one figure is
-#: left out; the aggregate figures are gated at every n.
+#: with a float64 longdouble (tier-1 runs that route up to n = 22 with
+#: np.longdouble patched to float64).  Above it that one figure is left
+#: out; the aggregate figures are gated at every n.
 COEFF_GATE_MAX_N = 26 if np.finfo(np.longdouble).nmant >= 63 else 20
 
 
 def _gate(params: ParamSeq, tol: float, max_table_n: int | None) -> Check:
-    # oracle_compare's cache entry; above the cutoff the per-mask figure reads
-    # 0.0, out of the maximum (the rest are >= 0, or nan, which max_error
-    # keeps, so the gate fails)
+    # oracle_compare's cache entry; above the cutoff the per-mask figure reads 0.0,
+    # out of the maximum (the rest are >= 0, or nan, which max_error keeps: a fail)
     report = oracle_compare(params, max_table_n=max_table_n)
     if params.n > COEFF_GATE_MAX_N:
         report = replace(report, err_coefficients=0.0)
@@ -643,12 +633,26 @@ def certify_neeman(
 
 @dataclass(frozen=True)
 class NeemanReport:
+    """Brute-force rows of the clamped sum; every verdict is read from them."""
+
     clamp: float
     rows: tuple[tuple[int, float, float], ...]  # (n, influence, entropy)
-    entropy_increasing: bool
-    band: tuple[float, float] | None
-    influence_in_band: bool
-    overall: bool
+
+    @property
+    def entropy_increasing(self) -> bool:
+        return all(b[2] > a[2] for a, b in zip(self.rows, self.rows[1:]))
+
+    @property
+    def band(self) -> tuple[float, float] | None:
+        return NEEMAN_INFLUENCE_BAND if self.clamp == 2.0 else None
+
+    @property
+    def influence_in_band(self) -> bool:
+        return self.band is None or all(self.band[0] <= r[1] <= self.band[1] for r in self.rows)
+
+    @property
+    def overall(self) -> bool:
+        return self.entropy_increasing and self.influence_in_band
 
 
 def neeman_regression(
@@ -666,11 +670,7 @@ def neeman_regression(
     for n in ns:
         st = stats(neeman_function(n, clamp, normalize=True, max_table_n=max_table_n), max_table_n)
         rows.append((n, st.influence, st.entropy))
-    entropies = [r[2] for r in rows]
-    increasing = all(b > a for a, b in zip(entropies, entropies[1:]))
-    band = NEEMAN_INFLUENCE_BAND if clamp == 2.0 else None
-    in_band = band is None or all(band[0] <= r[1] <= band[1] for r in rows)
-    return NeemanReport(clamp, tuple(rows), increasing, band, in_band, increasing and in_band)
+    return NeemanReport(clamp, tuple(rows))
 
 
 def modulus_spotcheck(params: ParamSeq, samples: int = 10_000, seed: int = 2024) -> float:

@@ -696,6 +696,57 @@ class TestBatchedOracle:
         assert _campaign_peak(20, 40) <= 8 << 20
 
 
+class TestOracleStages:
+    """_oracle_batch is a half-table stage, a value stage and an assembly:
+    each stage can be replaced alone, as a split bound above the cap or
+    another oracle dtype would replace it."""
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 14])
+    def test_value_figures_follow_the_value_stage_alone(self, monkeypatch, n):
+        # a stand-in returns fixed values, scaled from each draw's L, whose
+        # figures are exact, with the other side of each figure smaller in
+        # the middle draw: max and min of P^2 + Q^2 at 3L and 0, or 4L and
+        # 1.5L, against the target 2L read 1; L2 norms 2 sqrt(L) and
+        # sqrt(L) / 2 read 1 (and 1/2); max |P| at sqrt(L) / 2 lies 1/2 below
+        # the bracket [sqrt(L), sqrt(2 L)], and at twice its top 1 above it
+        batch = np.stack([_family("theorem", n), _uniform_draw(4, n), _family("ones", n)])
+        want = _batch_hex(batch)
+        ld = np.longdouble
+        big_l = np.prod(1.0 + np.square(batch.astype(ld)), axis=-1)
+        size, root = ld(1 << n), np.sqrt(big_l)
+        wide, narrow = 4 * big_l * size, big_l * size / 4
+        fixed = np.array([
+            [3 * big_l[0], 0.0, wide[0], narrow[0], root[0] / 2],
+            [4 * big_l[1], 1.5 * big_l[1], narrow[1], wide[1], 2 * (verify.SQRT2 * root[1])],
+            [3 * big_l[2], 0.0, wide[2], narrow[2], root[2] / 2],
+        ], dtype=ld)
+        shapes = []
+
+        def stand_in(highs, lows):
+            shapes.append((highs.shape, lows.shape))
+            return fixed
+
+        monkeypatch.setattr(verify, "_value_stage", stand_in)
+        got = _batch_hex(batch)
+        m = verify._low_bits(n)
+        assert shapes == [((3, 1 << (n - m), 2), (3, 2, 1 << m))]
+        assert [row[3:] for row in got] == [row[3:] for row in want]
+        assert [row[:3] for row in got] == [[x.hex() for x in row] for row in
+                                            ((1.0, 1.0, 0.5), (1.0, 1.0, 1.0), (1.0, 1.0, 0.5))]
+
+    @pytest.mark.parametrize("n", [12, 17])
+    def test_value_stage_takes_the_operands_alone_row_by_row(self, n):
+        # no target goes in, and each draw's row is the one it has alone,
+        # in one block (n = 12) and in mirrored pairs of blocks (n = 17)
+        assert list(inspect.signature(verify._value_stage).parameters) == ["highs", "lows"]
+        batch = np.stack([cs.theorem_params(n).a, _uniform_draw(6, n), np.ones(n)])
+        _, _, highs, lows = verify._half_stage(batch)
+        rows = verify._value_stage(highs, lows)
+        assert rows.shape == (3, 5) and rows.dtype == np.longdouble
+        for d in range(3):
+            assert np.array_equal(rows[d], verify._value_stage(highs[d : d + 1], lows[d : d + 1])[0])
+
+
 class TestGateOracle:
     """The certificate gate reads oracle_compare's cache entry and leaves
     the per-mask figure out above COEFF_GATE_MAX_N only."""
@@ -720,6 +771,28 @@ class TestGateOracle:
         assert gate.passed and gate.lhs.hex() == want.hex()
         monkeypatch.setattr(cs.verify, "COEFF_GATE_MAX_N", 10)
         assert cs.verify._gate(params, 1e-9, None).lhs == rep.max_error()
+
+    def test_a_float64_oracle_passes_the_gate_and_a_campaign(self, monkeypatch):
+        # the route of a platform whose longdouble is plain float64, where
+        # COEFF_GATE_MAX_N is 20: the per-mask figure of the theorem weights
+        # reads about 1.2e-9 at n = 21, so above 20 the gate leaves it out,
+        # and the aggregate figures pass at every n.  The memo is bypassed,
+        # so no float64 figure reaches it
+        info = verify._oracle_errors.cache_info()
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        monkeypatch.setattr(verify, "COEFF_GATE_MAX_N", 20)
+        monkeypatch.setattr(verify, "_oracle_errors", verify._oracle_errors.__wrapped__)
+        assert verify._half_stage(np.ones((1, 4)))[2].dtype == np.float64
+        for n in range(19, 23):
+            params = cs.theorem_params(n)
+            rep = cs.oracle_compare(params)
+            gate = verify._gate(params, 1e-9, None)
+            assert (rep.err_coefficients > 1e-9) == (n == 21)
+            kept = rep if n <= 20 else replace(rep, err_coefficients=0.0)
+            assert gate.passed and gate.lhs.hex() == kept.max_error().hex(), n
+        assert cs.oracle_campaign(14, trials=32).passed(1e-9)
+        monkeypatch.undo()
+        assert verify._oracle_errors.cache_info() == info
 
 
 def _whole_array_modulus_deviation(values):
@@ -947,6 +1020,27 @@ class TestClampedSumRegression:
         rep = cs.neeman_regression([16])
         assert rel_close(rep.rows[0][1], CLAMPED_SUM_PINS[16][0])
         assert rel_close(rep.rows[0][2], CLAMPED_SUM_PINS[16][1])
+
+    def test_verdicts_cannot_be_set_apart_from_the_rows(self):
+        rows = tuple((n, infl, ent) for n, (infl, ent) in sorted(CLAMPED_SUM_PINS.items()))
+        assert [f.name for f in fields(cs.NeemanReport)] == ["clamp", "rows"]
+        for name in ("overall", "entropy_increasing", "band", "influence_in_band"):
+            with pytest.raises(TypeError):
+                cs.NeemanReport(2.0, rows, **{name: True})
+        rep = cs.NeemanReport(2.0, rows)
+        assert rep.overall and rep.entropy_increasing and rep.influence_in_band
+        assert rep.band == NEEMAN_INFLUENCE_BAND
+        assert cs.NeemanReport(3.0, rows).band is None
+
+    def test_replaced_rows_carry_their_own_verdict(self):
+        # a stored verdict would survive replace() with decreasing entropies
+        rep = cs.neeman_regression([8, 12])
+        falling = replace(rep, rows=rep.rows[::-1])
+        assert rep.overall is True
+        assert falling.entropy_increasing is False and falling.overall is False
+        assert falling.influence_in_band is True
+        out_of_band = replace(rep, rows=((8, 2.0, 1.0), (12, 1.0, 2.0)))
+        assert out_of_band.entropy_increasing and out_of_band.overall is False
 
 
 def test_streaming_modulus_spotcheck():

@@ -268,9 +268,9 @@ _CHUNK_MAX_POINTS = 4096
 #: Chunks of up to this many points run the doubling step as a Python
 #: float loop per point; wider chunks run it as four numpy ufuncs per
 #: coordinate across the chunk.  Measured at n = 1000 (2 CPUs, Python
-#: 3.11, numpy 2.4): the ufunc loop costs ~3 us per coordinate at any
-#: width up to 64 points, the float loop ~0.12 us per point and
-#: coordinate, so the two meet at 24 to 32 points.
+#: 3.11, numpy 2.4): the ufunc loop costs ~1.3 us per coordinate at any
+#: width up to 64 points, the float loop ~0.06 us per point and
+#: coordinate, so the two meet at 20 to 24 points.
 _SCALAR_LOOP_MAX_POINTS = 24
 
 
@@ -308,8 +308,10 @@ def _signed_weight_blocks(a: np.ndarray, packed: np.ndarray):
         bits = np.unpackbits(
             packed[:, lo // 8 : (hi + 7) // 8].T, axis=0, count=hi - lo, bitorder="little"
         )
-        w = a[lo:hi, None]
-        yield np.where(bits.view(np.bool_), -w, w)
+        sa = np.multiply(bits, -2.0, dtype=np.float64)  # numpy < 2 may pick float16
+        sa += 1.0  # +-1.0, whose products with a_i are exact
+        sa *= a[lo:hi, None]
+        yield sa
 
 
 def _scalar_doubling(blocks, p: np.ndarray, q: np.ndarray) -> None:
@@ -330,12 +332,13 @@ def _ufunc_doubling(blocks, p: np.ndarray, q: np.ndarray) -> None:
     # positional out= arguments: ufunc call overhead is most of the
     # cost per coordinate at these widths
     mul, add, sub = np.multiply, np.add, np.subtract
-    for sa in blocks:
-        for row in sa:
-            mul(row, q, t1)
-            mul(row, p, t2)
-            add(p, t1, p)
-            sub(t2, q, q)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as the float loop
+        for sa in blocks:
+            for row in sa:
+                mul(row, q, t1)
+                mul(row, p, t2)
+                add(p, t1, p)
+                sub(t2, q, q)
 
 
 def evaluate_many(params: ParamSeq, points) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +353,8 @@ def evaluate_many(params: ParamSeq, points) -> tuple[np.ndarray, np.ndarray]:
     zeros included.  Points are read lazily, one chunk of at most 1 MiB
     of packed bits and 4096 points at a time, so working memory stays a
     few MiB at any n and any number of points (beyond the 16 bytes per
-    point of the result).
+    point of the result).  Values past the float range read inf or nan,
+    with no warning, whichever loop runs.
     """
     n = params.n
     points = iter(points)

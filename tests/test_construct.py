@@ -293,6 +293,44 @@ class TestBatchedEvaluator:
         assert p.shape == q.shape == (1000,)
         assert peak <= 7 << 19, peak  # 3.5 MiB
 
+    def test_loops_agree_silently_past_the_float_range(self, monkeypatch):
+        # 5000 weights from [0.5, 1] pass the float range: the float loop
+        # read nan silently, the ufunc loop raised "overflow encountered
+        # in add" under warnings as errors
+        params = ParamSeq(np.random.default_rng(1).uniform(0.5, 1.0, 5000))
+        rng = random.Random(2)
+        points = [rng.getrandbits(5000) for _ in range(30)]
+        results = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for limit in (0, 10**9):  # every chunk wide, then every chunk narrow
+                monkeypatch.setattr(construct, "_SCALAR_LOOP_MAX_POINTS", limit)
+                results.append(evaluate_many(params, points))
+        (p0, q0), (p1, q1) = results
+        assert not np.isfinite(p0).any() and not np.isfinite(q0).any()
+        assert p0.tobytes() == p1.tobytes() and q0.tobytes() == q1.tobytes()
+
+    @pytest.mark.parametrize("block", [1 << 7, spectrum._BLOCK])
+    @pytest.mark.parametrize("width", [1, 24, 25, 300])
+    def test_signed_weight_blocks_match_where(self, monkeypatch, block, width):
+        # the blocks are a_i * (1 - 2 bit): +-1.0 products, so the bits of
+        # np.where(bit, -a_i, a_i), for tiny, unit and constant weights too
+        monkeypatch.setattr(spectrum, "_BLOCK", block)
+        n = 1000
+        dense = RNG.uniform(0.05, 1.0, n)
+        dense[::7], dense[3::11] = 1.0, 1e-300
+        rng = random.Random(width)
+        points = [rng.getrandbits(n) for _ in range(width)]
+        packed = np.frombuffer(construct._point_bytes(points, n), dtype=np.uint8).reshape(width, -1)
+        bits = np.array([[(x >> i) & 1 for x in points] for i in range(n)], dtype=bool)
+        for params in (ParamSeq(dense), remark3_params(n, 4.0), ParamSeq(np.ones(n)),
+                       ParamSeq(np.full(n, 1e-300))):
+            a = params.a[:, None]
+            blocks = list(construct._signed_weight_blocks(params.a, packed))
+            assert all(b.dtype == np.float64 and b.shape[1] == width for b in blocks)
+            got = np.concatenate(blocks)
+            assert got.tobytes() == np.where(bits, -a, a).tobytes()
+
     def test_empty_batch_and_zero_dimension(self):
         p, q = evaluate_many(ParamSeq([0.5, 0.5]), [])
         assert p.shape == q.shape == (0,)

@@ -1096,6 +1096,48 @@ def test_spotcheck_points_are_uniform_bits(monkeypatch):
         assert 140 < ones < 260, bit
 
 
+def test_spotcheck_passes_over_a_nan_sample(monkeypatch):
+    # a NaN deviation never replaces the running maximum, wherever it falls
+    params = cs.theorem_params(12)
+    factor = cs.construct._unit_modulus_factor(params)
+    real_evaluate = cs.verify.evaluate_many
+    for where in (0, 57, 199):
+        def stand_in(params, points):
+            p, q = real_evaluate(params, points)
+            p[where] = math.nan
+            return p, q
+
+        monkeypatch.setattr(cs.verify, "evaluate_many", stand_in)
+        p, q = stand_in(params, map(random.Random(4).getrandbits, [12] * 200))
+        want = max(abs(math.hypot(pv, qv) * factor - 1.0)
+                   for pv, qv in zip(p.tolist(), q.tolist()) if not math.isnan(pv))
+        assert want > 0.0
+        assert cs.modulus_spotcheck(params, 200, seed=4) == want
+
+
+@pytest.mark.parametrize("samples", [5, 100])  # the float loop, then the ufunc loop
+def test_spotcheck_of_exact_unit_modulus_is_positive_zero(samples):
+    # unit weights at odd n: P^2 + Q^2 = 2^(n+1) and the factor 2^(-(n+1)/2)
+    # are exact, so every deviation is 0.0
+    dev = cs.modulus_spotcheck(cs.ParamSeq(np.ones(7)), samples, seed=3)
+    assert dev == 0.0 and math.copysign(1.0, dev) == 1.0
+
+
+def test_spotcheck_holds_about_90_bytes_per_sample():
+    # the values (16 bytes), their lists (64) and the deviations (8): the
+    # Python fold over a generator read 112 bytes per sample here
+    params = cs.theorem_params(30)
+    samples = 10**5
+    cs.modulus_spotcheck(params, 10)
+    tracemalloc.start()
+    try:
+        cs.modulus_spotcheck(params, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96 * samples, peak / samples
+
+
 def _reference_spotcheck(params, samples, seed):
     # one scalar point at a time, as modulus_spotcheck was first written
     rng = random.Random(seed)

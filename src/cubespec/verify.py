@@ -27,6 +27,15 @@ Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
 means pass); for approximate equalities it is tolerance minus observed
 error.  Strict claims get no epsilon forgiveness.
+
+Known blind spots of a seeded-defect audit at n = 12, one figure of a
+result scaled (tier-1 pins what catches each): a table entropy scaled
+by 1 + 1e-6, 0.8 or 1.5 passes theorem1, theorem2, remark2 and neeman
+(theorems 1 and 2 hold it only to the bound, remark2 compares two
+entropies of one route); a table influence off by 1e-6 passes neeman;
+a table L2 norm off by 1e-6 passes theorem2, remark3 and classical_rs;
+a normalized_closed_form entropy or influence off by 1e-6 passes
+certify_remark3 above the cap, whose cf_ checks hold only the bounds.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -771,6 +772,68 @@ class TestConstantStorage:
             tracemalloc.stop()
         assert build_peak < 4 << 10, build_peak
         assert closed_form_peak < 1 << 20, closed_form_peak
+
+    def test_the_owner_is_private(self):
+        # neither the caller's value nor a reader can change stored weights
+        value = np.array(0.5)
+        built = [ParamSeq(np.broadcast_to(value, 4)), construct._constant_weights(value, 4)]
+        value[...] = 0.25
+        for params in built:
+            assert params.a.tolist() == [0.5] * 4 and not np.shares_memory(params.a, value)
+            assert _owner(params.a).nbytes == 8
+            with pytest.raises(ValueError):
+                params.a.setflags(write=True)
+
+    def test_closed_form_coefficients_have_their_own_read_only_owner(self):
+        params = remark3_params(10**6, 4.0)
+        log2_a2 = closed_form(params).coeff_log_magnitude
+        assert log2_a2.strides == (0,) and not log2_a2.flags.writeable
+        assert _owner(log2_a2).nbytes == 8 and not np.shares_memory(log2_a2, params.a)
+        with pytest.raises(ValueError):
+            log2_a2.setflags(write=True)
+
+
+class TestRealWeights:
+    """Weights must be real numbers; other input is one ParameterError, with no warning."""
+
+    @pytest.mark.parametrize("weights", [
+        np.array([0.5 + 0.3j]), np.array([0.5 + 0j]), [0.5 + 0.3j], np.complex64([0.5]),
+        np.array([np.complex128(0.5)], dtype=object), ["0.5"], ["abc"], b"0.5",
+        np.array(["0.5"], dtype=object), [Fraction(1, 2), "0.5"], {"a": 1},
+        [[0.5], [0.5, 0.25]], [10**400], np.array([1], dtype="m8[s]"),
+    ], ids=["complex", "complex-zero-imag", "complex-list", "complex64", "complex-object",
+            "string", "word", "bytes", "string-object", "fraction-and-string", "dict",
+            "ragged", "int-past-float-range", "timedelta"])
+    def test_refused(self, weights):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as exc:
+                ParamSeq(weights)
+        assert str(exc.value) == "weights must be real numbers"
+
+    @pytest.mark.parametrize("weights, want", [
+        ([True, True], [1.0, 1.0]), (np.array([1], np.uint8), [1.0]), ([1, 1], [1.0, 1.0]),
+        (np.float16([0.5, 0.25]), [0.5, 0.25]), (np.longdouble([0.5]), [0.5]), (0.5, [0.5]),
+        ([Fraction(1, 2), Fraction(1, 4)], [0.5, 0.25]),
+        (np.array([Fraction(1, 2), 0.25], dtype=object), [0.5, 0.25]), ([[0.25]], [0.25]),
+    ], ids=["bool", "uint8", "int", "float16", "longdouble", "scalar", "fractions", "object",
+            "nested-one"])
+    def test_real_input_is_taken(self, weights, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ParamSeq(weights).a.tolist() == want
+
+    @pytest.mark.parametrize("weights, message", [
+        ([Fraction(3, 2)], "weights must lie in (0, 1], got 1.5"),
+        (np.array([1, 0]), "weights must lie in (0, 1], got 0.0"),
+        ([True, False], "weights must lie in (0, 1], got 0.0"),
+        (np.float32([2.0, np.nan]), "weights must be finite"),
+        (np.array([Fraction(1, 2), math.inf], dtype=object), "weights must be finite"),
+    ], ids=["fraction", "int", "bool", "float32", "object"])
+    def test_real_input_keeps_its_messages(self, weights, message):
+        with pytest.raises(ParameterError) as exc:
+            ParamSeq(weights)
+        assert str(exc.value) == message
 
 
 def _traced(fn):

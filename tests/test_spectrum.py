@@ -536,6 +536,38 @@ class TestBlockwiseReducer:
             # one run per value at once, as the weight reducer sums its rows
             assert spectrum._run_sum(np.array(values), length).tobytes() == want.tobytes(), length
 
+    @pytest.mark.parametrize("length", [0, 1, 128, 129, 32769, 10**6, 10**12, 2**60 - 1])
+    def test_run_plan_follows_the_pairwise_split(self, length):
+        plan = spectrum._run_plan(length)
+        lengths = [m for m, _ in plan]
+        assert lengths == sorted(set(lengths)) and lengths[-1] == length
+        for m, half in plan:
+            if m <= spectrum._PAIRWISE_LEAF:
+                assert half == 0
+            else:
+                assert half == spectrum._pairwise_split(m)
+                assert {half, m - half} <= set(lengths[: lengths.index(m)])
+
+    def test_run_plan_cache_stays_bounded(self):
+        for length in range(1000, 1300):
+            spectrum._run_plan(length)
+        info = spectrum._run_plan.cache_info()
+        assert info.currsize == info.maxsize < 300
+
+    @pytest.mark.parametrize("length", [10**6, 10**12])
+    def test_run_sum_bits_do_not_depend_on_the_cache(self, length):
+        rows = np.random.default_rng(length).uniform(-1.0, 1.0, 5)
+        runs = [1.0 / math.sqrt(length), rows]
+        spectrum._run_sum(rows, length)
+        hits = [spectrum._run_sum(t, length).tobytes() for t in runs]
+        spectrum._run_plan.cache_clear()
+        assert [spectrum._run_sum(t, length).tobytes() for t in runs] == hits
+        for other in range(1000, 1300):  # evicts `length`
+            spectrum._run_plan(other)
+        misses = spectrum._run_plan.cache_info().misses
+        assert [spectrum._run_sum(t, length).tobytes() for t in runs] == hits
+        assert spectrum._run_plan.cache_info().misses == misses + 1
+
     def test_rows_sum_like_one_dimensional_sums(self):
         # np.add.reduce along the last axis of rows of a wider scratch,
         # as construct._weight_sums sums a piece's rows

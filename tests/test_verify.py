@@ -985,6 +985,66 @@ class TestCertificates:
         assert "entropy_degenerates_to_log_n" in names
 
 
+#: The in-cap certificates of the seeded-defect audit, at n = 12
+AUDITED = {
+    "theorem1": lambda: cs.certify_theorem1(12),
+    "theorem2": lambda: cs.certify_theorem2(12),
+    "remark2": lambda: cs.certify_remark2(12),
+    "remark3": lambda: cs.certify_remark3(12, 4.0),
+    "classical_rs": lambda: cs.certify_classical_rs(12),
+    "neeman": lambda: cs.certify_neeman(12),
+}
+
+
+class TestSeededDefects:
+    """A wrong figure seeded into the library is refused by a certificate.
+
+    Each defect scales one field of a result by monkeypatching; the named
+    certificates must all turn to overall=false.  The ones that still
+    pass are listed in the `verify` docstring as known blind spots.
+    """
+
+    @staticmethod
+    def _seed_table_defect(monkeypatch, field, factor):
+        # both routes to the table stats: spectrum.stats reads the module's
+        # _table_stats, certify_theorem2 verify's imported one
+        whole = cs.spectrum._table_stats
+
+        def defective(*args, **kwargs):
+            st = whole(*args, **kwargs)
+            return replace(st, **{field: getattr(st, field) * factor})
+
+        monkeypatch.setattr(cs.spectrum, "_table_stats", defective)
+        monkeypatch.setattr(verify, "_table_stats", defective)
+
+    def test_every_audited_certificate_passes_without_a_defect(self):
+        assert all(cert().overall for cert in AUDITED.values())
+
+    @pytest.mark.parametrize("field, factor, caught_by", [
+        ("entropy", 1.0 + 1e-6, ["remark3", "classical_rs"]),
+        ("entropy", 0.8, ["remark3", "classical_rs"]),
+        ("entropy", 1.5, ["remark3", "classical_rs"]),
+        ("influence", 1.0 + 1e-6, ["theorem1", "theorem2", "remark2", "remark3", "classical_rs"]),
+        ("l2_norm", 1.0 + 1e-6, ["theorem1", "remark2", "neeman"]),
+    ])
+    def test_table_defect(self, monkeypatch, field, factor, caught_by):
+        self._seed_table_defect(monkeypatch, field, factor)
+        assert [name for name in caught_by if not AUDITED[name]().overall] == caught_by
+
+    @pytest.mark.parametrize("field", ["entropy", "influence"])
+    def test_closed_form_defect(self, monkeypatch, field):
+        whole = verify.normalized_closed_form
+
+        def defective(params):
+            ncf = whole(params)
+            return replace(ncf, **{field: getattr(ncf, field) * (1.0 + 1e-6)})
+
+        monkeypatch.setattr(verify, "normalized_closed_form", defective)
+        cert = AUDITED["remark3"]()
+        assert not cert.overall
+        assert not all(c.passed for c in cert.checks if c.name.endswith("_matches_closed_form"))
+
+
 class TestClampedSumRegression:
     def test_pinned_rows(self):
         rep = cs.neeman_regression(sorted(CLAMPED_SUM_PINS))

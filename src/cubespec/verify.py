@@ -13,29 +13,35 @@ rank-2 split of the pair into 2^(n/2)-entry half tables, in two stages:
 the half-table stage (_half_stage) takes the targets and the per-mask,
 influence and entropy figures from the half transforms alone, and the
 value stage (_value_stage) walks the 2^n values of P, one block at a
-time, for the constancy, L2 and L-inf figures (Q is P mirrored).  No
+time, for the constancy, L2 and L-inf figures (Q is P mirrored; max |P|
+is the root of the largest P^2 it forms, exact in radix 2).  No
 2^n-entry table is held (1.1 MiB at n = 20); each squared coefficient is
 resolved against prod a_i^2 up to COEFF_GATE_MAX_N, and the library under
 test stays in double precision.  `oracle_compare` checks n against the
 table cap and caches the six error figures per weight vector (least
 recently used, at most 256 entries), so certificates that share weights
-enumerate them once.  `oracle_campaign` runs its seeded draws in batches,
-the half-table stage once a batch, and bypasses that cache; each draw's
-figures have the bits of a batch of one.
+enumerate them once.  `oracle_campaign` draws its weights from the
+standard library's random.Random(seed), as modulus_spotcheck draws its
+points (no library path loads numpy's random module), and runs them in
+batches, the half-table stage once a batch, bypassing that cache; each
+draw's figures have the bits of a batch of one.
 
 Margins are reported for every check, pass or fail: for strict
 inequalities the margin is the distance to the threshold (positive
 means pass); for approximate equalities it is tolerance minus observed
 error.  Strict claims get no epsilon forgiveness.
 
-Known blind spots of a seeded-defect audit at n = 12, one figure of a
-result scaled (tier-1 pins what catches each): a table entropy scaled
-by 1 + 1e-6, 0.8 or 1.5 passes theorem1, theorem2, remark2 and neeman
-(theorems 1 and 2 hold it only to the bound, remark2 compares two
-entropies of one route); a table influence off by 1e-6 passes neeman;
-a table L2 norm off by 1e-6 passes theorem2, remark3 and classical_rs;
-a normalized_closed_form entropy or influence off by 1e-6 passes
-certify_remark3 above the cap, whose cf_ checks hold only the bounds.
+Theorems 1 and 2 and remark 2's unlifted f pin the table entropy to
+normalized_closed_form's (entropy_equals_target), as they pin the
+influence.  Known blind spots of a seeded-defect audit at n = 12, one
+figure of a result scaled (tier-1 pins what catches each): a table
+entropy scaled by 1 + 1e-6, 0.8 or 1.5 passes neeman (whose clamp binds
+at n = 12, so it has no entropy target); a table influence off by 1e-6
+passes neeman; a table L2 norm off by 1e-6 passes theorem2, remark3 and
+classical_rs; a normalized_closed_form entropy or influence off by 1e-6
+passes certify_remark3 above the cap, whose cf_ checks hold only the
+bounds; and evaluate_many feeds no certificate, so its P off by 1e-6 is
+caught by modulus_spotcheck alone.
 """
 
 from __future__ import annotations
@@ -291,6 +297,14 @@ def _value_stage(highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
     block sums and P^2 + Q^2 on both.  |Q^(A)| = |P^(A)|, since the
     butterflies of a negated or reversed table are its own, negated or
     mirrored: every figure has the bits of walking both planes.
+
+    A block that is its own mirror (the whole table, up to n = 15) has
+    P^2 + Q^2 symmetric, as addition commutes, so its extremes are read
+    from its first half.  max |P| is sqrt(max P^2), from the squares the
+    walk forms: in radix 2 the rounded square of x has the correctly
+    rounded root |x| when it neither overflows nor underflows (Boldo,
+    ENTCS 317, 2015), so the squares order the |x| and the root gives
+    the peak back exactly; a nan still reads nan.
     """
     size = highs.shape[1] * lows.shape[-1]
     block = min(size, spectrum._BLOCK)
@@ -307,18 +321,23 @@ def _value_stage(highs: np.ndarray, lows: np.ndarray) -> np.ndarray:
             # of two products in either order, so einsum's bits are the products'
             pv = [np.einsum("rk,kc->rc", high[b * rows : (b + 1) * rows], pq, out=grid[i]).reshape(-1)
                   for i, b in enumerate(dict.fromkeys((j, k)))]
-            linf = np.max([np.maximum(x[np.argmax(x)], -x[np.argmin(x)]) for x in pv])
             sq = [np.multiply(x, x, out=x) for x in pv]
             sq_j, sq_k = sq[0], sq[-1]
             sums[:, j] = np.sum(sq_j), np.sum(sq_k[::-1])
+            peak = sq_j[np.argmax(sq_j)]  # of P^2, whose root is max |P|
             if j < k:
                 sums[:, k] = np.sum(sq_k), np.sum(sq_j[::-1])
-            # over block j, or the free buf[1] if j = k, whose reversed read it would overwrite
-            s = np.add(sq_j, sq_k[::-1], out=buf[0] if j < k else buf[1])
-            peaks.append((s[np.argmax(s)], s[np.argmin(s)], linf))
-        top, bottom, linf = np.array(peaks).T
+                peak = np.maximum(peak, sq_k[np.argmax(sq_k)])
+                s = np.add(sq_j, sq_k[::-1], out=buf[0])  # over block j, read no more
+            else:
+                # a block that is its own mirror: s[i] = s[-1 - i], as addition
+                # commutes, so its first half (its one entry at n = 0) holds its extremes
+                half = (block + 1) // 2
+                s = np.add(sq_j[:half], sq_j[: -half - 1 : -1], out=buf[1, :half])
+            peaks.append((s[np.argmax(s)], s[np.argmin(s)], peak))
+        top, bottom, peak = np.array(peaks).T
         l2_sums = _pairwise_sum(lambda lo, hi: sums[:, lo // block], 0, size)
-        values[d] = np.max(top), np.min(bottom), *l2_sums, np.max(linf)
+        values[d] = np.max(top), np.min(bottom), *l2_sums, np.sqrt(np.max(peak))
     return values
 
 
@@ -411,31 +430,39 @@ def oracle_compare(params: ParamSeq, *, max_table_n: int | None = None) -> Oracl
 def _campaign_draws(n: int, trials: int, seed: int | None, low: float):
     """oracle_campaign's weight draws, batch by batch, each a (draws, n) array.
 
-    Row for row, in trial order, these are the draws of one
-    1.0 - rng.uniform(0.0, 1.0 - low, size=n) per trial.  A batch holds as
-    many draws as keep each half table of the batch within _BLOCK entries
-    (at least one draw), so a campaign holds one batch at a time at any
-    number of trials.
+    The draws come from the standard library's generator,
+    random.Random(seed).random(), as modulus_spotcheck's points do (numpy's
+    random module, whose import costs more than a small campaign, is never
+    loaded).  They go trial-major: trial t's weight i is
+    1.0 - (1.0 - low) * u with u the (t n + i)-th draw in [0, 1), so the
+    weights are uniform on (low, 1].  A batch holds as many draws as keep
+    each half table of the batch within _BLOCK entries (at least one draw);
+    its weights are taken in place in the one buffer np.fromiter fills, so
+    a campaign holds one batch at a time at any number of trials.
     """
-    rng = np.random.default_rng(seed)
+    draw = iter(random.Random(seed).random, None)  # never None: an endless stream
     batch = max(1, spectrum._BLOCK >> (n - _low_bits(n)))
     for start in range(0, trials, batch):
-        yield 1.0 - rng.uniform(0.0, 1.0 - low, size=(min(batch, trials - start), n))
+        rows = min(batch, trials - start)
+        a = np.fromiter(draw, np.float64, count=rows * n).reshape(rows, n)
+        np.multiply(a, 1.0 - low, out=a)
+        yield np.subtract(1.0, a, out=a)
 
 
 def oracle_campaign(n: int, trials: int = 100, seed: int | None = 12345,
                     max_table_n: int | None = None, low: float = 0.05) -> OracleReport:
     """The worst of each oracle figure over seeded random weight draws.
 
-    Weights are uniform on (low, 1]; very small a_i are legal but their
-    coefficients sink below any enumeration's precision, so the draw
+    Weights are uniform on (low, 1], drawn trial-major from
+    random.Random(seed) (_campaign_draws); very small a_i are legal but
+    their coefficients sink below any enumeration's precision, so the draw
     floor keeps the comparison informative.  The seed is an integer >= 0,
-    or None for fresh draws.  n is checked against the table cap before
-    any draw.  The draws are evaluated batch by batch (_campaign_draws):
-    every draw's six figures have the bits oracle_compare gives it, and the
-    report is their elementwise maximum folded in trial order, so a nan
-    figure stays nan.  A campaign bypasses oracle_compare's cache: it
-    neither reads nor fills it.
+    or None for fresh draws; one seed gives one report.  n is checked
+    against the table cap before any draw.  The draws are evaluated batch
+    by batch: every draw's six figures have the bits oracle_compare gives
+    it, and the report is their elementwise maximum folded in trial order,
+    so a nan figure stays nan.  A campaign bypasses oracle_compare's
+    cache: it neither reads nor fills it.
     """
     n, trials, low = _count("dimension", n, 0), _count("trials", trials, 1), _float("low", low)
     seed = seed if seed is None else _count("seed", seed, 0)
@@ -447,6 +474,11 @@ def oracle_campaign(n: int, trials: int = 100, seed: int | None = 12345,
         for figures in _oracle_batch(a):
             np.maximum(worst, figures, out=worst)  # a nan figure stays nan
     return OracleReport(trials, seed, *map(float, worst))
+
+
+def _entropy_target(entropy: float, params: ParamSeq, tol: float) -> Check:
+    # a table entropy pinned to the closed form's, as the influence is to its target
+    return check_rel("entropy_equals_target", entropy, normalized_closed_form(params).entropy, tol)
 
 
 def _entropy_bound(n: int) -> float:
@@ -496,6 +528,7 @@ def certify_theorem1(n: int, tol: float = 1e-9, max_table_n: int | None = None) 
             check_le("linf_at_most_sqrt2", st.linf_norm, SQRT2 + 1e-12),
             check_rel("influence_equals_target", st.influence, n / (n + 1.0), tol),
             check_lt("influence_below_one", st.influence, 1.0),
+            _entropy_target(st.entropy, params, tol),
             check_gt("entropy_above_bound", st.entropy, _entropy_bound(n)),
         ]
     return _certificate("theorem1", n, {"weights": "1/sqrt(n)"}, tol, max_table_n, tables, params)
@@ -531,6 +564,7 @@ def certify_theorem2(n: int, tol: float = 1e-9, max_table_n: int | None = None) 
             check_lt("modulus_deviation", dev, 1e-12),
             check_lt("influence_below_one", st.influence, 1.0),
             check_rel("influence_equals_target", st.influence, n / (n + 1.0), tol),
+            _entropy_target(st.entropy, params, tol),
             check_gt("entropy_above_bound", st.entropy, _entropy_bound(n)),
         ]
     return _certificate("theorem2", n, {"weights": "1/sqrt(n)"}, tol, max_table_n, tables, params)
@@ -551,6 +585,7 @@ def certify_remark2(n: int, tol: float = 1e-9, max_table_n: int | None = None) -
         return [
             check_abs("l2_preserved", sg.l2_norm, sf.l2_norm, 1e-12),
             check_abs("linf_preserved", sg.linf_norm, sf.linf_norm, 1e-12),
+            _entropy_target(sf.entropy, params, tol),
             check_abs("entropy_preserved", sg.entropy, sf.entropy, 1e-12),
             check_rel("influence_gains_l2_sq", sg.influence, sf.influence + sf.l2_norm**2, tol),
             check_lt("lifted_influence_below_two", sg.influence, 2.0),

@@ -3,14 +3,19 @@
 import inspect
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from contextlib import nullcontext
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import cubespec as cs
 import oracles as orc
@@ -141,12 +146,13 @@ class TestCertificateObject:
         assert any(line.startswith("check name=entropy_above_bound") for line in lines)
 
     def test_overall_is_conjunction(self):
-        # at tol 1e-30 the gate and the influence target fail, the rest pass
+        # at tol 1e-30 the gate and the influence and entropy targets fail,
+        # the rest pass
         cert = cs.certify_theorem1(8, 1e-30)
         passed = [c.passed for c in cert.checks]
         assert any(passed) and not all(passed) and not cert.overall
         assert [c.name for c in cert.checks if not c.passed] == [
-            "closed_form_oracle_agreement", "influence_equals_target"]
+            "closed_form_oracle_agreement", "influence_equals_target", "entropy_equals_target"]
         assert cs.certify_theorem1(8).overall
 
     def test_verdict_and_log_base_cannot_be_set_apart_from_the_checks(self):
@@ -596,13 +602,19 @@ def _batch_hex(batch):
     return [[x.hex() for x in row] for row in verify._oracle_batch(np.asarray(batch)).tolist()]
 
 
+def _stdlib_draw(rng, n, low):
+    """One trial's weights, 1 - (1 - low) u for the next n draws u of
+    random.Random, in Python floats."""
+    return np.array([1.0 - (1.0 - low) * rng.random() for _ in range(n)])
+
+
 def _campaign_fold(n, trials, seed, low, errors):
     """oracle_campaign's figures taken one draw at a time: `errors` of each
-    draw 1 - rng.uniform(0, 1 - low, size=n), folded by np.maximum in order."""
-    rng = np.random.default_rng(seed)
+    trial's weights from random.Random(seed), folded by np.maximum in order."""
+    rng = random.Random(seed)
     worst = np.zeros(6)
     for _ in range(trials):
-        np.maximum(worst, errors(1.0 - rng.uniform(0.0, 1.0 - low, size=n)), out=worst)
+        np.maximum(worst, errors(_stdlib_draw(rng, n, low)), out=worst)
     return [float(x).hex() for x in worst]
 
 
@@ -668,12 +680,12 @@ class TestBatchedOracle:
     def test_campaign_over_several_batches(self, monkeypatch, n, trials, sizes):
         # 2^7-entry blocks: a batch's half tables hold at most 2^7 entries
         # each (one draw at least), so the trials span several batches and
-        # end in a partial one; the draws stay those of one rng call per trial
+        # end in a partial one; the draws stay those of one stream, trial-major
         monkeypatch.setattr(cs.spectrum, "_BLOCK", 1 << 7)
         batches = list(verify._campaign_draws(n, trials, 5, 0.05))
         assert [len(b) for b in batches] == sizes
-        rng = np.random.default_rng(5)
-        assert all(np.array_equal(a, 1.0 - rng.uniform(0.0, 0.95, size=n)) for b in batches for a in b)
+        rng = random.Random(5)
+        assert all(np.array_equal(a, _stdlib_draw(rng, n, 0.05)) for b in batches for a in b)
         assert all(_batch_hex(b) == [_per_draw_hex(a) for a in b] for b in batches)
         rep = cs.oracle_campaign(n, trials=trials, seed=5)
         want = _campaign_fold(n, trials, 5, 0.05, lambda a: verify._oracle_errors.__wrapped__(a.tobytes()))
@@ -745,6 +757,75 @@ class TestOracleStages:
         assert rows.shape == (3, 5) and rows.dtype == np.longdouble
         for d in range(3):
             assert np.array_equal(rows[d], verify._value_stage(highs[d : d + 1], lows[d : d + 1])[0])
+
+
+class TestValueWalk:
+    """The value stage reads max |P| as the root of the largest P^2, and a
+    block that is its own mirror (n <= 15) takes the extremes of P^2 + Q^2
+    over its first half; every figure keeps the two-run walk's bits."""
+
+    @staticmethod
+    def _finite_squares(dtype):
+        # x = +-m 2^(e - nmant), m of nmant + 1 bits (built exactly from 32-bit
+        # halves): x^2 neither overflows nor underflows
+        fi = np.finfo(dtype)
+        bits = fi.nmant + 1
+
+        def value(m, e, negative):
+            x = np.ldexp(dtype(m >> 32) * dtype(2.0**32) + dtype(m & 0xFFFFFFFF), e - fi.nmant)
+            return -x if negative else x
+
+        return st.builds(value, st.integers(1 << (bits - 1), (1 << bits) - 1),
+                         st.integers(fi.minexp // 2 + 1, fi.maxexp // 2 - 2), st.booleans())
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+    def test_the_root_of_a_square_is_the_magnitude(self, dtype):
+        @given(self._finite_squares(dtype))
+        def holds(x):
+            assert x.dtype == dtype and np.isfinite(x)
+            assert np.sqrt(np.square(x)) == abs(x)
+
+        holds()
+
+    @pytest.mark.parametrize("plane", ["lows", "highs"])
+    @pytest.mark.parametrize("n", [0, 5, 12, 17])
+    def test_a_nan_in_a_half_table_reads_nan_in_the_value_figures(self, monkeypatch, n, plane):
+        # one nan entry in the first draw's low or high half: its five value
+        # stage figures and its three value figures read nan, the other draw
+        # and the coefficient figures keep their bits
+        batch = np.stack([_family("theorem", n), _uniform_draw(8, n)])
+        want = _batch_hex(batch)
+        real = verify._half_stage
+
+        def poisoned(a64):
+            targets, sums, highs, lows = real(a64)
+            (lows if plane == "lows" else highs)[0, 0, 0] = np.nan
+            return targets, sums, highs, lows
+
+        _, _, highs, lows = poisoned(batch)
+        values = verify._value_stage(highs, lows)
+        assert np.isnan(values[0]).all() and not np.isnan(values[1]).any()
+        monkeypatch.setattr(verify, "_half_stage", poisoned)
+        got = _batch_hex(batch)
+        assert got[0][:3] == ["nan"] * 3 and got[0][3:] == want[0][3:] and got[1] == want[1]
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_one_block_walks_have_the_two_run_bits(self, n):
+        # uniform draws with low = 0, and a campaign's own draws, in one block
+        assert 1 << n <= cs.spectrum._BLOCK
+        draws = [_uniform_draw(n + 20, n), *next(verify._campaign_draws(n, 3, n, 0.0))]
+        assert all(map(_has_two_run_bits, draws))
+
+
+def test_no_library_path_loads_numpy_random():
+    # a fresh interpreter runs a campaign, a certificate and a spotcheck
+    code = ("import sys; import cubespec as cs; cs.oracle_campaign(6, trials=2, seed=1); "
+            "cs.certify_theorem1(6); cs.modulus_spotcheck(cs.theorem_params(6)); "
+            "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'")
+    path = [str(Path(cs.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestGateOracle:
@@ -1021,9 +1102,9 @@ class TestSeededDefects:
         assert all(cert().overall for cert in AUDITED.values())
 
     @pytest.mark.parametrize("field, factor, caught_by", [
-        ("entropy", 1.0 + 1e-6, ["remark3", "classical_rs"]),
-        ("entropy", 0.8, ["remark3", "classical_rs"]),
-        ("entropy", 1.5, ["remark3", "classical_rs"]),
+        ("entropy", 1.0 + 1e-6, ["theorem1", "theorem2", "remark2", "remark3", "classical_rs"]),
+        ("entropy", 0.8, ["theorem1", "theorem2", "remark2", "remark3", "classical_rs"]),
+        ("entropy", 1.5, ["theorem1", "theorem2", "remark2", "remark3", "classical_rs"]),
         ("influence", 1.0 + 1e-6, ["theorem1", "theorem2", "remark2", "remark3", "classical_rs"]),
         ("l2_norm", 1.0 + 1e-6, ["theorem1", "remark2", "neeman"]),
     ])
@@ -1043,6 +1124,34 @@ class TestSeededDefects:
         cert = AUDITED["remark3"]()
         assert not cert.overall
         assert not all(c.passed for c in cert.checks if c.name.endswith("_matches_closed_form"))
+
+    def test_table_weight_defect(self, monkeypatch):
+        # the first weight x (1 + 1e-6) in the library's table builder; the
+        # oracle builds its half tables through verify's own import, untouched
+        whole = cs.construct._p_table
+
+        def defective(a, p):
+            a = np.array(a, dtype=np.float64)
+            a[..., 0] *= 1.0 + 1e-6
+            return whole(a, p)
+
+        monkeypatch.setattr(cs.construct, "_p_table", defective)
+        caught_by = ["theorem1", "theorem2", "remark3"]
+        assert [name for name in caught_by if not AUDITED[name]().overall] == caught_by
+
+    def test_evaluator_defect(self, monkeypatch):
+        # evaluate_many's P x (1 + 1e-6) feeds no certificate: the spotcheck
+        # at n = 1000 reads it far above 1e-9
+        params = cs.theorem_params(1000)
+        assert cs.modulus_spotcheck(params) < 1e-9
+        whole = verify.evaluate_many
+
+        def defective(params, points):
+            p, q = whole(params, points)
+            return p * (1.0 + 1e-6), q
+
+        monkeypatch.setattr(verify, "evaluate_many", defective)
+        assert cs.modulus_spotcheck(params) > 1e-9
 
 
 class TestClampedSumRegression:

@@ -22,7 +22,8 @@ table cap and caches the six error figures per weight vector (least
 recently used, at most 256 entries), so certificates that share weights
 enumerate them once.  `oracle_campaign` draws its weights from the
 standard library's random.Random(seed), as modulus_spotcheck draws its
-points (no library path loads numpy's random module), and runs them in
+points (with numpy >= 2, whose `import numpy` leaves numpy.random
+unloaded, no library path loads it), and runs them in
 batches, the half-table stage once a batch, bypassing that cache; each
 draw's figures have the bits of a batch of one.
 
@@ -431,9 +432,11 @@ def _campaign_draws(n: int, trials: int, seed: int | None, low: float):
     """oracle_campaign's weight draws, batch by batch, each a (draws, n) array.
 
     The draws come from the standard library's generator,
-    random.Random(seed).random(), as modulus_spotcheck's points do (numpy's
-    random module, whose import costs more than a small campaign, is never
-    loaded).  They go trial-major: trial t's weight i is
+    random.Random(seed).random(), as modulus_spotcheck's points do, so the
+    campaign never loads numpy.random itself; with numpy >= 2 a fresh
+    interpreter is spared its import, which costs more than a small
+    campaign (numpy 1.x imports it with numpy).  They go trial-major:
+    trial t's weight i is
     1.0 - (1.0 - low) * u with u the (t n + i)-th draw in [0, 1), so the
     weights are uniform on (low, 1].  A batch holds as many draws as keep
     each half table of the batch within _BLOCK entries (at least one draw);

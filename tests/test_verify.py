@@ -818,10 +818,13 @@ class TestValueWalk:
 
 
 def test_no_library_path_loads_numpy_random():
-    # a fresh interpreter runs a campaign, a certificate and a spotcheck
-    code = ("import sys; import cubespec as cs; cs.oracle_campaign(6, trials=2, seed=1); "
+    # a fresh interpreter runs a campaign, a certificate and a spotcheck; numpy
+    # 1.x loads numpy.random on `import numpy`, so only a load the library adds
+    # is checked
+    code = ("import sys; import numpy; pre = 'numpy.random' in sys.modules; "
+            "import cubespec as cs; cs.oracle_campaign(6, trials=2, seed=1); "
             "cs.certify_theorem1(6); cs.modulus_spotcheck(cs.theorem_params(6)); "
-            "assert 'numpy.random' not in sys.modules, 'numpy.random was loaded'")
+            "assert pre or 'numpy.random' not in sys.modules, 'numpy.random was loaded'")
     path = [str(Path(cs.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

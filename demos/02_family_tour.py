@@ -28,6 +28,13 @@ st = cs.stats(cs.build_pq(params).p)
 print(f"\nclosed form influence {rep.influence:.15g}  brute {st.influence:.15g}")
 print(f"closed form entropy   {rep.entropy:.15g}  brute {st.entropy:.15g}")
 
+# The raw figures are the unit-norm ones rescaled by L = ||P||_2^2:
+# I_raw = L * I and H_raw = L * (H - log2 L).
+unit = cs.normalized_closed_form(params)
+big_l = rep.l2_norm**2
+print(f"L * I             {big_l * unit.influence:.12g}")
+print(f"L * (H - log2 L)  {big_l * (unit.entropy - math.log2(big_l)):.12g}")
+
 # The normalized builders produce the two headline counterexample shapes:
 # a bounded real function and a unit-modulus complex one, both with small
 # influence and large entropy.

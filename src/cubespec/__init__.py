@@ -28,7 +28,7 @@ from .construct import (
     unimodular_complex,
 )
 from .errors import CubespecError, FormatError, ParameterError, ResourceLimitError
-from .fileio import read_function, read_spectrum, write_function, write_spectrum
+from .fileio import read_function, write_function
 from .spectrum import (
     DEFAULT_TABLE_CAP,
     FourierSpectrum,
@@ -106,7 +106,6 @@ __all__ = [
     "oracle_compare",
     "popcounts",
     "read_function",
-    "read_spectrum",
     "remark3_params",
     "scale",
     "stats",
@@ -115,6 +114,5 @@ __all__ = [
     "unimodular_complex",
     "walsh_transform",
     "write_function",
-    "write_spectrum",
     "__version__",
 ]

@@ -130,8 +130,7 @@ class ParamSeq:
     @property
     def total_mass(self) -> float:
         """K = sum a_i^2, with the bits of np.sum(a * a)."""
-        return float(_weight_sums(self.a, lambda x, piece, scratch: np.multiply(
-            x, x, out=scratch[0])))
+        return float(_weight_sums(self.a, lambda x, scratch: np.multiply(x, x, out=scratch[0])))
 
 
 @dataclass(frozen=True)
@@ -154,16 +153,10 @@ class RSPair:
 class ClosedFormReport:
     """Exact spectral quantities of the raw (unnormalized) pair."""
 
-    n: int
     l2_norm: float
-    linf_lower: float      # ||P||_2: pointwise |P| reaches at least this
-    linf_upper: float      # sqrt(2) * ||P||_2
     influence: float
     entropy: float
-    coeff_log_magnitude: np.ndarray  # log2 a_i^2 per index, in a's layout; sum over A: log2 |Phat(A)|^2
     total_mass: float                # K = sum a_i^2
-    remark1_bound: float             # K * e^K, a strict upper bound for the influence
-    log2_l2_sq: float                # sum log2(1 + a_i^2); finite even when l2_norm overflows
 
 
 @dataclass(frozen=True)
@@ -403,11 +396,10 @@ def evaluate_at(params: ParamSeq, point: int) -> tuple[complex, complex]:
     return complex(p[0]), complex(q[0])
 
 
-def _or_inf(fn, *args) -> float:
-    # float ** and math.exp raise OverflowError where the value passes
-    # the float range; the closed-form report saturates to inf instead
+def _exp2(x: float) -> float:
+    # 2^x, or inf where float ** passes the float range and raises OverflowError
     try:
-        return fn(*args)
+        return 2.0**x
     except OverflowError:
         return math.inf
 
@@ -415,9 +407,9 @@ def _or_inf(fn, *args) -> float:
 def _weight_sums(a: np.ndarray, terms, rows: int = 1):
     """The one walk over the weights: per-weight terms, each row summed.
 
-    terms(x, piece, scratch) returns per-weight terms of x = a[piece]: one
-    row, or several as a 2-D array such as scratch, which holds `rows` rows
-    of x.size.  Each row comes back summed, with the bits of np.sum over
+    terms(x, scratch) returns per-weight terms of x, a piece of a: one row,
+    or several as a 2-D array such as scratch, which holds `rows` rows of
+    x.size.  Each row comes back summed, with the bits of np.sum over
     the whole row.
 
     ParamSeq's one-value layout is one run of n equal weights, whose
@@ -431,21 +423,21 @@ def _weight_sums(a: np.ndarray, terms, rows: int = 1):
     if _constant_layout(a):
         # the weight as a contiguous copy, which numpy's loops treat as
         # they treat a dense piece
-        return _run_sum(terms(a[:1].copy(), slice(0, 1), np.empty((rows, 1)))[..., 0], a.size)
+        return _run_sum(terms(a[:1].copy(), np.empty((rows, 1)))[..., 0], a.size)
     scratch = np.empty((rows, min(a.size, spectrum._BLOCK)))
     return _pairwise_sum(lambda lo, hi: np.add.reduce(
-        terms(a[lo:hi], slice(lo, hi), scratch[:, : hi - lo]), axis=-1), 0, a.size)
+        terms(a[lo:hi], scratch[:, : hi - lo]), axis=-1), 0, a.size)
 
 
-def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
+def _closed_form_sums(a: np.ndarray):
     """_weight_sums of p_i, p_i log2 a_i^2, log2(1 + a_i^2), a_i^2 log2 a_i^2
-    and a_i^2, where p_i = a_i^2 / (1 + a_i^2); 2 log2 a_i goes to log2_out."""
+    and a_i^2, where p_i = a_i^2 / (1 + a_i^2)."""
 
-    def terms(x, piece, scratch):
+    def terms(x, scratch):
         frac, weighted, log2_one_plus, mass_log, a2 = scratch
         np.multiply(x, x, out=a2)
         np.divide(a2, np.add(a2, 1.0, out=frac), out=frac)    # a_i^2 / (1 + a_i^2)
-        log2_a2 = np.log2(x, out=weighted if log2_out is None else log2_out[piece])
+        log2_a2 = np.log2(x, out=weighted)
         log2_a2 *= 2.0
         np.multiply(a2, log2_a2, out=mass_log)
         np.multiply(frac, log2_a2, out=weighted)
@@ -455,27 +447,30 @@ def _closed_form_sums(a: np.ndarray, log2_out: np.ndarray | None = None):
     return _weight_sums(a, terms, 5)
 
 
-def _log2_domain_entropy(a: np.ndarray, log2_a2: np.ndarray, total: float) -> float:
+def _log2_domain_entropy(a: np.ndarray, total: float) -> float:
     # entropy term by term, term i being -2^t_i a_i^2 log2 a_i^2 with
     # t_i = total - log2(1 + a_i^2): as 2^(t_i + log2 a_i^2) it keeps the
     # share of an a_i^2 that underflows, and stays finite where the
     # product passes the float range
-    def terms(x, piece, scratch):
-        lg2 = log2_a2[piece]
-        t = _log2_one_plus(np.multiply(x, x, out=scratch[0]), out=scratch[0])
+    def terms(x, scratch):
+        t, lg2 = scratch
+        np.log2(x, out=lg2)
+        lg2 *= 2.0                   # log2 a_i^2, as _closed_form_sums takes it
+        t = _log2_one_plus(np.multiply(x, x, out=t), out=t)
         np.subtract(total, t, out=t)
         t = np.exp2(np.add(t, lg2, out=t), out=t)
         t *= lg2
         t[lg2 == 0.0] = 0.0          # a_i = 1 adds exactly 0 (not inf * 0)
         return t
 
-    # terms past the range read inf; inf * 0 reads nan until masked
+    # terms past the range read inf; inf * 0 reads nan until masked.
+    # 0.0 - sum reads +0.0 where the sum is 0
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(-_weight_sums(a, terms))
+        return 0.0 - float(_weight_sums(a, terms, 2))
 
 
 def closed_form(params: ParamSeq) -> ClosedFormReport:
-    """Exact norms, influence and entropy of the raw pair, any n.
+    """Exact L2 norm, influence, entropy and total mass of the raw pair, any n.
 
     With p_i = a_i^2 / (1 + a_i^2), T = sum log2(1 + a_i^2) and
     L = 2^T = ||P||_2^2,
@@ -490,48 +485,26 @@ def closed_form(params: ParamSeq) -> ClosedFormReport:
     every a_i^2 is a normal float (a_i >= 2^-511); otherwise H is taken
     term by term in log2 domain, 2^(T - log2(1 + a_i^2) + log2 a_i^2)
     times -log2 a_i^2, so a weight whose square underflows still adds
-    its share.  Unit weights add exactly 0 to H either way.
+    its share.  Unit weights add exactly 0 to H either way, and an
+    entropy of 0 reads +0.0, as the table route's does.
 
-    Linear-scale fields saturate to inf past the float range, with no
-    warning; log2_l2_sq and coeff_log_magnitude stay finite.
-    log2_l2_sq, total_mass, the norms, remark1_bound and
-    coeff_log_magnitude (2 log2 a_i, read-only) have the bits of
-    whole-array numpy expressions; I and H agree with a 60-digit
-    reference to about 1e-15 relative for the paper's weights at
-    n = 10^6.  coeff_log_magnitude takes the layout of params.a: an
-    n-array for dense weights, and for equal weights their one value
-    repeated to n by a zero stride (8 bytes), so equal weights cost
-    O(log n) time and O(1) memory here at any n, about 35 us at 10^6.
+    The norm saturates to inf past the float range, with no warning.
+    The norm and total_mass have the bits of whole-array numpy
+    expressions; I and H agree with a 60-digit reference to about 1e-15
+    relative for the paper's weights at n = 10^6.  Dense weights take
+    O(n) time in 1.25 MiB of scratch (five rows of one 2^15-weight
+    piece); equal weights cost O(log n) time and O(1) memory at any n.
     """
-    a = params.a
-    constant = _constant_layout(a)
-    log2_a2 = np.empty(1 if constant else a.size)
-    sums = _closed_form_sums(a, log2_a2)
-    if constant:
-        log2_a2 = _one_value(log2_a2[0], a.size)
-    log2_a2.setflags(write=False)
-    frac, weighted, total, _, k = map(float, sums)
-    l2 = _or_inf(pow, 2.0, 0.5 * total)
-    l2_sq = _or_inf(pow, 2.0, total)
+    frac, weighted, total, _, k = map(float, _closed_form_sums(params.a))
+    l2_sq = _exp2(total)
     # past the float range each p_i >= a_i^2 / 2 >= (ln 2 / 2) log2(1 + a_i^2),
     # so sum p_i >= 0.34 T > 1 and L * sum p_i passes the range too
     influence = l2_sq * frac if l2_sq < math.inf else math.inf
     if l2_sq < math.inf and params._extremes[0] >= 2.0**-511:
-        entropy = l2_sq * -weighted
+        entropy = 0.0 - l2_sq * weighted
     else:
-        entropy = _log2_domain_entropy(a, log2_a2, total)
-    return ClosedFormReport(
-        n=params.n,
-        l2_norm=l2,
-        linf_lower=l2,
-        linf_upper=math.sqrt(2.0) * l2,
-        influence=influence,
-        entropy=entropy,
-        coeff_log_magnitude=log2_a2,
-        total_mass=k,
-        remark1_bound=k * _or_inf(math.exp, k),
-        log2_l2_sq=total,
-    )
+        entropy = _log2_domain_entropy(params.a, total)
+    return ClosedFormReport(_exp2(0.5 * total), influence, entropy, k)
 
 
 def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
@@ -541,6 +514,9 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
     entropy   = -sum (a_i^2 / (1 + a_i^2)) log2 a_i^2  +  sum log2(1 + a_i^2)
     and the lower bound (-1 / (1 + max a_i^2)) sum a_i^2 log2 a_i^2,
     which the entropy strictly exceeds whenever some a_i < 1.
+
+    With T = sum log2(1 + a_i^2) and L = 2^T = ||P||_2^2, closed_form's
+    raw figures are L * influence and L * (entropy - T), up to rounding.
 
     The sums come from _closed_form_sums, so every result has the bits
     of the whole-array sums; max a_i is the one ParamSeq validated.
@@ -561,7 +537,7 @@ def normalized_closed_form(params: ParamSeq) -> NormalizedClosedForm:
 
 def _log2_l2_sq(params: ParamSeq) -> float:
     # log2 ||P||_2^2 = sum log2(1 + a_i^2), the same sum as closed_form's
-    return float(_weight_sums(params.a, lambda x, piece, scratch: _log2_one_plus(
+    return float(_weight_sums(params.a, lambda x, scratch: _log2_one_plus(
         np.multiply(x, x, out=scratch[0]), out=scratch[0])))
 
 

@@ -44,8 +44,16 @@ def _positive(what: str, value, finite: bool) -> float:
 
 #: Every certificate's tolerance: an infinite one would pass every approximate check.
 _tolerance = functools.partial(_positive, "tolerance", finite=True)
-#: The Neeman family's clamp; inf clamps nothing (normalized_sum).
-_clamp = functools.partial(_positive, "clamp threshold", finite=False)
+
+
+def _clamp(value) -> float:
+    # the Neeman family's clamp; inf clamps nothing (normalized_sum).  From
+    # 2^-511 up its square is a normal float; below, the clamped sum's norm
+    # loses its bits or reads 0, and the unit-norm scaling divides by it
+    value = _positive("clamp threshold", value, finite=False)
+    if value < 2.0**-511:
+        raise ParameterError(f"clamp threshold must be >= 2^-511, got {value}")
+    return value
 
 
 class ResourceLimitError(CubespecError):

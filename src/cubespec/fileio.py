@@ -1,13 +1,13 @@
-"""Text serialization of value tables and spectra.
+"""Text serialization of value tables.
 
-Layout: one header line `n=<int> kind=<real|complex|spectrum>`, then
-exactly 2^n data lines.  Line x holds the value at point (or mask)
-index x under the bit convention of `spectrum`.  Real kind: one decimal
-per line.  Complex and spectrum kinds: `<re> <im>`.  Floats are written
-with shortest round-trip repr, so write/read is lossless and a fixed
-table always produces byte-identical files.  Readers check the header's
-n against the table cap (`spectrum.check_table_dim`) before they
-allocate the 2^n table.  Only blank lines may follow the data lines.
+Layout: one header line `n=<int> kind=<real|complex>`, then exactly
+2^n data lines.  Line x holds the value at point index x under the bit
+convention of `spectrum`.  Real kind: one decimal per line.  Complex
+kind: `<re> <im>`.  Any other kind is a FormatError at line 1.  Floats
+are written with shortest round-trip repr, so write/read is lossless and
+a fixed table always produces byte-identical files.  The reader checks
+the header's n against the table cap (`spectrum.check_table_dim`) before
+it allocates the 2^n table.  Only blank lines may follow the data lines.
 
 Both directions go through the table in chunks of `_CHUNK` lines, so
 their temporaries stay bounded at any n.  Within a chunk the writer
@@ -18,7 +18,7 @@ distinct values.  The files are byte for byte those of formatting every
 value on its own with repr, the parsed tables bit for bit those of
 parsing every line, and a FormatError names the earliest bad line.
 
-Every reader and writer takes a path or an open file; a file the caller
+The reader and writer take a path or an open file; a file the caller
 opened is left open.
 """
 
@@ -31,9 +31,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import FormatError
-from .spectrum import FourierSpectrum, HypercubeFunction, _adopt, check_table_dim
+from .spectrum import HypercubeFunction, _adopt, check_table_dim
 
-KINDS = ("real", "complex", "spectrum")
+KINDS = ("real", "complex")
 
 # lines per chunk: bounds the temporaries of a read or write whatever n is
 _CHUNK = 4096
@@ -79,22 +79,14 @@ def _format_chunk(chunk: np.ndarray, real: bool) -> str:
     return "".join(map(lines.__getitem__, line_of.tolist()))
 
 
-def _write_table(fh, table: np.ndarray, n: int, kind: str) -> None:
-    fh.write(f"n={n} kind={kind}\n")
-    for lo in range(0, table.size, _CHUNK):
-        fh.write(_format_chunk(table[lo : lo + _CHUNK], kind == "real"))
-
-
 def write_function(path_or_file, f: HypercubeFunction) -> None:
     """Write a value table as the kind its dtype names: real for float64,
     complex for complex128, even with all imaginary parts zero."""
+    real = f.is_real
     with _open_maybe(path_or_file, "w") as fh:
-        _write_table(fh, f.values, f.n, "real" if f.is_real else "complex")
-
-
-def write_spectrum(path_or_file, s: FourierSpectrum) -> None:
-    with _open_maybe(path_or_file, "w") as fh:
-        _write_table(fh, s.coeffs, s.n, "spectrum")
+        fh.write(f"n={f.n} kind={'real' if real else 'complex'}\n")
+        for lo in range(0, f.values.size, _CHUNK):
+            fh.write(_format_chunk(f.values[lo : lo + _CHUNK], real))
 
 
 def _parse_header(line: str) -> tuple[int, str]:
@@ -153,7 +145,9 @@ def _parse_chunk(lines: list[str], kind: str, lineno: int, out: np.ndarray) -> N
     _parse_value(line.split(), kind, lineno + lines.index(line))
 
 
-def _read_table(path_or_file, max_table_n: int | None) -> tuple[int, str, np.ndarray]:
+def read_function(path_or_file, max_table_n: int | None = None) -> HypercubeFunction:
+    """Parse a value table; FormatError (with line number) on malformed
+    input, ResourceLimitError when the header's n exceeds the table cap."""
     with _open_maybe(path_or_file, "r") as fh:
         header = fh.readline()
         if not header:
@@ -172,20 +166,4 @@ def _read_table(path_or_file, max_table_n: int | None) -> tuple[int, str, np.nda
         for lineno, line in enumerate(fh, size + 2):
             if line.strip():
                 raise FormatError(f"trailing data after {size} lines", line=lineno)
-    return n, kind, table
-
-
-def read_function(path_or_file, max_table_n: int | None = None) -> HypercubeFunction:
-    """Parse a value table; FormatError (with line number) on malformed
-    input, ResourceLimitError when the header's n exceeds the table cap."""
-    n, kind, table = _read_table(path_or_file, max_table_n)
-    if kind == "spectrum":
-        raise FormatError("file holds a spectrum, not a value table", line=1)
     return _adopt(HypercubeFunction, n, table)
-
-
-def read_spectrum(path_or_file) -> FourierSpectrum:
-    n, kind, table = _read_table(path_or_file, None)
-    if kind != "spectrum":
-        raise FormatError(f"file holds kind={kind}, not a spectrum", line=1)
-    return _adopt(FourierSpectrum, n, table)

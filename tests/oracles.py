@@ -197,12 +197,13 @@ def whole_array_normalized_closed_form(a):
 
 
 def whole_array_closed_form(a):
-    """`closed_form`'s fields but n, by name, each from whole arrays at once.
+    """`closed_form`'s fields by name, each from whole arrays at once.
 
     I = L sum p_i and H = -L sum p_i log2 a_i^2, with L = 2^T,
     T = sum log2(1 + a_i^2) and p_i = a_i^2 / (1 + a_i^2); where L passes
     the float range or some a_i < 2^-511, H is summed term by term in
-    log2 domain.  Linear-scale fields saturate to inf.
+    log2 domain.  The norm and influence saturate to inf, and an entropy
+    of 0 reads +0.0.
     """
 
     def or_inf(fn, *args):
@@ -219,21 +220,16 @@ def whole_array_closed_form(a):
         total, k = float(np.sum(lg)), float(np.sum(a * a))
         l2, l2_sq = or_inf(pow, 2.0, 0.5 * total), or_inf(pow, 2.0, total)
         if l2_sq < math.inf and a.min(initial=math.inf) >= 2.0**-511:
-            entropy = l2_sq * -float(np.sum(frac * log2_a2))
+            entropy = 0.0 - l2_sq * float(np.sum(frac * log2_a2))
         else:
             terms = np.exp2(total - lg + log2_a2) * log2_a2
             terms[log2_a2 == 0.0] = 0.0
-            entropy = -float(np.sum(terms))
+            entropy = 0.0 - float(np.sum(terms))
     return {
         "l2_norm": l2,
-        "linf_lower": l2,
-        "linf_upper": math.sqrt(2.0) * l2,
         "influence": l2_sq * float(np.sum(frac)) if l2_sq < math.inf else math.inf,
         "entropy": entropy,
-        "coeff_log_magnitude": log2_a2,
         "total_mass": k,
-        "remark1_bound": k * or_inf(math.exp, k),
-        "log2_l2_sq": total,
     }
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -420,6 +421,15 @@ class TestNeemanCmd:
     def test_zero_clamp_rejected(self, capsys):
         code, _, _ = run(capsys, ["neeman", "--n", "8", "--C", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["neeman"], ["verify", "--kind", "neeman"]])
+    def test_clamp_below_the_floor_is_one_error_line(self, capsys, command):
+        # 1e-320 squared underflows to 0: the unit-norm scaling divided by
+        # a norm of 0.0, a RuntimeWarning (a traceback under -W error)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run(capsys, command + ["--n", "4", "--C", "1e-320"])
+        assert got == (2, "", "error: clamp threshold must be >= 2^-511, got 1e-320\n")
 
 
 class TestDeterminism:

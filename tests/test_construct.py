@@ -352,7 +352,8 @@ class TestBatchedEvaluator:
 
 
 def _reference_closed_form(a):
-    # the closed forms as first written, one fresh temporary per operation
+    # the closed forms as first written, one fresh temporary per operation;
+    # 0.0 - sum reads an entropy of 0 as +0.0, as the table route does
     a2 = a * a
     lg = np.log1p(a * a) / math.log(2.0)
     total = float(np.sum(lg))
@@ -364,20 +365,12 @@ def _reference_closed_form(a):
     else:
         others = np.zeros(0)
         log2_a2 = np.zeros(0)
-    k = float(np.sum(a * a))
-    l2 = 2.0 ** (0.5 * total)
-    fields = {
-        "n": a.size,
-        "l2_norm": l2,
-        "linf_lower": l2,
-        "linf_upper": math.sqrt(2.0) * l2,
+    return {
+        "l2_norm": 2.0 ** (0.5 * total),
         "influence": float(np.sum(a2 * others)),
-        "entropy": float(-np.sum(others * a2 * log2_a2)),
-        "total_mass": k,
-        "remark1_bound": k * math.exp(k),
-        "log2_l2_sq": total,
+        "entropy": float(0.0 - np.sum(others * a2 * log2_a2)),
+        "total_mass": float(np.sum(a * a)),
     }
-    return fields, log2_a2
 
 
 _reference_normalized_closed_form = orc.whole_array_normalized_closed_form
@@ -400,7 +393,7 @@ class TestClosedFormBuffers:
     @pytest.mark.parametrize("weights", CLOSED_FORM_WEIGHTS, ids=lambda w: f"n{len(w)}")
     def test_same_bits_as_reference(self, weights):
         params = ParamSeq(weights)
-        fields, log2_a2 = _reference_closed_form(params.a)
+        fields = _reference_closed_form(params.a)
         rep = closed_form(params)
         for name, value in fields.items():
             if name in ("influence", "entropy"):
@@ -409,8 +402,6 @@ class TestClosedFormBuffers:
                 assert math.isclose(getattr(rep, name), value, rel_tol=1e-10), name
             else:
                 assert getattr(rep, name) == value, name
-        assert rep.coeff_log_magnitude.tobytes() == log2_a2.tobytes()
-        assert not rep.coeff_log_magnitude.flags.writeable
         ncf = normalized_closed_form(params)
         assert (ncf.influence, ncf.entropy, ncf.entropy_lower_bound) == (
             _reference_normalized_closed_form(params.a)
@@ -436,9 +427,10 @@ class TestClosedFormBuffers:
         assert abs(rep.influence - want_i) <= 1e-14 * want_i
         assert abs(rep.entropy - want_h) <= 1e-14 * want_h
 
-    def test_working_memory_is_the_returned_array(self):
-        # 8 MiB of the peak is coeff_log_magnitude; the cumsum
-        # formulation peaked at 30.5 MiB
+    def test_working_memory_under_two_mib(self):
+        # five rows of one 2^15-weight piece, 1.25 MiB; with its per-weight
+        # log2 a_i^2 array the report peaked at 8.9 MiB, and the cumsum
+        # formulation at 30.5 MiB
         for params in (theorem_params(10**6),
                        ParamSeq(np.random.default_rng(9).uniform(0.1, 1.0, 10**6))):
             tracemalloc.start()
@@ -447,26 +439,22 @@ class TestClosedFormBuffers:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 10 << 20, peak
+            assert peak <= 2 << 20, peak
 
     @pytest.mark.parametrize("weights, saturated", [
         (lambda: np.random.default_rng(0).uniform(1e-6, 1.0, 10**5),
-         ("l2_norm", "linf_lower", "linf_upper", "influence", "entropy", "remark1_bound")),
-        (lambda: np.random.default_rng(0).uniform(0.001, 0.05, 10**6),
-         ("influence", "entropy", "remark1_bound")),
-        (lambda: [1e-170] * 3 + [1.0] * 2048,
-         ("l2_norm", "linf_lower", "linf_upper", "influence", "remark1_bound")),
+         ("l2_norm", "influence", "entropy")),
+        (lambda: np.random.default_rng(0).uniform(0.001, 0.05, 10**6), ("influence", "entropy")),
+        (lambda: [1e-170] * 3 + [1.0] * 2048, ("l2_norm", "influence")),
         (lambda: [1e-300] * 5, ()),
-        (lambda: [1.0] * 5000,
-         ("l2_norm", "linf_lower", "linf_upper", "influence", "remark1_bound")),
+        (lambda: [1.0] * 5000, ("l2_norm", "influence")),
     ], ids=["l2-overflow", "exp-overflow", "tiny-against-overflow", "tiny", "ones-n5000"])
     def test_no_floating_point_warnings(self, weights, saturated):
         # no np.errstate here: numpy's overflow and invalid warnings raise
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = closed_form(ParamSeq(weights()))
-        for name in ("l2_norm", "linf_lower", "linf_upper", "influence", "entropy",
-                     "total_mass", "remark1_bound", "log2_l2_sq"):
+        for name in ("l2_norm", "influence", "entropy", "total_mass"):
             value = getattr(rep, name)
             assert value == math.inf if name in saturated else math.isfinite(value), name
 
@@ -536,6 +524,10 @@ class TestNormalizedClosedFormBlocks:
         )
         a = NORMALIZED_WEIGHTS[name]()
         params = ParamSeq(a)
+        # past the float range closed_form takes the entropy in a second,
+        # log2-domain pass, which walks the pieces alike
+        passes = {normalized_closed_form: 1,
+                  closed_form: 2 if construct._log2_l2_sq(params) >= 1024 else 1}
         if a.min() == a.max():
             assert params.a.strides == (0,)
             want = [1]
@@ -544,11 +536,8 @@ class TestNormalizedClosedFormBlocks:
             assert any(a[lo:hi].min() == a[lo:hi].max() for lo, hi in _pieces(a.size))
         for fn in (normalized_closed_form, closed_form):
             calls.clear()
-            rep = fn(params)
-            # past the float range closed_form takes the entropy in a
-            # second, log2-domain pass, which walks the pieces alike
-            passes = 2 if fn is closed_form and rep.log2_l2_sq >= 1024 else 1
-            assert calls == passes * want, fn
+            fn(params)
+            assert calls == passes[fn] * want, fn
 
     @pytest.mark.parametrize("n", [1, 129, 10**6, 10**12])
     def test_constant_sequence_computes_its_terms_once(self, monkeypatch, n):
@@ -567,14 +556,9 @@ class TestNormalizedClosedFormBlocks:
     def test_closed_form_whole_array_fields_keep_their_bits(self, name):
         a = NORMALIZED_WEIGHTS[name]()
         rep = closed_form(ParamSeq(a))
-        assert rep.coeff_log_magnitude.tobytes() == (2.0 * np.log2(a)).tobytes()
-        assert not rep.coeff_log_magnitude.flags.writeable
         total = float(np.sum(np.log1p(a * a) / math.log(2.0)))
-        k = float(np.sum(a * a))
-        assert rep.log2_l2_sq == total
-        assert rep.l2_norm == construct._or_inf(pow, 2.0, 0.5 * total)
-        assert rep.total_mass == k
-        assert rep.remark1_bound == k * construct._or_inf(math.exp, k)
+        assert rep.l2_norm == construct._exp2(0.5 * total)
+        assert rep.total_mass == float(np.sum(a * a))
 
     def test_working_memory_stays_under_two_mib(self):
         params = theorem_params(10**6)
@@ -673,14 +657,12 @@ class TestOneWeightReducer:
 def _constant_figures(params):
     """Every closed-form and evaluator output of the weights, as exact text."""
     cf, ncf = closed_form(params), normalized_closed_form(params)
-    floats = [getattr(cf, f.name) for f in dataclasses.fields(cf) if f.name not in
-              ("n", "coeff_log_magnitude")]
-    floats += dataclasses.astuple(ncf)
+    floats = [*dataclasses.astuple(cf), *dataclasses.astuple(ncf)]
     floats += [params.total_mass, construct._l2_scale_factor(params),
                construct._unit_modulus_factor(params)]
     point = random.Random(params.n).getrandbits(params.n)
     # float.hex is exact, and reads an overflowed point's nan of either sign as "nan"
-    return ([float(x).hex() for x in floats], cf.coeff_log_magnitude.tobytes(),
+    return ([float(x).hex() for x in floats],
             [float(x[0]).hex() for x in evaluate_many(params, [point])])
 
 
@@ -688,12 +670,11 @@ def _whole_array_figures(v, n):
     """_constant_figures of n weights v, by whole-array numpy on np.full(n, v)."""
     a = np.full(n, v)
     cf = orc.whole_array_closed_form(a)
-    total = cf["log2_l2_sq"]
-    floats = [value for name, value in cf.items() if name != "coeff_log_magnitude"]
-    floats += orc.whole_array_normalized_closed_form(a)
+    total = float(np.sum(np.log1p(a * a) / math.log(2.0)))
+    floats = [*cf.values(), *orc.whole_array_normalized_closed_form(a)]
     floats += [cf["total_mass"], 2.0 ** (-0.5 * total), 2.0 ** (-0.5 * (1.0 + total))]
     point = random.Random(n).getrandbits(n)
-    return ([float(x).hex() for x in floats], cf["coeff_log_magnitude"].tobytes(),
+    return ([float(x).hex() for x in floats],
             [x.hex() for x in orc.point_values([v] * n, point)])
 
 
@@ -784,14 +765,6 @@ class TestConstantStorage:
             with pytest.raises(ValueError):
                 params.a.setflags(write=True)
 
-    def test_closed_form_coefficients_have_their_own_read_only_owner(self):
-        params = remark3_params(10**6, 4.0)
-        log2_a2 = closed_form(params).coeff_log_magnitude
-        assert log2_a2.strides == (0,) and not log2_a2.flags.writeable
-        assert _owner(log2_a2).nbytes == 8 and not np.shares_memory(log2_a2, params.a)
-        with pytest.raises(ValueError):
-            log2_a2.setflags(write=True)
-
 
 class TestRealWeights:
     """Weights must be real numbers; other input is one ParameterError, with no warning."""
@@ -878,17 +851,10 @@ class TestHugeConstantSequences:
             key = "influence" if "influence" in check.name else "entropy"
             assert math.isclose(check.lhs, want[key], rel_tol=1e-12), check.name
 
-    def test_closed_form_coefficients_are_one_value(self):
+    def test_closed_form(self):
         params = remark3_params(10**9, self.SCALE)
-        rep = closed_form(params)
-        log2_a2 = rep.coeff_log_magnitude
-        assert log2_a2.shape == (10**9,) and log2_a2.strides == (0,)
-        assert log2_a2.dtype == np.float64 and not log2_a2.flags.writeable
-        owner = log2_a2
-        while owner.base is not None:
-            owner = owner.base
-        assert owner.nbytes == 8
-        assert log2_a2[0].tobytes() == (2.0 * np.log2(params.a[:1])).tobytes()
+        rep, peak = _traced(lambda: closed_form(params))
+        assert peak < 1 << 20, peak
         want = orc.decimal_constant_figures(params.a[0], params.n)
         assert math.isclose(rep.influence, want["raw_influence"], rel_tol=1e-12)
         assert math.isclose(rep.entropy, want["raw_entropy"], rel_tol=1e-12)
@@ -926,12 +892,10 @@ class TestClosedFormSaturation:
         with np.errstate(over="ignore"):
             rep = closed_form(params)
         total = float(np.sum(np.log1p(params.a * params.a) / math.log(2.0)))
-        assert rep.log2_l2_sq == total and math.isfinite(total)
-        assert rep.remark1_bound == math.inf
         if l2_finite:
-            assert rep.l2_norm == rep.linf_lower == 2.0 ** (0.5 * total) < math.inf
+            assert rep.l2_norm == 2.0 ** (0.5 * total) < math.inf
         else:
-            assert rep.l2_norm == rep.linf_lower == rep.linf_upper == math.inf
+            assert rep.l2_norm == math.inf
 
     def test_float_range_edge(self):
         # log2(1 + 1) is exactly 1, so ||P||_2 = 2^(n/2) exactly; the
@@ -939,10 +903,8 @@ class TestClosedFormSaturation:
         with np.errstate(over="ignore", invalid="ignore"):
             below = closed_form(ParamSeq([1.0] * 2047))
             at = closed_form(ParamSeq([1.0] * 2048))
-        assert below.l2_norm == 2.0 ** 1023.5 and below.log2_l2_sq == 2047.0
-        assert below.linf_upper == math.inf       # sqrt(2) * 2^1023.5 rounds past the range
-        assert at.l2_norm == at.linf_lower == at.remark1_bound == math.inf
-        assert at.log2_l2_sq == 2048.0
+        assert below.l2_norm == 2.0 ** 1023.5
+        assert at.l2_norm == math.inf
 
     def test_entropy_of_unit_weights_past_the_range_is_zero(self):
         # prod_{j != i}(1 + a_j^2) = 2^2047 overflows, and inf * log2(1)
@@ -1005,7 +967,7 @@ class TestClosedFormSaturation:
     def test_in_range_unit_weights_keep_their_bits(self):
         for n in (1, 10, 700):
             got = closed_form(ParamSeq([1.0] * n)).entropy
-            want = _reference_closed_form(np.ones(n))[0]["entropy"]
+            want = _reference_closed_form(np.ones(n))["entropy"]
             assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
@@ -1015,28 +977,18 @@ class TestClosedForm:
             n = int(RNG.integers(1, 9))
             params = ParamSeq(RNG.uniform(0.05, 1.0, n))
             rep = closed_form(params)
-            l2, linf, infl, ent = brute(params)
+            l2, _, infl, ent = brute(params)
             assert abs(rep.l2_norm - l2) <= 1e-12 * l2
-            assert rep.linf_lower * (1 - 1e-12) <= linf <= rep.linf_upper * (1 + 1e-12)
             assert abs(rep.influence - infl) <= 1e-12 * infl
             assert abs(rep.entropy - ent) <= 1e-11 * max(1.0, abs(ent))
-
-    def test_coefficient_log_magnitudes(self):
-        params = ParamSeq(RNG.uniform(0.1, 1.0, 6))
-        rep = closed_form(params)
-        coeffs = walsh_transform(build_pq(params).p).coeffs
-        for mask in range(64):
-            want = sum(rep.coeff_log_magnitude[i] for i in range(6) if mask >> i & 1)
-            got = 2.0 * math.log2(abs(coeffs[mask]))
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_influence_stays_under_exponential_bound(self):
         for _ in range(20):
             params = ParamSeq(RNG.uniform(0.05, 1.0, int(RNG.integers(1, 14))))
             rep = closed_form(params)
-            k = params.total_mass
-            assert rep.remark1_bound == k * math.exp(k)
-            assert rep.influence < rep.remark1_bound
+            k = rep.total_mass
+            assert k == params.total_mass
+            assert rep.influence < k * math.exp(k)  # remark 1: I < K e^K
 
     def test_unit_weights_limit(self):
         # log2(1) = 0 empties the entropy sum; influence is n * 2^(n-1)
@@ -1048,6 +1000,33 @@ class TestClosedForm:
     def test_empty_sequence(self):
         rep = closed_form(ParamSeq([]))
         assert (rep.l2_norm, rep.influence, rep.entropy) == (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("weights", [[1.0] * n for n in range(9)] + [[1.0] * 5000],
+                             ids=[f"ones-n{n}" for n in range(9)] + ["ones-n5000"])
+    def test_zero_entropy_reads_positive_zero(self, weights):
+        # n = 5000 takes the log2-domain route, the others the linear one;
+        # the table route, spectrum's entropy, reads +0.0 too
+        got = closed_form(ParamSeq(weights)).entropy
+        assert (got, math.copysign(1.0, got)) == (0.0, 1.0)
+        if len(weights) <= 8:
+            want = stats(build_pq(ParamSeq(weights)).p).entropy
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("kind, n", [
+        *(("dense", n) for n in (1, 2, 10, 100, 1000)),
+        *(("theorem", n) for n in (1, 1000, 10**6, 10**12)),
+        *(("remark3", n) for n in (5, 1000, 10**6, 10**12)),
+    ])
+    def test_raw_figures_are_the_normalized_ones_rescaled(self, kind, n):
+        # with log2 L = sum log2(1 + a_i^2): I_raw = L I and H_raw = L (H - log2 L)
+        params = {"dense": lambda: ParamSeq(np.random.default_rng(12).uniform(1e-6, 1.0, n)),
+                  "theorem": lambda: theorem_params(n),
+                  "remark3": lambda: remark3_params(n, 4.0)}[kind]()
+        rep, ncf = closed_form(params), normalized_closed_form(params)
+        log2_l = construct._log2_l2_sq(params)
+        big_l = 2.0**log2_l
+        assert math.isclose(rep.influence, big_l * ncf.influence, rel_tol=1e-15, abs_tol=0.0)
+        assert math.isclose(rep.entropy, big_l * (ncf.entropy - log2_l), rel_tol=1e-15, abs_tol=0.0)
 
     def test_huge_n_runs_fast_without_tables(self):
         rep = closed_form(remark3_params(2**20, 32.0))
@@ -1420,6 +1399,26 @@ class TestSumFamilies:
                 neeman_function(4, bad)
         with pytest.raises(ParameterError):
             clamped_sum_l2_norm(4, 0.0)
+
+    @pytest.mark.parametrize("fn", [
+        neeman_function, clamped_sum_l2_norm, cs_verify.certify_neeman,
+        lambda n, clamp: cs_verify.neeman_regression([n], clamp),
+    ], ids=["neeman_function", "clamped_sum_l2_norm", "certify_neeman", "neeman_regression"])
+    @pytest.mark.parametrize("bad", [1e-320, 1e-160, float(np.nextafter(2.0**-511, 0.0))])
+    def test_clamp_below_the_floor_refused(self, fn, bad):
+        # neeman_function(4, 1e-320) divided by a norm of 0.0, and at 1e-160
+        # certify_neeman failed l2_norm_unit: the clamp's square was subnormal
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"^clamp threshold must be >= 2\^-511, got "):
+                fn(4, bad)
+
+    @pytest.mark.parametrize("clamp", [2.0**-511, 2.0**-511 * (1 + 1e-7), 1.5 * 2.0**-511, 1.7e-154])
+    def test_clamps_from_the_floor_up_certify(self, clamp):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 4, 5, 12, 13, 20):
+                assert cs_verify.certify_neeman(n, clamp).overall, n
 
 
 @given(weight_lists)

@@ -9,17 +9,13 @@ import pytest
 import oracles as orc
 from cubespec import (
     FormatError,
-    FourierSpectrum,
     HypercubeFunction,
     ResourceLimitError,
     normalized_real,
     read_function,
-    read_spectrum,
     theorem_params,
     unimodular_complex,
-    walsh_transform,
     write_function,
-    write_spectrum,
 )
 
 RNG = np.random.default_rng(7)
@@ -47,14 +43,6 @@ class TestRoundTrip:
         back = read_function(path)
         assert back.values.dtype == np.complex128 and back.values.tobytes() == vals.tobytes()
 
-    def test_spectrum_exact(self, tmp_path):
-        s = walsh_transform(HypercubeFunction(3, RNG.uniform(-1, 1, 8)))
-        path = tmp_path / "s.txt"
-        write_spectrum(path, s)
-        back = read_spectrum(path)
-        assert back.n == 3
-        assert np.array_equal(back.coeffs, s.coeffs)
-
     def test_repeated_writes_byte_identical(self, tmp_path):
         f = HypercubeFunction(5, RNG.uniform(-3, 3, 32))
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -66,14 +54,6 @@ class TestRoundTrip:
         f = HypercubeFunction(1, np.array([1.0, -0.5]))
         text = dump(f)
         assert read_function(io.StringIO(text)).values.tobytes() == np.array([1.0, -0.5]).tobytes()
-
-    def test_spectrum_reads_as_complex(self):
-        s = walsh_transform(HypercubeFunction(1, np.array([1.0, -0.5])))
-        assert s.coeffs.dtype == np.float64
-        buf = io.StringIO()
-        write_spectrum(buf, s)
-        back = read_spectrum(io.StringIO(buf.getvalue()))
-        assert back.coeffs.dtype == np.complex128 and np.array_equal(back.coeffs, s.coeffs)
 
 
 class TestLayout:
@@ -119,11 +99,6 @@ class TestLayout:
         monkeypatch.setattr(HypercubeFunction, "is_real", property(spy))
         dump(HypercubeFunction(1, np.array(values)))
         assert len(seen) == 1
-
-    def test_spectrum_layout_frozen(self):
-        buf = io.StringIO()
-        write_spectrum(buf, FourierSpectrum(1, np.array([0.25, 0.75], dtype=complex)))
-        assert buf.getvalue() == "n=1 kind=spectrum\n0.25 0.0\n0.75 0.0\n"
 
 
 class TestParseErrors:
@@ -175,13 +150,12 @@ class TestParseErrors:
             read_function(io.StringIO(""))
 
     def test_function_reader_rejects_spectrum_kind(self):
+        # value tables are the one file kind: spectrum is an unknown kind
         text = "n=1 kind=spectrum\n0.5 0.0\n0.5 0.0\n"
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as exc:
             read_function(io.StringIO(text))
-
-    def test_spectrum_reader_requires_spectrum_kind(self):
-        with pytest.raises(FormatError):
-            read_spectrum(io.StringIO("n=1 kind=real\n1.0\n1.0\n"))
+        assert str(exc.value) == "unknown kind 'spectrum'"
+        assert exc.value.line == 1
 
 
 class TestTableCap:
@@ -191,10 +165,6 @@ class TestTableCap:
     def test_function_header_above_default_cap(self, n):
         with pytest.raises(ResourceLimitError):
             read_function(io.StringIO(f"n={n} kind=real\n"))
-
-    def test_spectrum_header_above_default_cap(self):
-        with pytest.raises(ResourceLimitError):
-            read_spectrum(io.StringIO("n=64 kind=spectrum\n0.5 0.0\n"))
 
     def test_function_reader_takes_the_callers_cap(self):
         text = "n=1 kind=real\n1.0\n-1.0\n"
@@ -329,10 +299,10 @@ def reference_text(table, n, kind):
 
 
 def assert_reads_like_reference(text):
-    n, kind, table = orc.line_by_line_read(io.StringIO(text))
-    back = read_spectrum(io.StringIO(text)) if kind == "spectrum" else read_function(io.StringIO(text))
+    n, _, table = orc.line_by_line_read(io.StringIO(text))
+    back = read_function(io.StringIO(text))
     assert back.n == n
-    assert (back.coeffs if kind == "spectrum" else back.values).tobytes() == table.tobytes()
+    assert back.values.tobytes() == table.tobytes()
 
 
 def random_table(n, complex_):
@@ -365,14 +335,6 @@ class TestMatchesLineByLine:
         text = dump(f)
         assert text == reference_text(f.values, n, "complex" if complex_ else "real")
         assert_reads_like_reference(text)
-
-    @pytest.mark.parametrize("f", [unimodular_complex(theorem_params(12)), random_table(10, False)])
-    def test_spectrum_of_a_transform(self, f):
-        s = walsh_transform(f)
-        buf = io.StringIO()
-        write_spectrum(buf, s)
-        assert buf.getvalue() == reference_text(s.coeffs, s.n, "spectrum")
-        assert_reads_like_reference(buf.getvalue())
 
     @pytest.mark.parametrize("kind", [None, "complex"])
     def test_signed_zeros_subnormals_and_swapped_pairs(self, kind):
